@@ -25,7 +25,7 @@ from .cohomology import (
     is_exact,
 )
 from .fileformat import AlgebraFileError, parse_algebra, serialize_algebra
-from .forms import PERMUTATION_CAP, AlternatingForm, trace_form, w1_character, w3_killing
+from .forms import AlternatingForm, trace_form, w1_character, w3_killing
 from .geometry import (
     ConnectionSample,
     Curve,
@@ -81,7 +81,6 @@ __all__ = [
     "LieAlgebra",
     "LocalAlgebraError",
     "LocalGroupMultiplication",
-    "PERMUTATION_CAP",
     "STATUS_EXACT",
     "STATUS_NONZERO_CLASS",
     "STATUS_ZERO",

@@ -12,14 +12,15 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import catalog, cohomology, forms, geometry, verify
 from .algebra import LieAlgebra
 from .cohomology import BETTI_DIM_CAP
 from .fileformat import AlgebraFileError, parse_algebra, serialize_algebra
-from .forms import PERMUTATION_CAP
 from .linalg import symmetric_signature
 
 EXIT_OK = 0
@@ -80,47 +81,43 @@ def _text_lines(tree: dict, prefix: str) -> list[str]:
     return lines
 
 
-def _analyze_report(name: str, alg: LieAlgebra, max_degree: int | None) -> tuple[dict, int]:
-    start = time.monotonic()
-    report: dict = {"name": name, "dim": alg.dim}
-    validation = alg.validate()
-    report["jacobi_ok"] = validation.ok
-    if not validation.ok:
-        report["jacobi_violations"] = [list(v) for v in validation.violations]
-        report["timing"] = {"seconds": int(time.monotonic() - start)}
-        return report, EXIT_MATH
-    if alg.dim > BETTI_DIM_CAP:
-        raise CliError(f"dimension {alg.dim} exceeds the Betti table cap ({BETTI_DIM_CAP})")
-    cap = alg.dim if max_degree is None else min(max_degree, alg.dim)
-    report["solvable"] = alg.is_solvable()
-    report["nilpotent"] = alg.is_nilpotent()
-    report["semisimple"] = alg.is_semisimple()
-    report["unimodular"] = alg.is_unimodular()
-    pos, neg, zero = symmetric_signature(alg.killing())
-    report["killing_signature"] = [pos, neg, zero]
-    report["betti"] = [cohomology.betti(alg, k) for k in range(cap + 1)]
-    classes = {}
-    for degree, status in cohomology.class_report(alg).items():
-        if degree <= min(cap, PERMUTATION_CAP):
-            classes[str(degree)] = status
-    report["classes"] = classes
-    report["timing"] = {"seconds": int(time.monotonic() - start)}
-    return report, EXIT_OK
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _report_algebra(
+    build_report: Callable[[str, LieAlgebra, argparse.Namespace], dict], max_dim: int | None, args: argparse.Namespace
+) -> int:
+    """Load args.source, check its size before the O(n^4) Jacobi check, then
+    emit build_report(name, alg, args), or the Jacobi violations with exit 1."""
     name, alg = _load_algebra(args.source)
-    report, code = _analyze_report(name, alg, args.max_degree)
-    _emit(report, args.format)
-    return code
-
-
-def _cmd_forms(args: argparse.Namespace) -> int:
-    name, alg = _load_algebra(args.source)
+    if max_dim is not None and alg.dim > max_dim:
+        raise CliError(f"dimension {alg.dim} exceeds the Betti table cap ({max_dim})")
     validation = alg.validate()
     if not validation.ok:
-        _emit({"name": name, "jacobi_ok": False, "jacobi_violations": [list(v) for v in validation.violations]}, args.format)
+        violations = [list(v) for v in validation.violations]
+        _emit({"name": name, "dim": alg.dim, "jacobi_ok": False, "jacobi_violations": violations}, args.format)
         return EXIT_MATH
+    _emit(build_report(name, alg, args), args.format)
+    return EXIT_OK
+
+
+def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
+    start = time.monotonic()
+    cap = alg.dim if args.max_degree is None else min(args.max_degree, alg.dim)
+    pos, neg, zero = symmetric_signature(alg.killing())
+    return {
+        "name": name,
+        "dim": alg.dim,
+        "jacobi_ok": True,
+        "solvable": alg.is_solvable(),
+        "nilpotent": alg.is_nilpotent(),
+        "semisimple": alg.is_semisimple(),
+        "unimodular": alg.is_unimodular(),
+        "killing_signature": [pos, neg, zero],
+        "betti": [cohomology.betti(alg, k) for k in range(cap + 1)],
+        "classes": {str(k): cohomology.trace_class(alg, k)[0] for k in range(1, cap + 1, 2)},
+        "timing": {"seconds": int(time.monotonic() - start)},
+    }
+
+
+def _forms_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
     try:
         form = forms.trace_form(alg, args.degree)
     except ValueError as exc:
@@ -128,44 +125,21 @@ def _cmd_forms(args: argparse.Namespace) -> int:
     components = {_subset_key(subset): _fraction_str(value) for subset, value in sorted(form.components.items())}
     for subset in cohomology.cochain_basis(alg.dim, args.degree):
         components.setdefault(_subset_key(subset), "0")
-    report = {"name": name, "dim": alg.dim, "degree": args.degree, "components": components}
-    _emit(report, args.format)
-    return EXIT_OK
+    return {"name": name, "dim": alg.dim, "degree": args.degree, "components": components}
 
 
-def _cmd_cohomology(args: argparse.Namespace) -> int:
-    name, alg = _load_algebra(args.source)
-    validation = alg.validate()
-    if not validation.ok:
-        _emit({"name": name, "jacobi_ok": False, "jacobi_violations": [list(v) for v in validation.violations]}, args.format)
-        return EXIT_MATH
+def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
     k = args.degree
     if not 0 <= k <= alg.dim:
         raise CliError(f"degree {k} outside 0..{alg.dim}")
-    if alg.dim > BETTI_DIM_CAP:
-        raise CliError(f"dimension {alg.dim} exceeds the Betti table cap ({BETTI_DIM_CAP})")
     report: dict = {"name": name, "dim": alg.dim, "degree": k, "betti": cohomology.betti(alg, k)}
-    if 1 <= k <= min(alg.dim, PERMUTATION_CAP):
-        w = forms.trace_form(alg, k)
-        closed = cohomology.is_closed(alg, w)
-        report["w_closed"] = closed
-        if w.is_zero():
-            report["w_status"] = cohomology.STATUS_ZERO
-            report["w_primitive"] = None
-        elif closed:
-            exact, primitive = cohomology.is_exact(alg, w)
-            report["w_status"] = cohomology.STATUS_EXACT if exact else cohomology.STATUS_NONZERO_CLASS
-            if exact and primitive is not None:
-                report["w_primitive"] = {
-                    _subset_key(subset): _fraction_str(value) for subset, value in sorted(primitive.components.items())
-                }
-            else:
-                report["w_primitive"] = None
-        else:
-            report["w_status"] = "not closed"
-            report["w_primitive"] = None
-    _emit(report, args.format)
-    return EXIT_OK
+    if k >= 1:
+        status, primitive = cohomology.trace_class(alg, k)
+        # trace forms of a Jacobi-valid algebra are always cocycles
+        report.update(w_closed=True, w_status=status, w_primitive=None)
+        if primitive is not None:
+            report["w_primitive"] = {_subset_key(s): _fraction_str(v) for s, v in sorted(primitive.components.items())}
+    return report
 
 
 def _curvature_sweep(frame: geometry.FrameField, points_per_axis: int) -> dict[str, float]:
@@ -276,19 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("source")
     p_analyze.add_argument("--max-degree", type=int, default=None, help="cap Betti/class degrees")
     add_format(p_analyze)
-    p_analyze.set_defaults(func=_cmd_analyze)
+    p_analyze.set_defaults(func=partial(_report_algebra, _analyze_report, BETTI_DIM_CAP))
 
     p_forms = sub.add_parser("forms", help="components of the degree-k trace form")
     p_forms.add_argument("source")
     p_forms.add_argument("--degree", type=int, required=True)
     add_format(p_forms)
-    p_forms.set_defaults(func=_cmd_forms)
+    p_forms.set_defaults(func=partial(_report_algebra, _forms_report, None))
 
     p_coh = sub.add_parser("cohomology", help="Betti number and trace-form class in degree k")
     p_coh.add_argument("source")
     p_coh.add_argument("--degree", type=int, required=True)
     add_format(p_coh)
-    p_coh.set_defaults(func=_cmd_cohomology)
+    p_coh.set_defaults(func=partial(_report_algebra, _cohomology_report, BETTI_DIM_CAP))
 
     p_curv = sub.add_parser("curvature", help="lattice curvature statistics for a catalog frame")
     p_curv.add_argument("--frame", required=True, help="catalog frame name")

@@ -124,22 +124,25 @@ def is_exact(alg: LieAlgebra, form: AlternatingForm) -> tuple[bool, AlternatingF
     return True, primitive
 
 
-# Per-degree status labels used by class_report.
+# Per-degree status labels of a trace-form class.
 STATUS_ZERO = "zero form"
 STATUS_EXACT = "exact"
 STATUS_NONZERO_CLASS = "nonzero class"
 
 
+def trace_class(alg: LieAlgebra, k: int) -> tuple[str, AlternatingForm | None]:
+    """Status of the degree-k trace form's class, with a primitive when exact.
+
+    Trace forms of a Jacobi-valid algebra are cocycles; is_exact raises
+    ValueError if this one is not.
+    """
+    form = trace_form(alg, k)
+    if form.is_zero():
+        return STATUS_ZERO, None
+    exact, primitive = is_exact(alg, form)
+    return (STATUS_EXACT if exact else STATUS_NONZERO_CLASS), primitive
+
+
 def class_report(alg: LieAlgebra) -> dict[int, str]:
     """Status of the odd trace-form classes in every degree 2k+1 <= dim."""
-    report = {}
-    for degree in range(1, alg.dim + 1, 2):
-        form = trace_form(alg, degree)
-        if form.is_zero():
-            report[degree] = STATUS_ZERO
-            continue
-        if not is_closed(alg, form):
-            raise AssertionError(f"degree-{degree} trace form is not closed; this cannot happen")
-        exact, _ = is_exact(alg, form)
-        report[degree] = STATUS_EXACT if exact else STATUS_NONZERO_CLASS
-    return report
+    return {degree: trace_class(alg, degree)[0] for degree in range(1, alg.dim + 1, 2)}

@@ -6,19 +6,22 @@ The degree-k trace form on basis vectors (e_{i_1}, ..., e_{i_k}) is
 
 with normalization 1/k, not 1/k!; the k=3 form factors through the Killing
 form as kappa(x, [y, z]) and vanishes identically in every even degree.
+
+The k!-term sum is never expanded. The alternating product of an index
+tuple J, A_J = sum over s of sgn(s) * ad e_{j_s(0)} . ... . ad e_{j_s(m-1)},
+splits on its first factor as A_J = sum_p (-1)^p * ad e_{j_p} . A_{J minus j_p}
+with A_() = I. trace_form builds one level |J| = 1 .. k-1 at a time and
+takes w_k(I) = (1/k) * sum_p (-1)^p * tr(ad e_{i_p} . A_{I minus i_p}).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from . import linalg
 from .algebra import LieAlgebra, Vector
-
-# Beyond this the naive k!-term sum stops being desk-scale (7! = 5040).
-PERMUTATION_CAP = 7
 
 
 def permutation_sign(perm: tuple[int, ...]) -> int:
@@ -93,22 +96,38 @@ def trace_form(alg: LieAlgebra, k: int) -> AlternatingForm:
     """Degree-k trace form of the adjoint representation, exactly."""
     if not 1 <= k <= alg.dim:
         raise ValueError(f"degree {k} outside [1, {alg.dim}]")
-    if k > PERMUTATION_CAP:
-        raise ValueError(f"degree {k} exceeds the permutation cap {PERMUTATION_CAP}")
     ads = alg.basis_ad()
+    indices = range(1, alg.dim + 1)
+    level = {(): linalg.identity(alg.dim)}
+    for size in range(1, k):
+        level = {subset: _alternating_product(ads, subset, level) for subset in combinations(indices, size)}
     components = {}
     inv_k = Fraction(1, k)
-    for subset in combinations(range(1, alg.dim + 1), k):
+    for subset in combinations(indices, k):
         total = Fraction(0)
-        for perm in permutations(range(k)):
-            product = ads[subset[perm[0]] - 1]
-            for pos in perm[1:]:
-                product = linalg.mat_mul(product, ads[subset[pos] - 1])
-            total += permutation_sign(perm) * linalg.trace(product)
+        for p, i in enumerate(subset):
+            rest = level[subset[:p] + subset[p + 1 :]]
+            # tr(ad e_i . A_rest) without forming the product
+            term = sum(x * rest[c][r] for r, row in enumerate(ads[i - 1]) for c, x in enumerate(row) if x)
+            total += -term if p % 2 else term
         value = inv_k * total
         if value != 0:
             components[subset] = value
     return AlternatingForm(degree=k, dim=alg.dim, components=components)
+
+
+def _alternating_product(ads: list[linalg.Matrix], subset: tuple[int, ...], lower: dict) -> linalg.Matrix:
+    """A_J = sum_p (-1)^p ad e_{j_p} . A_{J minus j_p}, from the level below J."""
+    out = linalg.zeros(len(ads), len(ads))
+    for p, i in enumerate(subset):
+        rest = lower[subset[:p] + subset[p + 1 :]]
+        for out_row, ad_row in zip(out, ads[i - 1]):
+            for t, x in enumerate(ad_row):
+                if x:
+                    coef = -x if p % 2 else x
+                    for c, y in enumerate(rest[t]):
+                        out_row[c] += coef * y
+    return out
 
 
 def w1_character(alg: LieAlgebra) -> AlternatingForm:

@@ -367,9 +367,9 @@ def local_algebra(
 ) -> LieAlgebra:
     """Round the structure functions at p to a validated rational algebra.
 
-    Fails if the functions are not constant over the chart lattice (within
-    ten times the finite-difference tolerance) or if the rounded constants
-    violate the Jacobi identity.
+    Fails if the functions vary over the chart lattice or miss their rounding
+    (by more than ten times the finite-difference tolerance), or if the
+    rounded constants violate the Jacobi identity.
     """
     c_p = structure_functions(frame, p)
     lattice = frame.chart.lattice(points_per_axis)
@@ -384,6 +384,9 @@ def local_algebra(
         for j in range(i + 1, n):
             for k in range(n):
                 value = Fraction(float(c_p[i, j, k])).limit_denominator(denominator_cap)
+                miss = abs(float(c_p[i, j, k]) - float(value))
+                if miss > tol:
+                    raise LocalAlgebraError(f"c[{i + 1},{j + 1},{k + 1}] misses {value} by {miss:.3e} (tol {tol:.3e})")
                 if value != 0:
                     constants[(i + 1, j + 1, k + 1)] = value
     algebra = LieAlgebra(dim=n, c=constants)

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from liechar import catalog
+from liechar import catalog, cohomology
+from liechar.algebra import LieAlgebra, lie_algebra
 from liechar.cli import run
 from liechar.fileformat import serialize_algebra
 
@@ -76,6 +77,52 @@ def test_analyze_jacobi_failure_exits_one(capsys, tmp_path) -> None:
     report = json.loads(out)
     assert report["jacobi_ok"] is False
     assert [1, 2, 3, 2] in report["jacobi_violations"]
+
+
+def test_analyze_dimension_nine_reports_every_odd_class(capsys, tmp_path) -> None:
+    sl2 = catalog.get("sl2", kind="algebra").payload
+    constants = {
+        (i + shift, j + shift, k + shift): value
+        for shift in (0, 3, 6)
+        for (i, j, k), value in sl2.c.items()
+    }
+    path = tmp_path / "sl2_cubed.lie"
+    path.write_text(serialize_algebra(lie_algebra(9, constants)))
+    code, out, _ = invoke(capsys, "analyze", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["betti"] == [1, 0, 0, 3, 0, 0, 3, 0, 0, 1]
+    assert sorted(report["classes"]) == ["1", "3", "5", "7", "9"]
+    assert report["classes"]["3"] == "nonzero class"
+
+
+def test_analyze_max_degree_limits_trace_forms(capsys, monkeypatch) -> None:
+    degrees = []
+    trace_form = cohomology.trace_form
+
+    def counted(alg, k):
+        degrees.append(k)
+        return trace_form(alg, k)
+
+    monkeypatch.setattr(cohomology, "trace_form", counted)
+    code, out, _ = invoke(capsys, "analyze", "catalog:sl2", "--max-degree", "1")
+    assert code == 0
+    assert json.loads(out)["classes"] == {"1": "zero form"}
+    assert degrees == [1]
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["cohomology", "--degree", "1"]])
+def test_oversized_input_exits_two_before_jacobi(capsys, monkeypatch, tmp_path, command) -> None:
+    def refuse(self):
+        raise AssertionError("validate ran on an input over the Betti cap")
+
+    monkeypatch.setattr(LieAlgebra, "validate", refuse)
+    path = tmp_path / "big.lie"
+    path.write_text("dim 13\n1 2 3 1\n")
+    code, out, err = invoke(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert "Betti table cap" in err
 
 
 def test_analyze_parse_error_exits_two(capsys, tmp_path) -> None:
@@ -152,6 +199,17 @@ def test_cohomology_zero_form_status(capsys) -> None:
     report = json.loads(out)
     assert report["betti"] == 2
     assert report["w_status"] == "zero form"
+
+
+def test_cohomology_reports_class_in_degree_eight(capsys, tmp_path) -> None:
+    path = tmp_path / "abelian8.lie"
+    path.write_text("dim 8\n")
+    code, out, _ = invoke(capsys, "cohomology", str(path), "--degree", "8")
+    assert code == 0
+    report = json.loads(out)
+    assert report["betti"] == 1
+    assert report["w_status"] == "zero form"
+    assert report["w_primitive"] is None
 
 
 def test_curvature_report(capsys) -> None:

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liechar import catalog
 from liechar.algebra import LieAlgebra, lie_algebra
 from liechar.forms import (
-    PERMUTATION_CAP,
     AlternatingForm,
     permutation_sign,
     trace_form,
@@ -43,8 +44,8 @@ def brute_force_trace_form(alg: LieAlgebra, degree: int, indices: tuple) -> Frac
         for p in perm:
             a = ads[p]
             prod = [
-                [sum(prod[i][t] * a[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
+                [sum((x * a[t][j] for t, x in enumerate(row) if x), Fraction(0)) for j in range(n)]
+                for row in prod
             ]
         sign = permutation_sign(perm)
         total += sign * sum(prod[i][i] for i in range(n))
@@ -65,10 +66,45 @@ def test_trace_form_degree_bounds() -> None:
         trace_form(g, 4)
 
 
-def test_trace_form_degree_cap() -> None:
-    g = lie_algebra(PERMUTATION_CAP + 1, {})
-    with pytest.raises(ValueError):
-        trace_form(g, PERMUTATION_CAP + 1)
+def oracle_trace_form(alg: LieAlgebra, degree: int) -> dict:
+    """Nonzero components of the degree-k trace form by the k!-term sum."""
+    components = {}
+    for subset in itertools.combinations(range(1, alg.dim + 1), degree):
+        value = brute_force_trace_form(alg, degree, subset)
+        if value != 0:
+            components[subset] = value
+    return components
+
+
+def test_trace_form_matches_permutation_oracle_on_catalog() -> None:
+    for entry in catalog.list_entries():
+        if entry.kind != "algebra":
+            continue
+        g = entry.payload
+        for degree in range(1, min(g.dim, 5) + 1):
+            assert trace_form(g, degree).components == oracle_trace_form(g, degree), (entry.name, degree)
+
+
+@st.composite
+def constants_and_degree(draw) -> tuple[LieAlgebra, int]:
+    """Arbitrary antisymmetric constants; the subset recursion is an
+    identity for any matrices, so Jacobi is not needed."""
+    n = draw(st.integers(2, 5))
+    keys = [(i, j, k) for i, j in itertools.combinations(range(1, n + 1), 2) for k in range(1, n + 1)]
+    values = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    constants = draw(st.dictionaries(st.sampled_from(keys), values, max_size=2 * n))
+    return lie_algebra(n, constants), draw(st.integers(1, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(constants_and_degree())
+def test_trace_form_matches_permutation_oracle_on_random_constants(case) -> None:
+    g, degree = case
+    assert trace_form(g, degree).components == oracle_trace_form(g, degree)
+
+
+def test_trace_form_top_degree_of_abelian8_is_zero() -> None:
+    assert trace_form(lie_algebra(8, {}), 8).is_zero()
 
 
 def test_w1_is_trace_of_ad() -> None:

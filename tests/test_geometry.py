@@ -251,6 +251,17 @@ def test_local_algebra_rejects_varying_structure_functions() -> None:
         local_algebra(frame_of("unipotent_sin"), np.array([0.7, 0.7]))
 
 
+def test_local_algebra_rejects_irrational_structure_constant() -> None:
+    # [e1, e2] = sqrt(2) e2 is constant, so only the rounding residual
+    # (sqrt(2) rounds to 58/41 with denominators <= 64) can refuse it.
+    def matrix(x: np.ndarray) -> np.ndarray:
+        return np.diag([1.0, np.exp(np.sqrt(2.0) * x[0])])
+
+    frame = FrameField(chart=Chart(lower=(-0.5, -0.5), upper=(0.5, 0.5)), matrix=matrix)
+    with pytest.raises(LocalAlgebraError, match="58/41"):
+        local_algebra(frame, np.zeros(2))
+
+
 def test_bracket_defect_matches_curvature_contraction() -> None:
     rng = np.random.default_rng(20240801)
     for name in ("unipotent_sin", "borel_frame"):
