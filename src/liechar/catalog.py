@@ -8,8 +8,9 @@ command line interface.
 
 from __future__ import annotations
 
-import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -40,9 +41,6 @@ def _unit_box(n: int, h: float = 1e-3) -> Chart:
 def _halfplane_box(h: float = 1e-3) -> Chart:
     # first coordinate kept away from 0 so 1/x1 frames stay invertible
     return Chart(lower=(0.5, -1.0), upper=(2.5, 1.0), h=h)
-
-
-_PARAM = re.compile(r"^(abelian|identity)\((\d+)\)$")
 
 
 def _abelian_algebra(n: int) -> CatalogEntry:
@@ -125,14 +123,14 @@ def _identity_frame(n: int) -> CatalogEntry:
     return CatalogEntry(
         name=f"identity({n})",
         kind="frame",
-        payload=FrameField(chart=_unit_box(n), matrix=lambda x: eye),
+        payload=FrameField(chart=_unit_box(n), matrix=lambda x: np.broadcast_to(eye, x.shape[:-1] + (n, n))),
         note=f"constant identity frame on the unit box in dimension {n}",
     )
 
 
 def _affine_halfplane() -> CatalogEntry:
     def matrix(x: np.ndarray) -> np.ndarray:
-        return x[0] * np.eye(2)
+        return x[..., 0, None, None] * np.eye(2)
 
     return CatalogEntry(
         name="affine_halfplane",
@@ -144,7 +142,10 @@ def _affine_halfplane() -> CatalogEntry:
 
 def _unipotent_sin() -> CatalogEntry:
     def matrix(x: np.ndarray) -> np.ndarray:
-        return np.array([[1.0, 0.0], [np.sin(x[1]), 1.0]])
+        a = np.zeros(x.shape[:-1] + (2, 2))
+        a[..., 0, 0] = a[..., 1, 1] = 1.0
+        a[..., 1, 0] = np.sin(x[..., 1])
+        return a
 
     return CatalogEntry(
         name="unipotent_sin",
@@ -159,7 +160,10 @@ def _unipotent_sin() -> CatalogEntry:
 
 def _borel_frame() -> CatalogEntry:
     def matrix(x: np.ndarray) -> np.ndarray:
-        return np.array([[x[0], 0.0], [-x[1], x[0]]])
+        a = np.zeros(x.shape[:-1] + (2, 2))
+        a[..., 0, 0] = a[..., 1, 1] = x[..., 0]
+        a[..., 1, 0] = -x[..., 1]
+        return a
 
     return CatalogEntry(
         name="borel_frame",
@@ -175,7 +179,7 @@ def _abelian_multiplication(n: int) -> CatalogEntry:
         kind="multiplication",
         payload=LocalGroupMultiplication(
             chart=_unit_box(n),
-            multiply=lambda a, b: np.asarray(a, dtype=float) + np.asarray(b, dtype=float),
+            multiply=lambda a, b: a + b,
             identity=np.zeros(n),
         ),
         note=f"vector addition on the unit box in dimension {n}",
@@ -184,9 +188,9 @@ def _abelian_multiplication(n: int) -> CatalogEntry:
 
 def _affine_group() -> CatalogEntry:
     def multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        a, b = float(p[0]), float(p[1])
-        c, d = float(q[0]), float(q[1])
-        return np.array([a * c, a * d + b])
+        a, b = p[..., 0], p[..., 1]
+        c, d = q[..., 0], q[..., 1]
+        return np.stack([a * c, a * d + b], axis=-1)
 
     return CatalogEntry(
         name="affine_group",
@@ -198,9 +202,9 @@ def _affine_group() -> CatalogEntry:
 
 def _borel_sl2_group() -> CatalogEntry:
     def multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        a1, b1 = float(p[0]), float(p[1])
-        a2, b2 = float(q[0]), float(q[1])
-        return np.array([a1 * a2, a1 * b2 + b1 / a2])
+        a1, b1 = p[..., 0], p[..., 1]
+        a2, b2 = q[..., 0], q[..., 1]
+        return np.stack([a1 * a2, a1 * b2 + b1 / a2], axis=-1)
 
     return CatalogEntry(
         name="borel_sl2_group",
@@ -210,44 +214,23 @@ def _borel_sl2_group() -> CatalogEntry:
     )
 
 
-_FIXED = {
-    "algebra": {
-        "heisenberg3": _heisenberg3,
-        "affine1": _affine1,
-        "borel_sl2": _borel_sl2,
-        "sl2": _sl2,
-        "so3": _so3,
-        "sl2_plus_abelian2": _sl2_plus_abelian2,
-    },
-    "frame": {
-        "affine_halfplane": _affine_halfplane,
-        "unipotent_sin": _unipotent_sin,
-        "borel_frame": _borel_frame,
-    },
-    "multiplication": {
-        "affine_group": _affine_group,
-        "borel_sl2_group": _borel_sl2_group,
-    },
+# Every entry, keyed by (kind, name); list_names() prints them as "kind:name".
+_TABLE: dict[tuple[str, str], Callable[[], CatalogEntry]] = {
+    ("algebra", "heisenberg3"): _heisenberg3,
+    ("algebra", "affine1"): _affine1,
+    ("algebra", "borel_sl2"): _borel_sl2,
+    ("algebra", "sl2"): _sl2,
+    ("algebra", "so3"): _so3,
+    ("algebra", "sl2_plus_abelian2"): _sl2_plus_abelian2,
+    ("frame", "affine_halfplane"): _affine_halfplane,
+    ("frame", "unipotent_sin"): _unipotent_sin,
+    ("frame", "borel_frame"): _borel_frame,
+    ("multiplication", "affine_group"): _affine_group,
+    ("multiplication", "borel_sl2_group"): _borel_sl2_group,
+    **{("algebra", f"abelian({n})"): partial(_abelian_algebra, n) for n in range(1, ABELIAN_MAX_DIM + 1)},
+    **{("frame", f"identity({n})"): partial(_identity_frame, n) for n in range(1, ABELIAN_MAX_DIM + 1)},
+    **{("multiplication", f"abelian({n})"): partial(_abelian_multiplication, n) for n in range(1, ABELIAN_MAX_DIM + 1)},
 }
-
-_PARAMETRIC = {
-    ("algebra", "abelian"): _abelian_algebra,
-    ("frame", "identity"): _identity_frame,
-    ("multiplication", "abelian"): _abelian_multiplication,
-}
-
-
-def _lookup(kind: str, name: str) -> CatalogEntry | None:
-    builder = _FIXED[kind].get(name)
-    if builder is not None:
-        return builder()
-    match = _PARAM.match(name)
-    if match:
-        family, n = match.group(1), int(match.group(2))
-        maker = _PARAMETRIC.get((kind, family))
-        if maker is not None and 1 <= n <= ABELIAN_MAX_DIM:
-            return maker(n)
-    return None
 
 
 def get(name: str, kind: str | None = None) -> CatalogEntry:
@@ -263,35 +246,17 @@ def get(name: str, kind: str | None = None) -> CatalogEntry:
     for candidate in kinds:
         if candidate not in KINDS:
             raise KeyError(f"unknown catalog kind {candidate!r}")
-        entry = _lookup(candidate, name)
-        if entry is not None:
-            return entry
+        builder = _TABLE.get((candidate, name))
+        if builder is not None:
+            return builder()
     where = f" of kind {kind!r}" if kind else ""
     raise KeyError(f"no catalog entry named {name!r}{where}")
 
 
 def list_entries() -> list[CatalogEntry]:
-    entries = []
-    for kind in KINDS:
-        for name in _FIXED[kind]:
-            entries.append(_lookup(kind, name))
-        family = {"algebra": "abelian", "frame": "identity", "multiplication": "abelian"}[kind]
-        for n in range(1, ABELIAN_MAX_DIM + 1):
-            entries.append(_lookup(kind, f"{family}({n})"))
-    return sorted(entries, key=lambda e: (e.kind, e.name))
+    """Every entry, built afresh, sorted by (kind, name)."""
+    return [_TABLE[key]() for key in sorted(_TABLE)]
 
 
 def list_names() -> list[str]:
-    return [f"{entry.kind}:{entry.name}" for entry in list_entries()]
-
-
-def algebra_names() -> list[str]:
-    return [e.name for e in list_entries() if e.kind == "algebra"]
-
-
-def frame_names() -> list[str]:
-    return [e.name for e in list_entries() if e.kind == "frame"]
-
-
-def multiplication_names() -> list[str]:
-    return [e.name for e in list_entries() if e.kind == "multiplication"]
+    return [f"{kind}:{name}" for kind, name in sorted(_TABLE)]

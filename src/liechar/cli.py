@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
@@ -99,7 +98,6 @@ def _report_algebra(
 
 
 def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
-    start = time.monotonic()
     cap = alg.dim if args.max_degree is None else min(args.max_degree, alg.dim)
     pos, neg, zero = symmetric_signature(alg.killing())
     return {
@@ -113,7 +111,6 @@ def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dic
         "killing_signature": [pos, neg, zero],
         "betti": [cohomology.betti(alg, k) for k in range(cap + 1)],
         "classes": {str(k): cohomology.trace_class(alg, k)[0] for k in range(1, cap + 1, 2)},
-        "timing": {"seconds": int(time.monotonic() - start)},
     }
 
 
@@ -143,18 +140,18 @@ def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> 
 
 
 def _curvature_sweep(frame: geometry.FrameField, points_per_axis: int) -> dict[str, float]:
+    """Lattice maxima; r_full pairs each point with its mirror in the lattice order."""
     lattice = frame.chart.lattice(points_per_axis)
-    pairs = list(zip(lattice, reversed(lattice)))
-    stats = {
-        "r1_max": max(geometry.r1(frame, x).max_abs for x in lattice),
-        "r2_max": max(geometry.r2(frame, x).max_abs for x in lattice),
-        "torsion_max": max(geometry.sup_norm(geometry.torsion(geometry.gamma(frame, x))) for x in lattice),
-        "w_max": max(geometry.sup_norm(geometry.w_form(frame, x)) for x in lattice),
-        "r_full_max": max(geometry.r_full(frame, x, y).max_abs for x, y in pairs),
-        "r_full_diagonal_max": max(geometry.r_full(frame, x, x).max_abs for x in lattice),
-        "dw_tr_r2_residual": max(geometry.dw_tr_r2_residual(frame, x) for x in lattice),
+    sup = geometry.sup_norm
+    return {
+        "r1_max": sup(geometry.r1(frame, lattice).tensor),
+        "r2_max": sup(geometry.r2(frame, lattice).tensor),
+        "torsion_max": sup(geometry.torsion(geometry.gamma(frame, lattice))),
+        "w_max": sup(geometry.w_form(frame, lattice)),
+        "r_full_max": sup(geometry.r_full(frame, lattice, lattice[::-1]).tensor),
+        "r_full_diagonal_max": sup(geometry.r_full(frame, lattice, lattice).tensor),
+        "dw_tr_r2_residual": sup(geometry.dw_tr_r2_residual(frame, lattice)),
     }
-    return stats
 
 
 def _cmd_curvature(args: argparse.Namespace) -> int:
@@ -235,6 +232,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_MATH
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liechar",
@@ -248,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="full report for an algebra (file path or catalog:name)")
     p_analyze.add_argument("source")
-    p_analyze.add_argument("--max-degree", type=int, default=None, help="cap Betti/class degrees")
+    p_analyze.add_argument("--max-degree", type=_nonnegative_int, default=None, help="cap Betti/class degrees")
     add_format(p_analyze)
     p_analyze.set_defaults(func=partial(_report_algebra, _analyze_report, BETTI_DIM_CAP))
 

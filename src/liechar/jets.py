@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -55,41 +54,48 @@ class Chart:
     def with_step(self, h: float) -> "Chart":
         return Chart(lower=self.lower, upper=self.upper, h=h)
 
+    def _inside(self, x: np.ndarray, margin: float) -> np.ndarray:
+        """Per-point membership of a point or a stack of points (..., n)."""
+        x = np.asarray(x, dtype=float)
+        return np.all((np.add(self.lower, margin) <= x) & (x <= np.subtract(self.upper, margin)), axis=-1)
+
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
-        return all(
-            lo + margin <= xi <= hi - margin
-            for xi, lo, hi in zip(np.asarray(x, dtype=float), self.lower, self.upper)
-        )
+        """True when x, or every point of a stack x, lies in the box shrunk by margin."""
+        return bool(np.all(self._inside(x, margin)))
 
     def require_interior(self, x: np.ndarray) -> None:
-        if not self.contains(x, margin=2 * self.h):
-            raise ValueError(f"point {np.asarray(x)} is within 2h of the chart boundary")
+        """Reject a point, or a stack with any point, within 2h of the boundary."""
+        x = np.asarray(x, dtype=float)
+        outside = ~self._inside(x, 2 * self.h)
+        if np.any(outside):
+            raise ValueError(f"point {x[outside][0]} is within 2h of the chart boundary")
 
-    def lattice(self, points_per_axis: int = 5) -> list[np.ndarray]:
-        """Interior sample lattice, excluding a boundary margin of 2h."""
+    def lattice(self, points_per_axis: int = 5) -> np.ndarray:
+        """Interior sample lattice as one (points_per_axis**n, n) array, last
+        axis varying fastest; excludes a boundary margin of 2h."""
         margin = 2 * self.h
         axes = [
             np.linspace(lo + margin, hi - margin, points_per_axis)
             for lo, hi in zip(self.lower, self.upper)
         ]
-        return [np.array(point) for point in product(*axes)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
 
 
 def partial_derivative(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, j: int, h: float):
-    """Central difference of f along axis j (0-based)."""
-    step = np.zeros(len(x))
+    """Central difference of f along coordinate j (0-based) at a point or a
+    stack of points x of shape (..., n)."""
+    step = np.zeros(x.shape[-1])
     step[j] = h
     return (np.asarray(f(x + step)) - np.asarray(f(x - step))) / (2 * h)
 
 
 def jacobian(f: VectorField, x: np.ndarray, h: float) -> np.ndarray:
-    """J[i, j] = dF^i/dx^j by central differences."""
-    cols = [partial_derivative(f, x, j, h) for j in range(len(x))]
-    return np.stack(cols, axis=-1)
+    """J[..., i, j] = dF^i/dx^j by central differences."""
+    return np.stack([partial_derivative(f, x, j, h) for j in range(x.shape[-1])], axis=-1)
 
 
 def gradient(f: ScalarField, x: np.ndarray, h: float) -> np.ndarray:
-    return np.array([partial_derivative(f, x, j, h) for j in range(len(x))])
+    return np.stack([partial_derivative(f, x, j, h) for j in range(x.shape[-1])], axis=-1)
 
 
 @dataclass(frozen=True)

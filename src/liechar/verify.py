@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from . import catalog, cohomology, forms, geometry, jets, linalg
-from .algebra import LieAlgebra
 
 RNG_SEED = 20240801
 
@@ -33,16 +32,9 @@ def _rational_vectors(rng: np.random.Generator, dim: int, count: int) -> list[li
     return [[Fraction(int(v), 2) for v in row] for row in draws]
 
 
-def _algebras() -> list[tuple[str, LieAlgebra]]:
-    return [(e.name, e.payload) for e in catalog.list_entries() if e.kind == "algebra"]
-
-
-def _frames() -> list[tuple[str, geometry.FrameField]]:
-    return [(e.name, e.payload) for e in catalog.list_entries() if e.kind == "frame"]
-
-
-def _multiplications() -> list[tuple[str, geometry.LocalGroupMultiplication]]:
-    return [(e.name, e.payload) for e in catalog.list_entries() if e.kind == "multiplication"]
+def _payloads(kind: str) -> list[tuple[str, Any]]:
+    """(name, payload) of every catalog entry of one kind."""
+    return [(e.name, e.payload) for e in catalog.list_entries() if e.kind == kind]
 
 
 def _poly_field(rng: np.random.Generator, n: int) -> jets.VectorField:
@@ -96,19 +88,19 @@ def suite_algebra() -> list[CheckResult]:
     rng = np.random.default_rng(RNG_SEED)
 
     def jacobi_all():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             report = alg.validate()
             assert report.ok, f"{name}: Jacobi fails at {report.violations[:3]}"
 
     def killing_invariance():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             for x, y, z in zip(*(iter(_rational_vectors(rng, alg.dim, 9)),) * 3):
                 lhs = alg.killing_pair(alg.bracket(x, y), z)
                 rhs = alg.killing_pair(x, alg.bracket(y, z))
                 assert lhs == rhs, f"{name}: killing invariance fails"
 
     def semisimple_unimodular():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             if alg.is_semisimple():
                 assert alg.is_unimodular(), f"{name}: semisimple but not unimodular"
 
@@ -123,14 +115,14 @@ def suite_forms() -> list[CheckResult]:
     rng = np.random.default_rng(RNG_SEED + 1)
 
     def even_vanishing():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             if alg.dim >= 2:
                 assert forms.trace_form(alg, 2).is_zero(), f"{name}: degree-2 trace form nonzero"
             if alg.dim >= 4:
                 assert forms.trace_form(alg, 4).is_zero(), f"{name}: degree-4 trace form nonzero"
 
     def killing_shortcut():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             if alg.dim < 3:
                 continue
             w3 = forms.trace_form(alg, 3)
@@ -138,13 +130,13 @@ def suite_forms() -> list[CheckResult]:
                 assert w3.evaluate(x, y, z) == forms.w3_killing(alg, x, y, z), f"{name}: w3 shortcut mismatch"
 
     def cartan_solvability():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             if alg.dim < 3:
                 continue
             assert forms.trace_form(alg, 3).is_zero() == alg.is_solvable(), f"{name}: Cartan criterion mismatch"
 
     def character_unimodularity():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             assert forms.w1_character(alg).is_zero() == alg.is_unimodular(), f"{name}: character/unimodular mismatch"
 
     _check(results, "forms", "even_degrees_vanish", even_vanishing)
@@ -158,7 +150,7 @@ def suite_cohomology() -> list[CheckResult]:
     results: list[CheckResult] = []
 
     def d_squared():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             for k in range(alg.dim):
                 d_k = cohomology.differential_matrix(alg, k)
                 d_next = cohomology.differential_matrix(alg, k + 1)
@@ -166,26 +158,26 @@ def suite_cohomology() -> list[CheckResult]:
                 assert linalg.is_zero_matrix(product), f"{name}: d.d != 0 at degree {k}"
 
     def closed_trace_forms():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             for k in (1, 3):
                 if k <= alg.dim:
                     assert cohomology.is_closed(alg, forms.trace_form(alg, k)), f"{name}: w{k} not closed"
 
     def betti_basics():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             table = cohomology.betti_table(alg)
             assert table[0] == 1, f"{name}: b0 != 1"
             euler = sum((-1) ** k * b for k, b in enumerate(table))
             assert euler == 0, f"{name}: Euler characteristic {euler} != 0"
 
     def whitehead():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             if alg.is_semisimple():
                 assert cohomology.betti(alg, 1) == 0, f"{name}: b1 != 0"
                 assert cohomology.betti(alg, 2) == 0, f"{name}: b2 != 0"
 
     def rank_dual_route():
-        for name, alg in _algebras():
+        for name, alg in _payloads("algebra"):
             for k in range(alg.dim + 1):
                 entries = cohomology.differential_matrix(alg, k).entries
                 assert linalg.rank_fraction_free(entries) == linalg.rank(entries), f"{name}: rank routes disagree"
@@ -264,43 +256,40 @@ def suite_geometry() -> list[CheckResult]:
     rng = np.random.default_rng(RNG_SEED + 3)
 
     def splitting_identities():
-        for name, frame in _frames():
+        for name, frame in _payloads("frame"):
             eps = geometry.Splitting(frame)
             pts = frame.chart.lattice(3)
-            triples = [(pts[0], pts[len(pts) // 2], pts[-1]), (pts[1], pts[-2], pts[0])]
-            for x, y, z in triples:
-                assert eps.cocycle_residual(x, y, z) <= geometry.EXACT_TOL, f"{name}: cocycle fails"
-            for x in pts:
-                assert eps.identity_residual(x) <= geometry.EXACT_TOL, f"{name}: diagonal fails"
+            # the triples (first, middle, last) and (second, second to last, first)
+            x, y, z = pts[[0, 1]], pts[[len(pts) // 2, -2]], pts[[-1, 0]]
+            assert eps.cocycle_residual(x, y, z) <= geometry.EXACT_TOL, f"{name}: cocycle fails"
+            assert eps.identity_residual(pts) <= geometry.EXACT_TOL, f"{name}: diagonal fails"
 
     def r1_vanishes():
-        for name, frame in _frames():
-            for x in frame.chart.lattice(3):
-                sample = geometry.r1(frame, x)
-                tol = geometry.fd_tolerance(frame.chart.h, sample.scale)
-                assert sample.max_abs <= tol, f"{name}: |R1|={sample.max_abs:.2e} > {tol:.2e}"
+        for name, frame in _payloads("frame"):
+            sample = geometry.r1(frame, frame.chart.lattice(3))
+            tol = geometry.fd_tolerance(frame.chart.h, sample.scale)
+            assert np.all(sample.max_abs <= tol), f"{name}: |R1| reaches {np.max(sample.max_abs / tol):.2f}x its tol"
 
     def dw_matches_trace():
-        for name, frame in _frames():
-            for x in frame.chart.lattice(3):
-                residual = geometry.dw_tr_r2_residual(frame, x)
-                tol = geometry.fd_tolerance(frame.chart.h, geometry.gamma(frame, x).scale ** 2)
-                assert residual <= tol, f"{name}: dw vs trace R2 off by {residual:.2e}"
+        for name, frame in _payloads("frame"):
+            pts = frame.chart.lattice(3)
+            residual = geometry.dw_tr_r2_residual(frame, pts)
+            tol = geometry.fd_tolerance(frame.chart.h, geometry.gamma(frame, pts).scale ** 2)
+            assert np.all(residual <= tol), f"{name}: dw vs trace R2 off by {np.max(residual / tol):.2f}x its tol"
 
     def curvature_coherence():
-        for name, frame in _frames():
+        for name, frame in _payloads("frame"):
             pts = frame.chart.lattice(3)
-            r2_max = max(geometry.r2(frame, x).max_abs for x in pts)
-            pair_max = max(geometry.r_full(frame, x, y).max_abs for x, y in zip(pts, reversed(pts)))
+            r2_max = geometry.sup_norm(geometry.r2(frame, pts).tensor)
+            pair_max = geometry.sup_norm(geometry.r_full(frame, pts, pts[::-1]).tensor)
             threshold = 1e-2
             assert (r2_max < threshold) == (pair_max < threshold), f"{name}: R2/R(eps) verdicts differ"
-            for x in pts[:3]:
-                diag = geometry.r_full(frame, x, x)
-                tol = geometry.fd_tolerance(frame.chart.h, diag.scale)
-                assert diag.max_abs <= tol, f"{name}: R(eps)(x,x) = {diag.max_abs:.2e} > {tol:.2e}"
+            diag = geometry.r_full(frame, pts[:3], pts[:3])
+            tol = geometry.fd_tolerance(frame.chart.h, diag.scale)
+            assert np.all(diag.max_abs <= tol), f"{name}: R(eps)(x,x) reaches {np.max(diag.max_abs / tol):.2f}x its tol"
 
     def bracket_defect():
-        for name, frame in _frames():
+        for name, frame in _payloads("frame"):
             n = frame.chart.dim
             x = frame.chart.lattice(3)[1]
             for variant in ("tilde", "hat"):
@@ -318,7 +307,7 @@ def suite_geometry() -> list[CheckResult]:
         assert alg.is_unimodular() == reference.is_unimodular()
 
     def adjoint_primitive():
-        for name, mult in _multiplications():
+        for name, mult in _payloads("multiplication"):
             if mult.chart.dim > 2:
                 continue
             residual, scale = geometry.log_det_ad_primitive_check(mult, points_per_axis=3)
@@ -353,7 +342,7 @@ def suite_catalog() -> list[CheckResult]:
             catalog.get(name, kind=kind)
 
     def associativity():
-        for name, mult in _multiplications():
+        for name, mult in _payloads("multiplication"):
             lo = np.asarray(mult.chart.lower)
             hi = np.asarray(mult.chart.upper)
             for _ in range(20):

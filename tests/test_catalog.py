@@ -17,9 +17,12 @@ def test_list_names_is_sorted_and_prefixed() -> None:
 
 
 def test_kind_specific_name_lists() -> None:
-    assert "sl2" in catalog.algebra_names()
-    assert "borel_frame" in catalog.frame_names()
-    assert "affine_group" in catalog.multiplication_names()
+    names = catalog.list_names()
+    assert len(names) == 29
+    for kind, count in (("algebra", 12), ("frame", 9), ("multiplication", 8)):
+        assert sum(name.startswith(f"{kind}:") for name in names) == count, kind
+    assert "algebra:abelian(6)" in names
+    assert "frame:identity(1)" in names
 
 
 def test_get_by_kind() -> None:
@@ -48,6 +51,10 @@ def test_unknown_names_rejected() -> None:
     with pytest.raises(KeyError):
         catalog.get("abelian(7)")
     with pytest.raises(KeyError):
+        catalog.get("abelian(0)")
+    with pytest.raises(KeyError):
+        catalog.get("abelian(01)")  # only the canonical spelling resolves
+    with pytest.raises(KeyError):
         catalog.get("sl2", kind="frame")
     with pytest.raises(KeyError):
         catalog.get("nonsense")
@@ -72,7 +79,7 @@ def test_all_frame_entries_are_invertible_on_lattice() -> None:
             continue
         frame = entry.payload
         for x in frame.chart.lattice(3):
-            assert abs(np.linalg.det(np.asarray(frame.matrix(x), dtype=float))) >= 1e-6
+            assert abs(np.linalg.det(frame.matrix(x))) >= 1e-6
 
 
 def test_all_multiplications_satisfy_group_laws() -> None:

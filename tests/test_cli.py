@@ -33,7 +33,7 @@ def test_analyze_sl2_report(capsys) -> None:
     assert report["killing_signature"] == [2, 1, 0]
     assert report["betti"] == [1, 0, 0, 1]
     assert report["classes"] == {"1": "zero form", "3": "nonzero class"}
-    assert report["timing"]["seconds"] >= 0
+    assert "timing" not in report  # stdout carries no wall-clock field
 
 
 def test_analyze_five_dimensional_product(capsys) -> None:
@@ -109,6 +109,13 @@ def test_analyze_max_degree_limits_trace_forms(capsys, monkeypatch) -> None:
     assert code == 0
     assert json.loads(out)["classes"] == {"1": "zero form"}
     assert degrees == [1]
+
+
+def test_analyze_negative_max_degree_exits_two(capsys) -> None:
+    code, out, err = invoke(capsys, "analyze", "catalog:sl2", "--max-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max-degree" in err and "at least 0" in err
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["cohomology", "--degree", "1"]])

@@ -58,9 +58,31 @@ def test_fd_tolerance_model() -> None:
 
 
 def test_frame_rejects_singular_matrix() -> None:
+    def matrix(x: np.ndarray) -> np.ndarray:
+        a = np.zeros(x.shape[:-1] + (2, 2))
+        a[..., 0, 0] = x[..., 0]  # det A = x1 vanishes on the middle of the lattice
+        a[..., 1, 1] = 1.0
+        return a
+
     chart = Chart(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        FrameField(chart=chart, matrix=lambda x: np.array([[x[0], 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="determinant falls to 0.000e"):
+        FrameField(chart=chart, matrix=matrix)
+
+
+def test_point_only_callables_are_rejected_with_the_batched_shape() -> None:
+    chart = Chart(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+    frame_shape = r"must map \(P, n\) point stacks to \(P, n, n\) arrays"
+    with pytest.raises(ValueError, match=frame_shape + ".*raised"):
+        FrameField(chart=chart, matrix=lambda x: np.array([[1.0, x[0]], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=frame_shape + r".*returned shape \(2, 2\), not \(25, 2, 2\)"):
+        FrameField(chart=chart, matrix=lambda x: x[0] * np.eye(2))
+    mult_shape = r"must map \(P, n\) point stacks to \(P, n\) arrays"
+    with pytest.raises(ValueError, match=mult_shape + ".*raised"):
+        LocalGroupMultiplication(
+            chart=chart, multiply=lambda a, b: np.array([float(a[0] + b[0]), float(a[1] + b[1])]), identity=np.zeros(2)
+        )
+    with pytest.raises(ValueError, match=mult_shape + r".*returned shape \(2,\), not \(25, 2\)"):
+        LocalGroupMultiplication(chart=chart, multiply=lambda a, b: a[0] + b[0], identity=np.zeros(2))
 
 
 def test_gamma_identity_frame_vanishes() -> None:
@@ -255,7 +277,10 @@ def test_local_algebra_rejects_irrational_structure_constant() -> None:
     # [e1, e2] = sqrt(2) e2 is constant, so only the rounding residual
     # (sqrt(2) rounds to 58/41 with denominators <= 64) can refuse it.
     def matrix(x: np.ndarray) -> np.ndarray:
-        return np.diag([1.0, np.exp(np.sqrt(2.0) * x[0])])
+        a = np.zeros(x.shape[:-1] + (2, 2))
+        a[..., 0, 0] = 1.0
+        a[..., 1, 1] = np.exp(np.sqrt(2.0) * x[..., 0])
+        return a
 
     frame = FrameField(chart=Chart(lower=(-0.5, -0.5), upper=(0.5, 0.5)), matrix=matrix)
     with pytest.raises(LocalAlgebraError, match="58/41"):
@@ -410,3 +435,66 @@ def test_one_parameter_curve_flags_chart_exit() -> None:
     assert len(curve.points) < 33
     for p in curve.points:
         assert frame.chart.contains(p)
+
+
+def _stacked(fn, *point_stacks) -> tuple[np.ndarray, ...]:
+    """fn at each point (or point pair) in turn, each of its results stacked."""
+    per_point = [fn(*points) for points in zip(*point_stacks)]
+    return tuple(np.stack([np.asarray(parts[i]) for parts in per_point]) for i in range(len(per_point[0])))
+
+
+def _assert_equal_parts(batched, stacked, label: str) -> None:
+    assert len(batched) == len(stacked), label
+    assert all(np.array_equal(b, s) for b, s in zip(batched, stacked)), label
+
+
+def _parts(sample) -> tuple[np.ndarray, ...]:
+    return sample.tensor, sample.scale, sample.max_abs
+
+
+def _gamma_parts(frame: FrameField, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    sample = gamma(frame, x)
+    return sample.gamma, sample.scale, torsion(sample)
+
+
+# Each entry returns a tuple of arrays, all batched along the point axes.
+FRAME_FUNCTIONS = {
+    "matrix": lambda f, x: (f.matrix(x),),
+    "gamma": _gamma_parts,
+    "gamma_from_splitting": lambda f, x: (gamma_from_splitting(f, x).gamma,),
+    "r1": lambda f, x: _parts(r1(f, x)),
+    "r2": lambda f, x: _parts(r2(f, x)),
+    "w_form": lambda f, x: (w_form(f, x),),
+    "tr_r2": lambda f, x: (tr_r2(f, x),),
+    "w_exterior_derivative": lambda f, x: (w_exterior_derivative(f, x),),
+    "dw_tr_r2_residual": lambda f, x: (dw_tr_r2_residual(f, x),),
+    "structure_functions": lambda f, x: (structure_functions(f, x),),
+}
+
+
+def _names(kind: str) -> list[str]:
+    return [n.split(":", 1)[1] for n in catalog.list_names() if n.startswith(f"{kind}:")]
+
+
+@pytest.mark.parametrize("name", _names("frame"))
+def test_batched_frame_functions_equal_stacked_point_calls(name: str) -> None:
+    frame = frame_of(name)
+    pts = frame.chart.lattice(3)
+    for label, fn in FRAME_FUNCTIONS.items():
+        _assert_equal_parts(fn(frame, pts), _stacked(lambda x: fn(frame, x), pts), label)
+    # r_full pairs each point with its mirror, as the curvature sweep does
+    mirrored = pts[::-1]
+    batched = _parts(r_full(frame, pts, mirrored))
+    _assert_equal_parts(batched, _stacked(lambda x, y: _parts(r_full(frame, x, y)), pts, mirrored), "r_full")
+
+
+@pytest.mark.parametrize("name", _names("multiplication"))
+def test_batched_multiplication_functions_equal_stacked_point_calls(name: str) -> None:
+    mult = mult_of(name)
+    pts = mult.chart.lattice(3)
+    mirrored = pts[::-1]
+    e = mult.identity
+    pairs = _stacked(lambda a, b: (mult.multiply(a, b),), pts, mirrored)
+    _assert_equal_parts((mult.multiply(pts, mirrored),), pairs, "m(a, b)")
+    _assert_equal_parts((mult.multiply(e, pts),), _stacked(lambda x: (mult.multiply(e, x),), pts), "m(e, x)")
+    _assert_equal_parts((ad_e(mult, pts),), _stacked(lambda x: (ad_e(mult, x),), pts), "ad_e")
