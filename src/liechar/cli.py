@@ -26,6 +26,11 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 
+# A curvature sweep holds whole-lattice arrays: identity(6) at --lattice 4
+# (4,096 points) peaks at 263 MB, and --lattice 5 (15,625 points) would
+# reach about 1 GB.
+CURVATURE_LATTICE_CAP = 4096
+
 
 class CliError(Exception):
     """Usage or I/O failure; maps to exit code 2."""
@@ -109,7 +114,7 @@ def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dic
         "semisimple": alg.is_semisimple(),
         "unimodular": alg.is_unimodular(),
         "killing_signature": [pos, neg, zero],
-        "betti": [cohomology.betti(alg, k) for k in range(cap + 1)],
+        "betti": cohomology.betti_table(alg, cap),
         "classes": {str(k): cohomology.trace_class(alg, k)[0] for k in range(1, cap + 1, 2)},
     }
 
@@ -160,6 +165,11 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise CliError(str(exc)) from exc
     frame = entry.payload
+    if args.lattice < 2:
+        raise CliError("--lattice must be at least 2")
+    points = args.lattice**frame.chart.dim
+    if points > CURVATURE_LATTICE_CAP:
+        raise CliError(f"--lattice {args.lattice} gives {points} points, over the cap of {CURVATURE_LATTICE_CAP}")
     if args.h is not None:
         if args.h <= 0:
             raise CliError("--h must be positive")
@@ -167,8 +177,6 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
             frame = geometry.FrameField(chart=frame.chart.with_step(args.h), matrix=frame.matrix)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    if args.lattice < 2:
-        raise CliError("--lattice must be at least 2")
     coarse = _curvature_sweep(frame, args.lattice)
     halved = geometry.FrameField(chart=frame.chart.with_step(frame.chart.h / 2), matrix=frame.matrix)
     fine = _curvature_sweep(halved, args.lattice)
@@ -180,7 +188,7 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
     report = {
         "frame": args.frame,
         "h": frame.chart.h,
-        "lattice_points": len(frame.chart.lattice(args.lattice)),
+        "lattice_points": points,
         "max_norms": {k: float(f"{v:.12e}") for k, v in coarse.items()},
         "halved_h_ratios": ratios,
     }

@@ -3,6 +3,10 @@
 Matrices are lists of lists of Fraction. Two independent rank routes are
 kept on purpose: plain fraction elimination and fraction-free (Bareiss)
 elimination over cleared integers. Callers that certify results run both.
+
+A sparse matrix is a map {(row, col): nonzero value}. block_rank and
+block_solve split it into the connected components of its row/column
+incidence graph and eliminate each dense block on its own.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 Matrix = list[list[Fraction]]
+SparseMatrix = dict[tuple[int, int], Fraction]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -101,7 +106,7 @@ def rank_fraction_free(matrix: Matrix) -> int:
     m: list[list[int]] = []
     for row in matrix:
         scale = lcm(*(x.denominator for x in row)) if row else 1
-        m.append([int(x * scale) for x in row])
+        m.append([x.numerator * (scale // x.denominator) for x in row])
     rows, cols = len(m), len(m[0])
     r = 0
     prev = 1
@@ -133,6 +138,78 @@ def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     x = [Fraction(0)] * cols
     for r, c in enumerate(pivots):
         x[c] = rref[r][cols]
+    return x
+
+
+def blocks(nonzeros: SparseMatrix, rows: int, cols: int) -> list[tuple[list[int], list[int], Matrix]]:
+    """Dense blocks of a rows x cols sparse matrix, one per connected
+    component of its row/column incidence graph.
+
+    Each block is (row ids, column ids, dense sub-matrix), ids ascending.
+    Rows and columns without a nonzero lie in no block. Reordering rows and
+    columns by block makes the matrix block diagonal, so ranks add over the
+    blocks and a x = b splits into one system per block.
+    """
+    # union-find over rows 0..rows-1 and columns rows..rows+cols-1
+    parent = list(range(rows + cols))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merges = 0
+    for r, c in nonzeros:
+        a, b = find(r), find(rows + c)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    row_ids = sorted({r for r, _ in nonzeros})
+    col_ids = sorted({c for _, c in nonzeros})
+    if len(row_ids) + len(col_ids) - merges <= 1:
+        # at most one component: no grouping of the cells by root
+        groups = [(row_ids, col_ids, list(nonzeros))] if nonzeros else []
+    else:
+        by_root: dict[int, list[tuple[int, int]]] = {}
+        for cell in nonzeros:
+            by_root.setdefault(find(cell[0]), []).append(cell)
+        groups = [
+            (sorted({r for r, _ in cells}), sorted({c for _, c in cells}), cells) for cells in by_root.values()
+        ]
+    out = []
+    for row_ids, col_ids, cells in groups:
+        row_pos = {r: i for i, r in enumerate(row_ids)}
+        col_pos = {c: j for j, c in enumerate(col_ids)}
+        block = zeros(len(row_ids), len(col_ids))
+        for r, c in cells:
+            block[row_pos[r]][col_pos[c]] = nonzeros[r, c]
+        out.append((row_ids, col_ids, block))
+    return out
+
+
+def block_rank(nonzeros: SparseMatrix, rows: int, cols: int) -> int:
+    """Rank of a sparse matrix: the sum of the Bareiss ranks of its blocks."""
+    return sum(rank_fraction_free(block) for _, _, block in blocks(nonzeros, rows, cols))
+
+
+def block_solve(nonzeros: SparseMatrix, rows: int, cols: int, b: list[Fraction]) -> list[Fraction] | None:
+    """solve() on a sparse matrix, one block at a time.
+
+    A column is a pivot of the whole matrix exactly when it is a pivot within
+    its block, and free columns (with every column outside the blocks) get
+    0, so the result equals solve() on the dense matrix.
+    """
+    covered = {r for r, _ in nonzeros}
+    if any(b[r] != 0 for r in range(rows) if r not in covered):
+        return None
+    x = [Fraction(0)] * cols
+    for row_ids, col_ids, block in blocks(nonzeros, rows, cols):
+        part = solve(block, [b[r] for r in row_ids])
+        if part is None:
+            return None
+        for c, value in zip(col_ids, part):
+            x[c] = value
     return x
 
 

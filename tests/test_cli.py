@@ -1,14 +1,17 @@
 """Command line interface: report content, determinism, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from liechar import catalog, cohomology
 from liechar.algebra import LieAlgebra, lie_algebra
-from liechar.cli import run
+from liechar.cli import CURVATURE_LATTICE_CAP, run
+from liechar.jets import Chart
 from liechar.fileformat import serialize_algebra
 
 
@@ -125,7 +128,7 @@ def test_oversized_input_exits_two_before_jacobi(capsys, monkeypatch, tmp_path, 
 
     monkeypatch.setattr(LieAlgebra, "validate", refuse)
     path = tmp_path / "big.lie"
-    path.write_text("dim 13\n1 2 3 1\n")
+    path.write_text(f"dim {cohomology.BETTI_DIM_CAP + 1}\n1 2 3 1\n")
     code, out, err = invoke(capsys, command[0], str(path), *command[1:])
     assert code == 2
     assert out == ""
@@ -251,6 +254,26 @@ def test_curvature_unknown_frame_exits_two(capsys) -> None:
     code, _, err = invoke(capsys, "curvature", "--frame", "nope")
     assert code == 2
     assert err != ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--h", "0.01"]])
+def test_curvature_lattice_over_cap_exits_two_before_any_evaluation(capsys, monkeypatch, extra) -> None:
+    entry = catalog.get("identity(6)", kind="frame")
+
+    def refuse(*args):
+        raise AssertionError("a lattice was built or the frame evaluated")
+
+    frame = SimpleNamespace(chart=entry.payload.chart, matrix=refuse)
+    monkeypatch.setattr(catalog, "get", lambda name, kind=None: dataclasses.replace(entry, payload=frame))
+    monkeypatch.setattr(Chart, "lattice", refuse)
+    assert 5**6 > CURVATURE_LATTICE_CAP >= 4**6
+    code, out, err = invoke(capsys, "curvature", "--frame", "identity(6)", "--lattice", "5", *extra)
+    assert code == 2
+    assert out == ""
+    assert "over the cap" in err
+    # 4**6 points is within the cap: the sweep starts and meets the refusal
+    with pytest.raises(AssertionError, match="evaluated"):
+        run(["curvature", "--frame", "identity(6)", "--lattice", "4"])
 
 
 def test_curvature_output_is_deterministic(capsys) -> None:

@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liechar import catalog, linalg
-from liechar.algebra import lie_algebra
+from liechar.algebra import LieAlgebra, lie_algebra
 from liechar.cohomology import (
     BETTI_DIM_CAP,
     STATUS_EXACT,
@@ -21,6 +23,97 @@ from liechar.cohomology import (
     is_exact,
 )
 from liechar.forms import AlternatingForm, trace_form
+
+
+CATALOG_ALGEBRAS = {
+    qualified.split(":", 1)[1]: catalog.get(qualified).payload
+    for qualified in catalog.list_names()
+    if qualified.startswith("algebra:")
+}
+
+
+def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
+    constants = dict(a.c)
+    constants.update({(i + a.dim, j + a.dim, k + a.dim): v for (i, j, k), v in b.c.items()})
+    return lie_algebra(a.dim + b.dim, constants)
+
+
+def poincare_product(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def upper_triangular_algebras(draw, max_dim: int = 6) -> LieAlgebra:
+    """Span of a random set of upper-triangular matrix units E_ij, closed
+    under E_ij E_jl = E_il: a solvable subalgebra of the upper-triangular
+    4 x 4 matrices, in its matrix-unit basis."""
+    positions = [(i, j) for i in range(4) for j in range(i, 4)]
+    chosen = set(draw(st.lists(st.sampled_from(positions), min_size=1, max_size=max_dim, unique=True)))
+    while True:
+        products = {(i, l) for i, j in chosen for k, l in chosen if j == k} - chosen
+        if not products:
+            break
+        chosen |= products
+    assume(len(chosen) <= max_dim)
+    units = sorted(chosen)
+    index = {unit: pos for pos, unit in enumerate(units, 1)}
+    constants: dict[tuple[int, int, int], int] = {}
+    for a, (i, j) in enumerate(units, 1):
+        for b, (k, l) in enumerate(units, 1):
+            if a >= b:
+                continue
+            # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+            bracket: dict[tuple[int, int], int] = {}
+            if j == k:
+                bracket[i, l] = bracket.get((i, l), 0) + 1
+            if l == i:
+                bracket[k, j] = bracket.get((k, j), 0) - 1
+            for unit, value in bracket.items():
+                if value:
+                    constants[a, b, index[unit]] = value
+    return lie_algebra(len(units), constants)
+
+
+def small_algebras(max_dim: int) -> st.SearchStrategy[LieAlgebra]:
+    catalog_part = st.sampled_from([g for g in CATALOG_ALGEBRAS.values() if g.dim <= max_dim])
+    return st.one_of(catalog_part, upper_triangular_algebras(max_dim))
+
+
+def change_basis(g: LieAlgebra, p: linalg.Matrix) -> LieAlgebra:
+    """Constants in the basis f_j = sum_i p[i][j] e_i (p invertible)."""
+    n = g.dim
+    columns = [[p[i][j] for i in range(n)] for j in range(n)]
+    constants = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            coords = linalg.solve(p, g.bracket(columns[a], columns[b]))
+            constants.update({(a + 1, b + 1, m + 1): v for m, v in enumerate(coords) if v})
+    return lie_algebra(n, constants)
+
+
+@st.composite
+def unipotent_matrices(draw, n: int) -> linalg.Matrix:
+    """S U S^-1 with U rational upper unitriangular and S a permutation."""
+    perm = draw(st.permutations(range(n)))
+    entries = st.fractions(min_value=-1, max_value=1, max_denominator=2)
+    p = linalg.identity(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p[perm[i]][perm[j]] = draw(entries)
+    return p
+
+
+def unsplit_primitive(g: LieAlgebra, form: AlternatingForm) -> dict | None:
+    """Components of the particular solution of one dense linalg.solve."""
+    d_prev = differential_matrix(g, form.degree - 1)
+    solution = linalg.solve(d_prev.entries, form.component_vector(d_prev.row_basis))
+    if solution is None:
+        return None
+    return {subset: v for subset, v in zip(d_prev.col_basis, solution) if v}
 
 
 def test_cochain_basis_ordering() -> None:
@@ -95,19 +188,18 @@ def test_whitehead_vanishing_for_semisimple() -> None:
 
 
 def test_betti_ranks_certified_by_both_elimination_routes() -> None:
-    # recompute every betti number with each rank routine separately
-    for name in ("sl2", "heisenberg3", "sl2_plus_abelian2"):
-        g = catalog.get(name, kind="algebra").payload
+    # the block-split rank betti uses, against both unsplit routes, in every
+    # degree of every catalog algebra
+    for name, g in CATALOG_ALGEBRAS.items():
         n = g.dim
+        ranks = []
         for k in range(n + 1):
-            dim_k = math.comb(n, k)
-            d_k = differential_matrix(g, k).entries
-            d_prev = differential_matrix(g, k - 1).entries if k >= 1 else []
-            via_gauss = dim_k - linalg.rank(d_k) - linalg.rank(d_prev)
-            via_bareiss = (
-                dim_k - linalg.rank_fraction_free(d_k) - linalg.rank_fraction_free(d_prev)
-            )
-            assert via_gauss == via_bareiss == betti(g, k), (name, k)
+            d_k = differential_matrix(g, k)
+            entries = d_k.entries
+            assert d_k.rank() == linalg.rank(entries) == linalg.rank_fraction_free(entries), (name, k)
+            ranks.append(d_k.rank())
+        for k in range(n + 1):
+            assert betti(g, k) == math.comb(n, k) - ranks[k] - (ranks[k - 1] if k else 0), (name, k)
 
 
 def test_dimension_cap_enforced() -> None:
@@ -196,3 +288,50 @@ def test_status_exact_constant_is_reachable() -> None:
     ok, _ = is_exact(g, form)
     assert ok
     assert STATUS_EXACT == "exact"
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_algebras(6), small_algebras(6))
+def test_betti_table_of_direct_sum_is_kunneth_product(a, b) -> None:
+    assert betti_table(direct_sum(a, b)) == poincare_product(betti_table(a), betti_table(b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_betti_table_is_invariant_under_unipotent_basis_change(data) -> None:
+    g = data.draw(small_algebras(5))
+    changed = change_basis(g, data.draw(unipotent_matrices(g.dim)))
+    assert changed.validate().ok
+    assert betti_table(changed) == betti_table(g)
+
+
+def test_trace_form_classes_agree_with_unsplit_solve() -> None:
+    # nonzero odd trace forms of the catalog: the block-wise primitive (or
+    # its absence) equals one dense solve
+    for name, g in CATALOG_ALGEBRAS.items():
+        for k in range(1, g.dim + 1, 2):
+            form = trace_form(g, k)
+            if form.is_zero():
+                continue
+            ok, primitive = is_exact(g, form)
+            expected = unsplit_primitive(g, form)
+            assert ok == (expected is not None), (name, k)
+            assert (primitive.components if ok else None) == expected, (name, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coboundary_primitive_equals_unsplit_solve(data) -> None:
+    g = data.draw(small_algebras(6))
+    k = data.draw(st.integers(0, g.dim - 1))
+    basis = cochain_basis(g.dim, k)
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+    mu = AlternatingForm(degree=k, dim=g.dim, components=dict(zip(basis, map(Fraction, values))))
+    d_k = differential_matrix(g, k)
+    image = d_k.apply(mu)
+    form = AlternatingForm(degree=k + 1, dim=g.dim, components=dict(zip(d_k.row_basis, image)))
+    assume(not form.is_zero())
+    ok, primitive = is_exact(g, form)
+    assert ok
+    assert primitive.components == unsplit_primitive(g, form)
+    assert d_k.apply(primitive) == image

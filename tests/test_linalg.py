@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liechar import linalg
 
@@ -134,3 +136,58 @@ def test_symmetric_signature_zero_diagonal_pivot() -> None:
 def test_symmetric_signature_rejects_asymmetric_input() -> None:
     with pytest.raises(ValueError):
         linalg.symmetric_signature([[F(0), F(1)], [F(2), F(0)]])
+
+
+@st.composite
+def sparse_matrices(draw) -> tuple[int, int, linalg.SparseMatrix]:
+    """Random sparse rational matrices, small enough that empty rows and
+    columns and several blocks are common."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if not rows or not cols:
+        return rows, cols, {}
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    return rows, cols, draw(st.dictionaries(cells, values, max_size=2 * max(rows, cols)))
+
+
+def _dense(rows: int, cols: int, nonzeros: linalg.SparseMatrix) -> linalg.Matrix:
+    return [[nonzeros.get((r, c), F(0)) for c in range(cols)] for r in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+@example((0, 0, {}))  # empty matrix
+@example((0, 4, {}))
+@example((4, 0, {}))
+@example((3, 4, {}))  # all zero
+@example((1, 1, {(0, 0): F(-2, 3)}))  # single entry
+@example((4, 5, {(1, 3): F(1), (3, 0): F(2)}))  # empty rows and columns, two blocks
+def test_block_rank_equals_both_unsplit_ranks(matrix) -> None:
+    rows, cols, nonzeros = matrix
+    dense = _dense(rows, cols, nonzeros)
+    assert linalg.block_rank(nonzeros, rows, cols) == linalg.rank(dense) == linalg.rank_fraction_free(dense)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices().filter(lambda m: m[0] > 0), st.data())
+@example((4, 5, {(1, 3): F(1), (3, 0): F(2)}), None)
+def test_block_solve_equals_unsplit_solve(matrix, data) -> None:
+    rows, cols, nonzeros = matrix
+    if data is None:
+        b = [F(0), F(3), F(0), F(-1)]
+    elif data.draw(st.booleans()):
+        # a consistent right-hand side: the image of a random vector
+        x = data.draw(st.lists(st.integers(-2, 2).map(F), min_size=cols, max_size=cols))
+        b = linalg.mat_vec(_dense(rows, cols, nonzeros), x) if cols else [F(0)] * rows
+    else:
+        b = data.draw(st.lists(st.integers(-2, 2).map(F), min_size=rows, max_size=rows))
+    assert linalg.block_solve(nonzeros, rows, cols, b) == linalg.solve(_dense(rows, cols, nonzeros), b)
+
+
+def test_blocks_split_by_incidence_and_skip_empty_lines() -> None:
+    nonzeros = {(0, 0): F(1), (0, 2): F(2), (2, 2): F(3), (3, 1): F(4)}
+    assert linalg.blocks(nonzeros, 4, 4) == [
+        ([0, 2], [0, 2], [[F(1), F(2)], [F(0), F(3)]]),
+        ([3], [1], [[F(4)]]),
+    ]
+    assert linalg.blocks({}, 3, 3) == []
