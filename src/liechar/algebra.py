@@ -9,10 +9,11 @@ this module is exact.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from numbers import Rational
+from types import MappingProxyType
 
 from . import linalg
 from .linalg import Matrix
@@ -44,12 +45,13 @@ class LieAlgebra:
         dim: dimension n >= 1.
         c: constants as a map (i, j, k) -> Fraction with 1 <= i < j <= n and
             1 <= k <= n; entries for i > j follow by antisymmetry and absent
-            entries are zero. Use structure_constant() for reads.
+            entries are zero. Use structure_constant() for reads. Stored
+            read-only (a MappingProxyType over the nonzero constants).
         names: n basis labels, decorative only.
     """
 
     dim: int
-    c: dict[tuple[int, int, int], Fraction]
+    c: Mapping[tuple[int, int, int], Fraction]
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -70,7 +72,7 @@ class LieAlgebra:
             if key in normalized and normalized[key] != v:
                 raise ValueError(f"conflicting values for constant {key}")
             normalized[key] = v
-        object.__setattr__(self, "c", normalized)
+        object.__setattr__(self, "c", MappingProxyType(normalized))
         if not self.names:
             object.__setattr__(self, "names", tuple(f"e{i}" for i in range(1, self.dim + 1)))
         if len(self.names) != self.dim:
@@ -117,19 +119,28 @@ class LieAlgebra:
         """Adjoint operators of the basis vectors, in basis order."""
         return [self.ad(self.basis_vector(i)) for i in range(1, self.dim + 1)]
 
+    def bracket_rows(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+        """Nonzero brackets as rows (i, j) -> [(k, c_ij^k), ...], i < j, ascending."""
+        rows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        for (i, j, k), value in sorted(self.c.items()):
+            rows.setdefault((i, j), []).append((k, value))
+        return rows
+
     def validate(self) -> ValidationReport:
-        """Check every Jacobi identity; antisymmetry holds by construction."""
-        n = self.dim
+        """Check every Jacobi identity (antisymmetry holds by construction) on
+        the triples through a nonzero bracket, the only ones that can fail;
+        violations (i, j, k, m) come in lexicographic order."""
+        rows = self.bracket_rows()
+        rows.update({(j, i): [(k, -value) for k, value in row] for (i, j), row in list(rows.items())})
+        triples = {tuple(sorted((i, j, r))) for i, j in rows for r in range(1, self.dim + 1) if r not in (i, j)}
         violations = []
-        for i, j, k in combinations(range(1, n + 1), 3):
-            for m in range(1, n + 1):
-                total = Fraction(0)
-                for a in range(1, n + 1):
-                    total += self.structure_constant(i, j, a) * self.structure_constant(a, k, m)
-                    total += self.structure_constant(j, k, a) * self.structure_constant(a, i, m)
-                    total += self.structure_constant(k, i, a) * self.structure_constant(a, j, m)
-                if total != 0:
-                    violations.append((i, j, k, m))
+        for i, j, k in sorted(triples):
+            totals: dict[int, Fraction] = {}
+            for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                for a, outer in rows.get((p, q), ()):
+                    for m, inner in rows.get((a, r), ()):
+                        totals[m] = totals.get(m, 0) + outer * inner
+            violations.extend((i, j, k, m) for m in sorted(totals) if totals[m] != 0)
         return ValidationReport(ok=not violations, violations=tuple(violations))
 
     def killing(self) -> Matrix:
@@ -145,11 +156,8 @@ class LieAlgebra:
         return kappa
 
     def killing_pair(self, x: Vector, y: Vector) -> Fraction:
-        kappa = self.killing()
-        return sum(
-            (x[i] * kappa[i][j] * y[j] for i in range(self.dim) for j in range(self.dim)),
-            Fraction(0),
-        )
+        """kappa(x, y) = tr(ad x . ad y)."""
+        return linalg.trace(linalg.mat_mul(self.ad(x), self.ad(y)))
 
     def _subspace_brackets(self, left: list[Vector], right: list[Vector]) -> list[Vector]:
         """Echelon basis of span{[u, v] : u in left, v in right}."""

@@ -88,7 +88,7 @@ def _text_lines(tree: dict, prefix: str) -> list[str]:
 def _report_algebra(
     build_report: Callable[[str, LieAlgebra, argparse.Namespace], dict], max_dim: int | None, args: argparse.Namespace
 ) -> int:
-    """Load args.source, check its size before the O(n^4) Jacobi check, then
+    """Load args.source, check its size before the (sparse) Jacobi check, then
     emit build_report(name, alg, args), or the Jacobi violations with exit 1."""
     name, alg = _load_algebra(args.source)
     if max_dim is not None and alg.dim > max_dim:

@@ -79,11 +79,9 @@ def differential_matrix(alg: LieAlgebra, k: int) -> DifferentialMatrix:
     n = alg.dim
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} outside [0, {n}]")
-    # bracket table (i, j) -> [(a, c_ij^a, -c_ij^a)] over the nonzero
-    # constants, i < j; row subsets are ascending, so their pairs always are
-    brackets: dict[tuple[int, int], list[tuple[int, Fraction, Fraction]]] = {}
-    for (i, j, a), cval in sorted(alg.c.items()):
-        brackets.setdefault((i, j), []).append((a, cval, -cval))
+    # (i, j) -> [(a, c_ij^a, -c_ij^a)], negated once per constant; i < j, as
+    # in every pair of an ascending row subset
+    brackets = {pair: [(a, cval, -cval) for a, cval in row] for pair, row in alg.bracket_rows().items()}
     row_basis = cochain_basis(n, k + 1)
     col_basis = cochain_basis(n, k)
     col_index = {subset: pos for pos, subset in enumerate(col_basis)}

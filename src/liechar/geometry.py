@@ -40,9 +40,8 @@ from .jets import (
     Form1J1T,
     J1TSection,
     VectorField,
-    gradient,
+    constant_field,
     jacobian,
-    partial_derivative,
     spencer_bracket,
     vector_field_bracket,
 )
@@ -65,7 +64,7 @@ def sup_norm(arr: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _point_sup(arr: np.ndarray, value_ndim: int) -> np.ndarray:
+def point_sup(arr: np.ndarray, value_ndim: int) -> np.ndarray:
     """Sup norm of each point's value: max |arr| over the last value_ndim axes."""
     return np.abs(arr).max(axis=tuple(range(-value_ndim, 0)))
 
@@ -140,7 +139,7 @@ class ConnectionSample:
     @property
     def scale(self) -> np.ndarray:
         """max(1, |gamma|) per point."""
-        return _local_scale(_point_sup(self.gamma, 3))
+        return _local_scale(point_sup(self.gamma, 3))
 
 
 @dataclass(frozen=True)
@@ -161,18 +160,13 @@ class CurvatureSample:
     @property
     def max_abs(self) -> np.ndarray:
         """Sup norm of the tensor per point."""
-        return _point_sup(self.tensor, self.tensor.ndim - self.point.ndim + 1)
-
-
-def _stencil(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Central differences of f along every coordinate, stacked at axis."""
-    return np.stack([partial_derivative(f, x, k, h) for k in range(x.shape[-1])], axis=axis)
+        return point_sup(self.tensor, self.tensor.ndim - self.point.ndim + 1)
 
 
 def _gamma_tensor(frame: FrameField, x: np.ndarray) -> np.ndarray:
     """gamma[..., k, j, i] without the interiority check (stencil helpers)."""
     # m[..., k, i, j] = (d_k A . A^{-1})[i, j]
-    m = _stencil(frame.matrix, x, frame.chart.h, -3) @ frame.inverse(x)[..., None, :, :]
+    m = jacobian(frame.matrix, x, frame.chart.h, axis=-3) @ frame.inverse(x)[..., None, :, :]
     return m.swapaxes(-1, -2)
 
 
@@ -189,7 +183,7 @@ def gamma_from_splitting(frame: FrameField, x: np.ndarray) -> ConnectionSample:
     """
     frame.chart.require_interior(x)
     eps = Splitting(frame)
-    d = _stencil(lambda y: eps(x, y), x, frame.chart.h, -3)  # d[..., k, i, j]
+    d = jacobian(lambda y: eps(x, y), x, frame.chart.h, axis=-3)  # d[..., k, i, j]
     return ConnectionSample(point=np.asarray(x, dtype=float), gamma=d.swapaxes(-1, -2))
 
 
@@ -200,7 +194,7 @@ def torsion(sample: ConnectionSample) -> np.ndarray:
 
 def _curvature(frame: FrameField, x: np.ndarray, kind: str) -> CurvatureSample:
     g = _gamma_tensor(frame, x)
-    dg = _stencil(lambda y: _gamma_tensor(frame, y), x, frame.chart.h, -4)
+    dg = jacobian(lambda y: _gamma_tensor(frame, y), x, frame.chart.h, axis=-4)
     # dg[..., r, k, j, i] = d_r Gamma_{kj}^i
     if kind == "r1":
         # F[r, j, k, i] = d_r Gamma_{jk}^i + Gamma_{rk}^a Gamma_{ja}^i
@@ -216,7 +210,7 @@ def _curvature(frame: FrameField, x: np.ndarray, kind: str) -> CurvatureSample:
     tensor = full - full.swapaxes(-4, -3)
     # the FD error of the dG term tracks the local derivative magnitudes,
     # not the (possibly cancelling) value of the expression itself
-    local = _local_scale(_point_sup(full, 4), _point_sup(dg, 4), _point_sup(g, 3) ** 2)
+    local = _local_scale(point_sup(full, 4), point_sup(dg, 4), point_sup(g, 3) ** 2)
     return CurvatureSample(
         point=np.asarray(x, dtype=float),
         tensor=tensor,
@@ -257,7 +251,7 @@ def tr_r2(frame: FrameField, x: np.ndarray) -> np.ndarray:
 def w_exterior_derivative(frame: FrameField, x: np.ndarray) -> np.ndarray:
     """dw[..., r, j] = d_r w_j - d_j w_r by central differences of w_form."""
     frame.chart.require_interior(x)
-    dw = _stencil(lambda y: _w_raw(frame, y), x, frame.chart.h, -2)
+    dw = jacobian(lambda y: _w_raw(frame, y), x, frame.chart.h, axis=-2)
     return dw - dw.swapaxes(-1, -2)
 
 
@@ -267,7 +261,7 @@ def dw_tr_r2_residual(frame: FrameField, x: np.ndarray) -> np.ndarray:
     The r2 trace pairs with dx^r ^ dx^j through its transposed leading
     pair, so the comparison is dw[r, j] against tr_r2[j, r].
     """
-    return _point_sup(w_exterior_derivative(frame, x) - tr_r2(frame, x).swapaxes(-1, -2), 2)
+    return point_sup(w_exterior_derivative(frame, x) - tr_r2(frame, x).swapaxes(-1, -2), 2)
 
 
 def r_full(frame: FrameField, x: np.ndarray, y: np.ndarray) -> CurvatureSample:
@@ -278,12 +272,12 @@ def r_full(frame: FrameField, x: np.ndarray, y: np.ndarray) -> CurvatureSample:
     eps = Splitting(frame)
     h = frame.chart.h
     eps_xy = eps(x, y)
-    d_x = _stencil(lambda u: eps(u, y), x, h, -3)
-    d_y = _stencil(lambda v: eps(x, v), y, h, -3)
+    d_x = jacobian(lambda u: eps(u, y), x, h, axis=-3)
+    d_y = jacobian(lambda v: eps(x, v), y, h, axis=-3)
     # full[..., k, j, i] = d eps^i_j/dx^k + (d eps^i_j/dy^a) eps^a_k
     full = d_x.swapaxes(-1, -2) + np.einsum("...aij,...ak->...kji", d_y, eps_xy)
     tensor = full - full.swapaxes(-3, -2)
-    local = _local_scale(_point_sup(full, 3), _point_sup(d_x, 3), _point_sup(d_y, 3), _point_sup(eps_xy, 2) ** 2)
+    local = _local_scale(point_sup(full, 3), point_sup(d_x, 3), point_sup(d_y, 3), point_sup(eps_xy, 2) ** 2)
     return CurvatureSample(
         point=np.asarray(x, dtype=float),
         second_point=np.asarray(y, dtype=float),
@@ -303,14 +297,13 @@ def invariant_field(frame: FrameField, p: np.ndarray, v: np.ndarray) -> VectorFi
     return field
 
 
-def invariant_field_pde_residual(frame: FrameField, p: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
-    """Max residual of d_j X^i = Gamma_{ja}^i X^a at x."""
+def invariant_field_pde_residual(frame: FrameField, p: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Max residual, per point, of d_j X^i = Gamma_{ja}^i X^a at x."""
     frame.chart.require_interior(x)
     field = invariant_field(frame, p, v)
     jac = jacobian(field, x, frame.chart.h)
-    g = _gamma_tensor(frame, x)
-    expected = np.einsum("jai,a->ij", g, field(x))
-    return sup_norm(jac - expected)
+    expected = np.einsum("...jai,...a->...ij", _gamma_tensor(frame, x), field(x))
+    return point_sup(jac - expected, 2)
 
 
 def gamma_lift(frame: FrameField, xi: VectorField, variant: str = "tilde") -> J1TSection:
@@ -321,7 +314,7 @@ def gamma_lift(frame: FrameField, xi: VectorField, variant: str = "tilde") -> J1
     """
     if variant not in ("tilde", "hat"):
         raise ValueError(f"unknown lift variant {variant!r}")
-    pattern = "jai,a->ij" if variant == "tilde" else "aji,a->ij"
+    pattern = "...jai,...a->...ij" if variant == "tilde" else "...aji,...a->...ij"
 
     def matrix(x: np.ndarray) -> np.ndarray:
         return np.einsum(pattern, _gamma_tensor(frame, x), xi(x))
@@ -335,32 +328,32 @@ def bracket_defect_residual(
     eta: VectorField,
     x: np.ndarray,
     variant: str = "tilde",
-) -> tuple[float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Residual of the curvature formula for the lift's bracket defect.
 
     For the tilde lift, lift([xi, eta]) - spencer_bracket(lift xi, lift eta)
     has matrix part r2[a, b, j, i] Y^a X^b (with X = xi(x), Y = eta(x));
     for the hat lift the same contraction of r1, which vanishes. Returns
-    (residual, local magnitude scale).
+    (residual, local magnitude scale), each per point.
     """
     frame.chart.require_interior(x)
     lifted = gamma_lift(frame, vector_field_bracket(frame.chart, xi, eta), variant)
     pairwise = spencer_bracket(gamma_lift(frame, xi, variant), gamma_lift(frame, eta, variant))
     defect = lifted.matrix_part(x) - pairwise.matrix_part(x)
     curv = _curvature(frame, x, "r2" if variant == "tilde" else "r1")
-    expected = np.einsum("abji,a,b->ij", curv.tensor, eta(x), xi(x))
-    magnitude = curv.scale * max(1.0, sup_norm(xi(x))) * max(1.0, sup_norm(eta(x)))
-    return sup_norm(defect - expected), magnitude
+    x_val, y_val = xi(x), eta(x)
+    expected = np.einsum("...bji,...b->...ij", np.einsum("...abji,...a->...bji", curv.tensor, y_val), x_val)
+    magnitude = curv.scale * _local_scale(point_sup(x_val, 1)) * _local_scale(point_sup(y_val, 1))
+    return point_sup(defect - expected, 2), magnitude
 
 
 def trace_one_form(frame: FrameField) -> Form1J1T:
     """The jet-algebroid 1-form (Gamma_{ia}^a, -identity) of the frame."""
-    n = frame.chart.dim
 
     def covector(x: np.ndarray) -> np.ndarray:
-        return np.einsum("iaa->i", _gamma_tensor(frame, x))
+        return np.einsum("...iaa->...i", _gamma_tensor(frame, x))
 
-    return Form1J1T(chart=frame.chart, covector_part=covector, matrix_part=lambda x: -np.eye(n))
+    return Form1J1T(chart=frame.chart, covector_part=covector, matrix_part=constant_field(-np.eye(frame.chart.dim)))
 
 
 def structure_functions(frame: FrameField, x: np.ndarray) -> np.ndarray:
@@ -371,7 +364,7 @@ def structure_functions(frame: FrameField, x: np.ndarray) -> np.ndarray:
     frame.chart.require_interior(x)
     a_x = frame.matrix(x)
     # jac[..., a, c, j] = d_a A^c_j; column field xi_(j)^c = A^c_j.
-    jac = _stencil(frame.matrix, x, frame.chart.h, -3)
+    jac = jacobian(frame.matrix, x, frame.chart.h, axis=-3)
     # [xi_(i), xi_(j)]^c = t[i, j, c] - t[j, i, c], t[i, j, c] = (d_a A^c_j) A^a_i
     t = np.einsum("...acj,...ai->...ijc", jac, a_x)
     return np.einsum("...kc,...ijc->...ijk", np.linalg.inv(a_x), t - t.swapaxes(-3, -2))
@@ -483,7 +476,7 @@ def log_det_ad_primitive_check(mult: LocalGroupMultiplication, points_per_axis: 
     """
     lattice = mult.chart.lattice(points_per_axis)
     w = _w_raw(frame_from_multiplication(mult), lattice)
-    minus_grad = -gradient(log_det_ad(mult), lattice, mult.chart.h)
+    minus_grad = -jacobian(log_det_ad(mult), lattice, mult.chart.h)
     return sup_norm(minus_grad - w), max(1.0, sup_norm(w))
 
 
@@ -526,11 +519,7 @@ def one_parameter_curve(
     frame.chart.require_interior(np.asarray(e, dtype=float))
     if steps < 1:
         raise ValueError("need at least one step")
-    seed = frame.inverse(e) @ np.asarray(v, dtype=float)
-
-    def velocity(x: np.ndarray) -> np.ndarray:
-        return frame.matrix(x) @ seed
-
+    velocity = invariant_field(frame, e, v)
     dt = t_final / steps
     times = [0.0]
     points = [np.asarray(e, dtype=float)]

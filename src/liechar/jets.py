@@ -5,11 +5,15 @@ both plain callables into numpy arrays. All derivatives are second-order
 central differences with the chart's step h, so identities involving one
 derivative hold to O(h^2) on smooth test fields.
 
+Points are batched: every field and operation below takes one point (n,)
+or a stack (..., n) and maps it to (..., n) vectors, (..., n, n) matrices
+or (...) scalars (0-d for one point). Fields written on x[..., i] do both.
+
 Index conventions, used consistently below and in geometry:
-    vector_part(x)[i]    = X^i
-    matrix_part(x)[i, j] = X^i_j
-    covector_part(x)[i]  = w_i      (for 1-forms of the jet algebroid)
-    form matrix[i, j] pairs with X^i_j in the pairing
+    vector_part(x)[..., i]    = X^i
+    matrix_part(x)[..., i, j] = X^i_j
+    covector_part(x)[..., i]  = w_i      (for 1-forms of the jet algebroid)
+    form matrix[..., i, j] pairs with X^i_j in the pairing
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 VectorField = Callable[[np.ndarray], np.ndarray]
 MatrixField = Callable[[np.ndarray], np.ndarray]
-ScalarField = Callable[[np.ndarray], float]
+ScalarField = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -89,13 +93,19 @@ def partial_derivative(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, j: 
     return (np.asarray(f(x + step)) - np.asarray(f(x - step))) / (2 * h)
 
 
-def jacobian(f: VectorField, x: np.ndarray, h: float) -> np.ndarray:
-    """J[..., i, j] = dF^i/dx^j by central differences."""
-    return np.stack([partial_derivative(f, x, j, h) for j in range(x.shape[-1])], axis=-1)
+def jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
+    """Central differences of f along every coordinate j, stacked at axis of
+    the result: J[..., i, j] = dF^i/dx^j for the default axis=-1. The only
+    stencil; gradient is the same function."""
+    return np.stack([partial_derivative(f, x, j, h) for j in range(x.shape[-1])], axis=axis)
 
 
-def gradient(f: ScalarField, x: np.ndarray, h: float) -> np.ndarray:
-    return np.stack([partial_derivative(f, x, j, h) for j in range(x.shape[-1])], axis=-1)
+gradient = jacobian
+
+
+def _apply(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Per-point matrix-vector product: out[..., i] = matrix[..., i, a] vector[..., a]."""
+    return np.sum(matrix * vector[..., None, :], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -125,17 +135,21 @@ def prolong(chart: Chart, xi: VectorField) -> J1TSection:
     )
 
 
+def constant_field(value: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The field equal to value at every point, broadcast to x.shape[:-1] + value.shape."""
+    value = np.array(value, dtype=float)
+    return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
+
+
 def constant_section(chart: Chart, vector: np.ndarray, matrix: np.ndarray) -> J1TSection:
-    v = np.array(vector, dtype=float)
-    m = np.array(matrix, dtype=float)
-    return J1TSection(chart=chart, vector_part=lambda x: v, matrix_part=lambda x: m)
+    return J1TSection(chart=chart, vector_part=constant_field(vector), matrix_part=constant_field(matrix))
 
 
 def vector_field_bracket(chart: Chart, xi: VectorField, eta: VectorField) -> VectorField:
     """[xi, eta]^i = xi^a d_a eta^i - eta^a d_a xi^i."""
 
     def bracket(x: np.ndarray) -> np.ndarray:
-        return jacobian(eta, x, chart.h) @ xi(x) - jacobian(xi, x, chart.h) @ eta(x)
+        return _apply(jacobian(eta, x, chart.h), xi(x)) - _apply(jacobian(xi, x, chart.h), eta(x))
 
     return bracket
 
@@ -154,17 +168,13 @@ def spencer_bracket(a: J1TSection, b: J1TSection) -> J1TSection:
         [X, Y]^i_j = X^a_j Y^i_a - Y^a_j X^i_a + X^a d_a Y^i_j - Y^a d_a X^i_j.
     """
     chart = _require_same_chart(a, b)
-    h = chart.h
 
     def matrix(x: np.ndarray) -> np.ndarray:
-        xv, yv = a.vector_part(x), b.vector_part(x)
+        xv, yv = a.vector_part(x)[..., None, None], b.vector_part(x)[..., None, None]
         xm, ym = a.matrix_part(x), b.matrix_part(x)
-        transport = ym @ xm - xm @ ym
-        for axis in range(chart.dim):
-            d_ym = partial_derivative(b.matrix_part, x, axis, h)
-            d_xm = partial_derivative(a.matrix_part, x, axis, h)
-            transport = transport + xv[axis] * d_ym - yv[axis] * d_xm
-        return transport
+        d_xm = jacobian(a.matrix_part, x, chart.h, axis=-3)  # [..., c, i, j] = d_c X^i_j
+        d_ym = jacobian(b.matrix_part, x, chart.h, axis=-3)
+        return ym @ xm - xm @ ym + np.sum(xv * d_ym - yv * d_xm, axis=-3)
 
     return J1TSection(
         chart=chart,
@@ -187,19 +197,18 @@ def algebraic_bracket(a: J1TSection, b: J1TSection) -> VectorField:
     _require_same_chart(a, b)
 
     def bracket(x: np.ndarray) -> np.ndarray:
-        return b.matrix_part(x) @ a.vector_part(x) - a.matrix_part(x) @ b.vector_part(x)
+        return _apply(b.matrix_part(x), a.vector_part(x)) - _apply(a.matrix_part(x), b.vector_part(x))
 
     return bracket
 
 
 def lie_derivative(a: J1TSection, xi: VectorField) -> VectorField:
     """L_X xi = [pi X, xi] + i_xi D(X), a representation of jets on fields."""
-    chart = a.chart
-    base = vector_field_bracket(chart, a.vector_part, xi)
+    base = vector_field_bracket(a.chart, a.vector_part, xi)
     defect = spencer_operator(a)
 
     def derivative(x: np.ndarray) -> np.ndarray:
-        return base(x) + defect(x) @ xi(x)
+        return base(x) + _apply(defect(x), xi(x))
 
     return derivative
 
@@ -208,10 +217,9 @@ def pairing(form: Form1J1T, section: J1TSection) -> ScalarField:
     """w(X) = X^a w_a + X^a_b w_a^b as a scalar field."""
     _require_same_chart(form, section)
 
-    def value(x: np.ndarray) -> float:
-        return float(
-            section.vector_part(x) @ form.covector_part(x)
-            + np.sum(section.matrix_part(x) * form.matrix_part(x))
+    def value(x: np.ndarray) -> np.ndarray:
+        return np.sum(section.vector_part(x) * form.covector_part(x), axis=-1) + np.sum(
+            section.matrix_part(x) * form.matrix_part(x), axis=(-2, -1)
         )
 
     return value
@@ -228,18 +236,20 @@ def delta_one_form(form: Form1J1T, a: J1TSection, b: J1TSection) -> ScalarField:
     """
     chart = _require_same_chart(a, b)
     _require_same_chart(form, a)
-    h = chart.h
 
-    def value(x: np.ndarray) -> float:
+    def value(x: np.ndarray) -> np.ndarray:
         xv, yv = a.vector_part(x), b.vector_part(x)
         xm, ym = a.matrix_part(x), b.matrix_part(x)
-        wm = form.matrix_part(x)
-        total = -np.sum((ym @ xm - xm @ ym) * wm)
-        for axis in range(chart.dim):
-            d_cov = partial_derivative(form.covector_part, x, axis, h)
-            d_mat = partial_derivative(form.matrix_part, x, axis, h)
-            total += xv[axis] * (yv @ d_cov) - yv[axis] * (xv @ d_cov)
-            total += np.sum((xv[axis] * ym - yv[axis] * xm) * d_mat)
-        return float(total)
+        d_cov = jacobian(form.covector_part, x, chart.h)  # [..., a, c] = d_c w_a
+        d_mat = jacobian(form.matrix_part, x, chart.h, axis=-3)  # [..., c, a, b] = d_c w^b_a
+        # products then sums keep a batched call bitwise equal to one-point
+        # calls, which a three-operand einsum does not
+        one = yv[..., :, None] * xv[..., None, :]  # [..., a, c] = Y^a X^c
+        mixed = xv[..., :, None, None] * ym[..., None, :, :] - yv[..., :, None, None] * xm[..., None, :, :]
+        return (
+            np.sum((one - one.swapaxes(-1, -2)) * d_cov, axis=(-2, -1))
+            + np.sum(mixed * d_mat, axis=(-3, -2, -1))
+            - np.sum((ym @ xm - xm @ ym) * form.matrix_part(x), axis=(-2, -1))
+        )
 
     return value

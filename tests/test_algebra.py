@@ -1,8 +1,11 @@
 """Structure-constant Lie algebras: brackets, Killing form, series flags."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liechar import catalog, linalg
 from liechar.algebra import LieAlgebra, lie_algebra
@@ -101,6 +104,63 @@ def test_validate_flags_jacobi_violations() -> None:
     report = bad.validate()
     assert not report.ok
     assert (1, 2, 3, 2) in report.violations
+
+
+def dense_jacobi_violations(alg: LieAlgebra) -> tuple[tuple[int, int, int, int], ...]:
+    """Every triple i < j < k and every component m, summed over every a:
+    the reference for the sparse validate()."""
+    n, c = alg.dim, alg.structure_constant
+    violations = []
+    for i, j, k in combinations(range(1, n + 1), 3):
+        for m in range(1, n + 1):
+            total = Fraction(0)
+            for a in range(1, n + 1):
+                total += c(i, j, a) * c(a, k, m) + c(j, k, a) * c(a, i, m) + c(k, i, a) * c(a, j, m)
+            if total != 0:
+                violations.append((i, j, k, m))
+    return tuple(violations)
+
+
+CATALOG_ALGEBRAS = [entry.payload for entry in catalog.list_entries() if entry.kind == "algebra"]
+
+
+@st.composite
+def drawn_constants(draw) -> LieAlgebra:
+    n = draw(st.integers(2, 6))
+    keys = [(i, j, k) for i, j in combinations(range(1, n + 1), 2) for k in range(1, n + 1)]
+    values = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return lie_algebra(n, draw(st.dictionaries(st.sampled_from(keys), values, max_size=3 * n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(CATALOG_ALGEBRAS), drawn_constants()))
+def test_sparse_jacobi_matches_the_dense_loop(alg: LieAlgebra) -> None:
+    report = alg.validate()
+    assert report.violations == dense_jacobi_violations(alg)
+    assert report.ok == (not report.violations)
+
+
+def test_bracket_rows_list_the_nonzero_constants() -> None:
+    g = lie_algebra(4, {(2, 1, 3): F(1), (1, 2, 1): F(2), (3, 4, 4): F(-1)})
+    assert g.bracket_rows() == {(1, 2): [(1, F(2)), (3, F(-1))], (3, 4): [(4, F(-1))]}
+
+
+def test_structure_constants_are_read_only() -> None:
+    g = sl2()
+    with pytest.raises(TypeError):
+        g.c[(1, 2, 1)] = F(5)
+    assert g.c == dict(g.c)
+    assert g == lie_algebra(3, dict(g.c), names=g.names)
+
+
+def test_killing_pair_matches_the_gram_form() -> None:
+    for g in CATALOG_ALGEBRAS:
+        kappa = g.killing()
+        vectors = basis_vectors(g.dim) + [[F((3 * i) % 7 - 3, 1 + i % 2) for i in range(g.dim)]]
+        for x in vectors:
+            for y in vectors:
+                gram = sum((x[i] * kappa[i][j] * y[j] for i in range(g.dim) for j in range(g.dim)), F(0))
+                assert g.killing_pair(x, y) == gram, g
 
 
 def test_all_catalog_algebras_satisfy_jacobi() -> None:

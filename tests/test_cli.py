@@ -135,6 +135,21 @@ def test_oversized_input_exits_two_before_jacobi(capsys, monkeypatch, tmp_path, 
     assert "Betti table cap" in err
 
 
+def test_forms_checks_jacobi_on_a_sparse_sixty_dimensional_file(capsys, tmp_path) -> None:
+    # forms has no size cap; Jacobi visits only the triples through nonzero brackets
+    path = tmp_path / "sparse60.lie"
+    path.write_text("dim 60\n1 2 3 1\n")
+    code, out, err = invoke(capsys, "forms", str(path), "--degree", "1")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["dim"] == 60
+    assert set(report["components"].values()) == {"0"}
+    path.write_text("dim 60\n1 2 1 1\n1 3 2 1\n")
+    code, out, _ = invoke(capsys, "forms", str(path), "--degree", "1")
+    assert code == 1
+    assert [1, 2, 3, 2] in json.loads(out)["jacobi_violations"]
+
+
 def test_analyze_parse_error_exits_two(capsys, tmp_path) -> None:
     path = tmp_path / "bad.lie"
     path.write_text("dim 2\n1 2 2 x\n")

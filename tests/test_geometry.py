@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liechar import catalog, geometry
+from liechar import catalog, geometry, verify
 from liechar.geometry import (
     FrameField,
     LocalAlgebraError,
@@ -498,3 +498,29 @@ def test_batched_multiplication_functions_equal_stacked_point_calls(name: str) -
     _assert_equal_parts((mult.multiply(pts, mirrored),), pairs, "m(a, b)")
     _assert_equal_parts((mult.multiply(e, pts),), _stacked(lambda x: (mult.multiply(e, x),), pts), "m(e, x)")
     _assert_equal_parts((ad_e(mult, pts),), _stacked(lambda x: (ad_e(mult, x),), pts), "ad_e")
+
+
+def _jet_helpers(frame: FrameField) -> dict:
+    """The four jet-calculus helpers on the seeded polynomial fields of the
+    verify suites; each entry returns a tuple of per-point arrays."""
+    rng = np.random.default_rng(verify.RNG_SEED)
+    n = frame.chart.dim
+    xi, eta = verify._poly_field(rng, n), verify._poly_field(rng, n)
+    p = frame.chart.lattice(3)[0]
+    form = trace_one_form(frame)
+    return {
+        "invariant_field_pde_residual": lambda x: (invariant_field_pde_residual(frame, p, np.ones(n), x),),
+        "gamma_lift": lambda x: tuple(gamma_lift(frame, xi, v).matrix_part(x) for v in ("tilde", "hat")),
+        "bracket_defect_residual": lambda x: (
+            bracket_defect_residual(frame, xi, eta, x, "tilde") + bracket_defect_residual(frame, xi, eta, x, "hat")
+        ),
+        "trace_one_form": lambda x: (form.covector_part(x), form.matrix_part(x)),
+    }
+
+
+@pytest.mark.parametrize("name", _names("frame"))
+def test_batched_jet_helpers_equal_stacked_point_calls(name: str) -> None:
+    frame = frame_of(name)
+    pts = frame.chart.lattice(3 if frame.chart.dim <= 3 else 2)
+    for label, fn in _jet_helpers(frame).items():
+        _assert_equal_parts(fn(pts), _stacked(fn, pts), label)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from liechar import jets
+from liechar import jets, verify
 
 
 def square_chart(side: float = 1.0, h: float = 1e-3) -> jets.Chart:
@@ -221,3 +221,42 @@ def test_chart_mismatch_rejected() -> None:
     sb = jets.constant_section(b, np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
         jets.spencer_bracket(sa, sb)
+
+
+def _jet_operations(chart: jets.Chart) -> dict:
+    """Every jets operation on the seeded polynomial fields, sections and
+    forms of the verify suites, as point -> array callables."""
+    rng = np.random.default_rng(verify.RNG_SEED)
+    n, h = chart.dim, chart.h
+    xi, eta = verify._poly_field(rng, n), verify._poly_field(rng, n)
+    a, b = verify._poly_section(rng, chart), verify._poly_section(rng, chart)
+    form = verify._poly_form(rng, chart)
+    const = jets.constant_section(chart, rng.integers(-2, 3, size=n), rng.integers(-2, 3, size=(n, n)))
+    prolonged = jets.prolong(chart, xi)
+    bracket = jets.spencer_bracket(a, b)
+    return {
+        "jacobian": lambda x: jets.jacobian(xi, x, h),
+        "jacobian axis=-3": lambda x: jets.jacobian(a.matrix_part, x, h, axis=-3),
+        "gradient": lambda x: jets.gradient(jets.pairing(form, a), x, h),
+        "prolong vector": prolonged.vector_part,
+        "prolong matrix": prolonged.matrix_part,
+        "constant_section vector": const.vector_part,
+        "constant_section matrix": const.matrix_part,
+        "vector_field_bracket": jets.vector_field_bracket(chart, xi, eta),
+        "spencer_bracket vector": bracket.vector_part,
+        "spencer_bracket matrix": bracket.matrix_part,
+        "spencer_bracket with constant": jets.spencer_bracket(const, a).matrix_part,
+        "spencer_operator": jets.spencer_operator(a),
+        "algebraic_bracket": jets.algebraic_bracket(a, b),
+        "lie_derivative": jets.lie_derivative(a, xi),
+        "pairing": jets.pairing(form, a),
+        "delta_one_form": jets.delta_one_form(form, a, b),
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_jet_operations_equal_stacked_point_calls(dim: int) -> None:
+    chart = jets.Chart(lower=(-1.0,) * dim, upper=(1.0,) * dim)
+    pts = chart.lattice(3)
+    for label, fn in _jet_operations(chart).items():
+        assert np.array_equal(fn(pts), np.stack([fn(x) for x in pts])), label

@@ -23,6 +23,14 @@ def test_selected_suites_pass_and_tag_results() -> None:
         assert r.ok, f"{r.suite}.{r.name}: {r.detail}"
 
 
+def test_every_suite_passes() -> None:
+    results = run_suites()
+    assert len(results) == 27
+    assert {r.suite for r in results} == set(SUITES)
+    failed = [f"{r.suite}.{r.name}: {r.detail}" for r in results if not r.ok]
+    assert not failed, failed
+
+
 def test_failures_are_reported_not_raised() -> None:
     # a deliberately broken check must come back as a failed result
     from liechar.verify import _check
