@@ -8,6 +8,10 @@ Two computational lanes share one set of conventions:
 * finite-difference chart geometry: frame-field splittings, connection
   coefficients, torsion and curvature tensors, the obstruction 1-form,
   local adjoint maps and their log-determinant primitive.
+
+The exact lane is imported with the package; the finite-difference lane
+(geometry, jets, verify and numpy) is imported when one of its names is
+first used.
 """
 
 from .algebra import LieAlgebra, ValidationReport, lie_algebra
@@ -26,43 +30,6 @@ from .cohomology import (
 )
 from .fileformat import AlgebraFileError, parse_algebra, serialize_algebra
 from .forms import AlternatingForm, trace_form, w1_character, w3_killing
-from .geometry import (
-    ConnectionSample,
-    Curve,
-    CurvatureSample,
-    FrameField,
-    LocalAlgebraError,
-    LocalGroupMultiplication,
-    Splitting,
-    ad_e,
-    automorphy_check,
-    frame_from_multiplication,
-    gamma,
-    gamma_from_splitting,
-    invariant_field,
-    local_algebra,
-    log_det_ad_primitive_check,
-    one_parameter_curve,
-    r1,
-    r2,
-    r_full,
-    structure_functions,
-    torsion,
-    tr_r2,
-    w_form,
-)
-from .jets import (
-    Chart,
-    Form1J1T,
-    J1TSection,
-    algebraic_bracket,
-    delta_one_form,
-    lie_derivative,
-    pairing,
-    prolong,
-    spencer_bracket,
-    spencer_operator,
-)
 
 __version__ = "0.1.0"
 
@@ -125,3 +92,20 @@ __all__ = [
     "w3_killing",
     "w_form",
 ]
+
+# The finite-difference lane needs numpy, so its names (every name in
+# __all__ not imported above) load on first use (PEP 562): the first one
+# asked for imports geometry, jets and verify together, and importing
+# liechar or running an exact-lane command does not.
+_FD_MODULES = ("geometry", "jets", "verify")
+_FD_NAMES = frozenset(__all__) - set(globals())
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name not in _FD_NAMES and name not in _FD_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    modules = [import_module(f"{__name__}.{module}") for module in _FD_MODULES]
+    globals().update({attr: next(getattr(m, attr) for m in modules if hasattr(m, attr)) for attr in _FD_NAMES})
+    return globals()[name]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 from types import MappingProxyType
 
@@ -116,8 +117,21 @@ class LieAlgebra:
         return m
 
     def basis_ad(self) -> list[Matrix]:
-        """Adjoint operators of the basis vectors, in basis order."""
-        return [self.ad(self.basis_vector(i)) for i in range(1, self.dim + 1)]
+        """Adjoint operators of the basis vectors, in basis order, as fresh
+        rows that the caller may change."""
+        return [[list(row) for row in m] for m in self._basis_ad]
+
+    @cached_property
+    def _basis_ad(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """ad(e_i)[k][j] = c_ij^k from the bracket rows, built once per
+        algebra; outside the dataclass fields, so == ignores it."""
+        n = self.dim
+        ads = [linalg.zeros(n, n) for _ in range(n)]
+        for (i, j), row in self.bracket_rows().items():
+            for k, value in row:
+                ads[i - 1][k - 1][j - 1] = value
+                ads[j - 1][k - 1][i - 1] = -value
+        return tuple(tuple(map(tuple, m)) for m in ads)
 
     def bracket_rows(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
         """Nonzero brackets as rows (i, j) -> [(k, c_ij^k), ...], i < j, ascending."""

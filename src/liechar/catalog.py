@@ -11,15 +11,18 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .algebra import LieAlgebra, lie_algebra
-from .geometry import FrameField, LocalGroupMultiplication
-from .jets import Chart
 
-Payload = Union[LieAlgebra, FrameField, LocalGroupMultiplication]
+if TYPE_CHECKING:
+    from .geometry import FrameField, LocalGroupMultiplication
+    from .jets import Chart
+
+# Frame and multiplication builders import numpy and the finite-difference
+# modules when they build, so that importing the catalog (and the exact
+# lane through it) does not.
+Payload = Union[LieAlgebra, "FrameField", "LocalGroupMultiplication"]
 
 ABELIAN_MAX_DIM = 6
 
@@ -35,10 +38,14 @@ class CatalogEntry:
 
 
 def _unit_box(n: int, h: float = 1e-3) -> Chart:
+    from .jets import Chart
+
     return Chart(lower=tuple([-1.0] * n), upper=tuple([1.0] * n), h=h)
 
 
 def _halfplane_box(h: float = 1e-3) -> Chart:
+    from .jets import Chart
+
     # first coordinate kept away from 0 so 1/x1 frames stay invertible
     return Chart(lower=(0.5, -1.0), upper=(2.5, 1.0), h=h)
 
@@ -119,6 +126,10 @@ def _sl2_plus_abelian2() -> CatalogEntry:
 
 
 def _identity_frame(n: int) -> CatalogEntry:
+    import numpy as np
+
+    from .geometry import FrameField
+
     eye = np.eye(n)
     return CatalogEntry(
         name=f"identity({n})",
@@ -129,6 +140,10 @@ def _identity_frame(n: int) -> CatalogEntry:
 
 
 def _affine_halfplane() -> CatalogEntry:
+    import numpy as np
+
+    from .geometry import FrameField
+
     def matrix(x: np.ndarray) -> np.ndarray:
         return x[..., 0, None, None] * np.eye(2)
 
@@ -141,6 +156,11 @@ def _affine_halfplane() -> CatalogEntry:
 
 
 def _unipotent_sin() -> CatalogEntry:
+    import numpy as np
+
+    from .geometry import FrameField
+    from .jets import Chart
+
     def matrix(x: np.ndarray) -> np.ndarray:
         a = np.zeros(x.shape[:-1] + (2, 2))
         a[..., 0, 0] = a[..., 1, 1] = 1.0
@@ -159,6 +179,10 @@ def _unipotent_sin() -> CatalogEntry:
 
 
 def _borel_frame() -> CatalogEntry:
+    import numpy as np
+
+    from .geometry import FrameField
+
     def matrix(x: np.ndarray) -> np.ndarray:
         a = np.zeros(x.shape[:-1] + (2, 2))
         a[..., 0, 0] = a[..., 1, 1] = x[..., 0]
@@ -174,6 +198,10 @@ def _borel_frame() -> CatalogEntry:
 
 
 def _abelian_multiplication(n: int) -> CatalogEntry:
+    import numpy as np
+
+    from .geometry import LocalGroupMultiplication
+
     return CatalogEntry(
         name=f"abelian({n})",
         kind="multiplication",
@@ -187,6 +215,10 @@ def _abelian_multiplication(n: int) -> CatalogEntry:
 
 
 def _affine_group() -> CatalogEntry:
+    import numpy as np
+
+    from .geometry import LocalGroupMultiplication
+
     def multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         a, b = p[..., 0], p[..., 1]
         c, d = q[..., 0], q[..., 1]
@@ -201,6 +233,10 @@ def _affine_group() -> CatalogEntry:
 
 
 def _borel_sl2_group() -> CatalogEntry:
+    import numpy as np
+
+    from .geometry import LocalGroupMultiplication
+
     def multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         a1, b1 = p[..., 0], p[..., 1]
         a2, b2 = q[..., 0], q[..., 1]

@@ -4,6 +4,9 @@ Subcommands: analyze, forms, cohomology, curvature, catalog, verify.
 Reports go to stdout as JSON with sorted keys (or --format text);
 diagnostics go to stderr. Exit codes: 0 success, 1 mathematical
 validation failure, 2 parse/IO/usage error.
+
+The finite-difference lane (geometry, verify and numpy) is imported inside
+the commands that use it, so analyze, forms and cohomology never load it.
 """
 
 from __future__ import annotations
@@ -15,12 +18,16 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import catalog, cohomology, forms, geometry, verify
+from . import catalog, cohomology, forms
 from .algebra import LieAlgebra
 from .cohomology import BETTI_DIM_CAP
 from .fileformat import AlgebraFileError, parse_algebra, serialize_algebra
 from .linalg import symmetric_signature
+
+if TYPE_CHECKING:
+    from .geometry import FrameField
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -144,8 +151,10 @@ def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> 
     return report
 
 
-def _curvature_sweep(frame: geometry.FrameField, points_per_axis: int) -> dict[str, float]:
+def _curvature_sweep(frame: FrameField, points_per_axis: int) -> dict[str, float]:
     """Lattice maxima; r_full pairs each point with its mirror in the lattice order."""
+    from . import geometry
+
     lattice = frame.chart.lattice(points_per_axis)
     sup = geometry.sup_norm
     return {
@@ -160,6 +169,8 @@ def _curvature_sweep(frame: geometry.FrameField, points_per_axis: int) -> dict[s
 
 
 def _cmd_curvature(args: argparse.Namespace) -> int:
+    from . import geometry
+
     try:
         entry = catalog.get(args.frame, kind="frame")
     except KeyError as exc:
@@ -170,15 +181,15 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
     points = args.lattice**frame.chart.dim
     if points > CURVATURE_LATTICE_CAP:
         raise CliError(f"--lattice {args.lattice} gives {points} points, over the cap of {CURVATURE_LATTICE_CAP}")
-    if args.h is not None:
-        if args.h <= 0:
-            raise CliError("--h must be positive")
-        try:
+    if args.h is not None and args.h <= 0:
+        raise CliError("--h must be positive")
+    try:
+        if args.h is not None:
             frame = geometry.FrameField(chart=frame.chart.with_step(args.h), matrix=frame.matrix)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        halved = geometry.FrameField(chart=frame.chart.with_step(frame.chart.h / 2), matrix=frame.matrix)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     coarse = _curvature_sweep(frame, args.lattice)
-    halved = geometry.FrameField(chart=frame.chart.with_step(frame.chart.h / 2), matrix=frame.matrix)
     fine = _curvature_sweep(halved, args.lattice)
     ratios = {}
     for key in ("r1_max", "dw_tr_r2_residual", "r_full_diagonal_max"):
@@ -218,6 +229,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             "upper": list(chart.upper),
             "h": chart.h,
         }
+        from . import geometry
+
         if isinstance(payload, geometry.LocalGroupMultiplication):
             report["identity"] = [float(v) for v in payload.identity]
     _emit(report, args.format)
@@ -225,6 +238,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     try:
         results = verify.run_suites([args.suite] if args.suite else None)
     except KeyError as exc:
@@ -293,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     cat_show.set_defaults(func=_cmd_catalog)
 
     p_verify = sub.add_parser("verify", help="run invariant verification suites")
-    p_verify.add_argument("--suite", choices=sorted(verify.SUITES), default=None)
+    p_verify.add_argument("--suite", default=None, help="run one suite; an unknown name lists them")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -35,7 +35,8 @@ class Chart:
     Attributes:
         lower, upper: box corners, length-n tuples with lower < upper.
         h: central-difference step; must be at most a tenth of the
-            shortest box side so that stencils stay meaningful.
+            shortest box side so that stencils stay meaningful, and must
+            change every corner coordinate when added or subtracted.
     """
 
     lower: tuple[float, ...]
@@ -50,6 +51,11 @@ class Chart:
             raise ValueError("box must be nonempty")
         if not 0 < self.h <= min(sides) / 10:
             raise ValueError("step h must be positive and at most a tenth of the shortest side")
+        # the largest coordinates sit at the corners: a step that vanishes
+        # there would make every difference quotient read 0
+        for v in self.lower + self.upper:
+            if v + self.h == v or v - self.h == v:
+                raise ValueError(f"step h={self.h!r} vanishes in float arithmetic at the corner coordinate {v!r}")
 
     @property
     def dim(self) -> int:

@@ -140,6 +140,23 @@ def test_sparse_jacobi_matches_the_dense_loop(alg: LieAlgebra) -> None:
     assert report.ok == (not report.violations)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(CATALOG_ALGEBRAS), drawn_constants()))
+def test_basis_ad_equals_ad_of_the_basis_vectors(alg: LieAlgebra) -> None:
+    expected = [alg.ad(alg.basis_vector(i)) for i in range(1, alg.dim + 1)]
+    assert alg.basis_ad() == expected
+    assert all(type(x) is Fraction for m in alg.basis_ad() for row in m for x in row)
+
+
+def test_basis_ad_is_cached_outside_equality_and_returns_fresh_rows() -> None:
+    g, fresh = sl2(), sl2()
+    first = g.basis_ad()
+    first[0][0][0] = F(99)
+    first[1].append([F(1)])
+    assert g.basis_ad() == fresh.basis_ad() != first
+    assert g == sl2() and "_basis_ad" in vars(g) and "_basis_ad" not in vars(sl2())
+
+
 def test_bracket_rows_list_the_nonzero_constants() -> None:
     g = lie_algebra(4, {(2, 1, 3): F(1), (1, 2, 1): F(2), (3, 4, 4): F(-1)})
     assert g.bracket_rows() == {(1, 2): [(1, F(2)), (3, F(-1))], (3, 4): [(4, F(-1))]}

@@ -291,6 +291,25 @@ def test_curvature_lattice_over_cap_exits_two_before_any_evaluation(capsys, monk
         run(["curvature", "--frame", "identity(6)", "--lattice", "4"])
 
 
+@pytest.mark.parametrize("h", ["1e-17", "1e-300", "2e-16"])
+def test_curvature_rejects_steps_that_vanish_in_float(capsys, h) -> None:
+    # 2e-16 still moves every corner of unipotent_sin's box, but the halved
+    # step 1e-16 does not move 1.2
+    code, out, err = invoke(capsys, "curvature", "--frame", "unipotent_sin", "--h", h)
+    assert code == 2
+    assert out == ""
+    assert "vanishes in float" in err
+
+
+def test_curvature_default_step_report_is_unchanged_by_an_explicit_step(capsys) -> None:
+    code, default, _ = invoke(capsys, "curvature", "--frame", "unipotent_sin")
+    assert code == 0
+    code, explicit, _ = invoke(capsys, "curvature", "--frame", "unipotent_sin", "--h", "1e-3")
+    assert code == 0
+    assert explicit == default
+    assert json.loads(explicit)["max_norms"]["r2_max"] > 0.5
+
+
 def test_curvature_output_is_deterministic(capsys) -> None:
     _, first, _ = invoke(capsys, "curvature", "--frame", "affine_halfplane", "--lattice", "3")
     _, second, _ = invoke(capsys, "curvature", "--frame", "affine_halfplane", "--lattice", "3")
@@ -331,8 +350,11 @@ def test_verify_single_suite(capsys) -> None:
 
 
 def test_verify_rejects_unknown_suite(capsys) -> None:
-    code, _, _ = invoke(capsys, "verify", "--suite", "nosuch")
+    code, out, err = invoke(capsys, "verify", "--suite", "nosuch")
     assert code == 2
+    assert out == ""
+    for suite in ("algebra", "forms", "cohomology", "jets", "geometry", "catalog"):
+        assert repr(suite) in err
 
 
 def test_missing_required_argument_exits_two(capsys) -> None:

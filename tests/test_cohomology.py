@@ -323,14 +323,26 @@ def test_trace_form_classes_agree_with_unsplit_solve() -> None:
 @given(st.data())
 def test_coboundary_primitive_equals_unsplit_solve(data) -> None:
     g = data.draw(small_algebras(6))
-    k = data.draw(st.integers(0, g.dim - 1))
+    # Only degrees with d_k != 0, and mu moved off the kernel of d_k, so no
+    # draw is a zero coboundary: filtering those out tripped hypothesis's
+    # filter_too_much health check in about one run in six.
+    degrees = [k for k in range(g.dim) if differential_matrix(g, k).nonzeros]
+    assume(degrees)
+    k = data.draw(st.sampled_from(degrees))
     basis = cochain_basis(g.dim, k)
     values = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
-    mu = AlternatingForm(degree=k, dim=g.dim, components=dict(zip(basis, map(Fraction, values))))
     d_k = differential_matrix(g, k)
+
+    def cochain(values: list[int]) -> AlternatingForm:
+        return AlternatingForm(degree=k, dim=g.dim, components=dict(zip(basis, map(Fraction, values))))
+
+    if not any(d_k.apply(cochain(values))):
+        _, column = min(d_k.nonzeros)
+        values[column] += 1
+    mu = cochain(values)
     image = d_k.apply(mu)
     form = AlternatingForm(degree=k + 1, dim=g.dim, components=dict(zip(d_k.row_basis, image)))
-    assume(not form.is_zero())
+    assert not form.is_zero()
     ok, primitive = is_exact(g, form)
     assert ok
     assert primitive.components == unsplit_primitive(g, form)

@@ -19,6 +19,16 @@ def test_chart_validation() -> None:
         jets.Chart(lower=(0.0, 0.0), upper=(1.0, 1.0), h=0.2)
 
 
+def test_chart_rejects_steps_that_vanish_in_float() -> None:
+    # 1.2 +- 1e-16 rounds back to 1.2; 0.2 +- 1e-17 rounds back to 0.2
+    chart = jets.Chart(lower=(0.2, 0.2), upper=(1.2, 1.2), h=2e-16)
+    for h in (1e-16, 1e-17, 1e-300):
+        with pytest.raises(ValueError, match="vanishes in float"):
+            chart.with_step(h)
+    with pytest.raises(ValueError, match="corner coordinate -1000000.0"):
+        jets.Chart(lower=(-1e6,), upper=(0.0,), h=1e-11)
+
+
 def test_chart_contains_and_interior() -> None:
     chart = square_chart()
     assert chart.contains(np.array([0.0, 0.0]))
