@@ -13,6 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from numbers import Rational
 from types import MappingProxyType
 
@@ -123,15 +124,33 @@ class LieAlgebra:
 
     @cached_property
     def _basis_ad(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """ad(e_i)[k][j] = c_ij^k from the bracket rows, built once per
-        algebra; outside the dataclass fields, so == ignores it."""
+        """ad(e_i) as dense matrices from sparse_ad, built once per algebra;
+        outside the dataclass fields, so == ignores it."""
         n = self.dim
+        scale, sparse = self.sparse_ad
         ads = [linalg.zeros(n, n) for _ in range(n)]
+        for i, rows in sparse.items():
+            for r, row in rows.items():
+                for t, x in row:
+                    ads[i - 1][r][t] = Fraction(x, scale)
+        return tuple(tuple(map(tuple, m)) for m in ads)
+
+    @cached_property
+    def sparse_ad(self) -> tuple[int, dict[int, dict[int, tuple[tuple[int, int], ...]]]]:
+        """(s, {i: {r: ((t, s * ad(e_i)[r][t]), ...)}}): the nonzero adjoints as
+        integer sparse rows scaled by the lcm s of the constants' denominators,
+        with 1-based basis index i, 0-based row r and column t, read from the
+        bracket rows as ad(e_i)[k][j] = c_ij^k. Built once per algebra and
+        shared, so callers must not change it; == and repr ignore it."""
+        scale = lcm(*(value.denominator for value in self.c.values()))
+        ads: dict[int, dict[int, list[tuple[int, int]]]] = {}
         for (i, j), row in self.bracket_rows().items():
             for k, value in row:
-                ads[i - 1][k - 1][j - 1] = value
-                ads[j - 1][k - 1][i - 1] = -value
-        return tuple(tuple(map(tuple, m)) for m in ads)
+                x = value.numerator * (scale // value.denominator)
+                ads.setdefault(i, {}).setdefault(k - 1, []).append((j - 1, x))
+                ads.setdefault(j, {}).setdefault(k - 1, []).append((i - 1, -x))
+        table = {i: {r: tuple(sorted(row)) for r, row in sorted(rows.items())} for i, rows in sorted(ads.items())}
+        return scale, table
 
     def bracket_rows(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
         """Nonzero brackets as rows (i, j) -> [(k, c_ij^k), ...], i < j, ascending."""
@@ -158,16 +177,24 @@ class LieAlgebra:
         return ValidationReport(ok=not violations, violations=tuple(violations))
 
     def killing(self) -> Matrix:
-        """Gram matrix of the Killing form kappa(x, y) = tr(ad x . ad y)."""
-        ads = self.basis_ad()
+        """Gram matrix of the Killing form kappa(x, y) = tr(ad x . ad y), as
+        fresh rows that the caller may change."""
+        return [list(row) for row in self._killing]
+
+    @cached_property
+    def _killing(self) -> tuple[tuple[Fraction, ...], ...]:
+        """kappa_ij = sum of ad_i[r][t] * ad_j[t][r] over the nonzero adjoints
+        only, in integers, built once per algebra outside ==."""
         n = self.dim
+        scale, ads = self.sparse_ad
+        cells = {i: {(r, t): x for r, row in rows.items() for t, x in row} for i, rows in ads.items()}
         kappa = linalg.zeros(n, n)
-        for i in range(n):
-            for j in range(i, n):
-                value = linalg.trace(linalg.mat_mul(ads[i], ads[j]))
-                kappa[i][j] = value
-                kappa[j][i] = value
-        return kappa
+        for i, ad_i in cells.items():
+            for j, ad_j in cells.items():
+                if j >= i:
+                    value = sum(x * ad_j.get((t, r), 0) for (r, t), x in ad_i.items())
+                    kappa[i - 1][j - 1] = kappa[j - 1][i - 1] = Fraction(value, scale * scale)
+        return tuple(map(tuple, kappa))
 
     def killing_pair(self, x: Vector, y: Vector) -> Fraction:
         """kappa(x, y) = tr(ad x . ad y)."""
@@ -209,7 +236,7 @@ class LieAlgebra:
 
     def is_unimodular(self) -> bool:
         """tr(ad e_i) = 0 for every basis vector."""
-        return all(linalg.trace(m) == 0 for m in self.basis_ad())
+        return all(sum(dict(row).get(r, 0) for r, row in rows.items()) == 0 for rows in self.sparse_ad[1].values())
 
 
 def lie_algebra(

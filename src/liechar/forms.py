@@ -9,16 +9,18 @@ form as kappa(x, [y, z]) and vanishes identically in every even degree.
 
 The k!-term sum is never expanded. The alternating product of an index
 tuple J, A_J = sum over s of sgn(s) * ad e_{j_s(0)} . ... . ad e_{j_s(m-1)},
-splits on its first factor as A_J = sum_p (-1)^p * ad e_{j_p} . A_{J minus j_p}
-with A_() = I. trace_form builds one level |J| = 1 .. k-1 at a time and
-takes w_k(I) = (1/k) * sum_p (-1)^p * tr(ad e_{i_p} . A_{I minus i_p}).
+splits on its first factor as A_J = sum_p (-1)^p * ad e_{j_p} . A_{J minus j_p},
+and w_k(I) = (1/k) * sum_p (-1)^p * tr(ad e_{i_p} . A_{I minus i_p}). Both
+sums vanish where every face does, so trace_form keeps only the nonzero A_J
+of each level as sparse integer maps {row: {col: value}} and visits only the
+subsets J' + {i} with A_{J'} and ad e_i nonzero, dropping cancelled cells.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg
 from .algebra import LieAlgebra, Vector
@@ -96,47 +98,45 @@ def trace_form(alg: LieAlgebra, k: int) -> AlternatingForm:
     """Degree-k trace form of the adjoint representation, exactly."""
     if not 1 <= k <= alg.dim:
         raise ValueError(f"degree {k} outside [1, {alg.dim}]")
-    ads = alg.basis_ad()
-    indices = range(1, alg.dim + 1)
-    level = {(): linalg.identity(alg.dim)}
-    for size in range(1, k):
-        level = {subset: _alternating_product(ads, subset, level) for subset in combinations(indices, size)}
-    components = {}
-    inv_k = Fraction(1, k)
-    for subset in combinations(indices, k):
-        total = Fraction(0)
-        for p, i in enumerate(subset):
-            rest = level[subset[:p] + subset[p + 1 :]]
-            # tr(ad e_i . A_rest) without forming the product
-            term = sum(x * rest[c][r] for r, row in enumerate(ads[i - 1]) for c, x in enumerate(row) if x)
-            total += -term if p % 2 else term
-        value = inv_k * total
-        if value != 0:
-            components[subset] = value
+    if k == 1:
+        return w1_character(alg)
+    scale, ads = alg.sparse_ad  # integers: level m holds scale^m * A_J
+    level = {(i,): {r: dict(row) for r, row in rows.items()} for i, rows in ads.items()}
+    for _ in range(2, k):
+        products: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
+        for subset, sign, rows, lower in _cofaces(ads, level):
+            out = products.setdefault(subset, {})
+            for r, row in rows.items():
+                cells = out.setdefault(r, {})
+                for t, x in row:
+                    for c, y in lower.get(t, {}).items():
+                        cells[c] = cells.get(c, 0) + sign * x * y
+        level = {}
+        for subset, out in products.items():
+            if kept := {r: nz for r, cells in out.items() if (nz := {c: v for c, v in cells.items() if v})}:
+                level[subset] = kept
+    totals: dict[tuple[int, ...], int] = {}
+    for subset, sign, rows, lower in _cofaces(ads, level):
+        # tr(ad e_i . A_rest) without forming the product
+        term = sum(x * lower[t][r] for r, row in rows.items() for t, x in row if r in lower.get(t, ()))
+        totals[subset] = totals.get(subset, 0) + sign * term
+    components = {subset: Fraction(v, k * scale**k) for subset, v in sorted(totals.items()) if v}
     return AlternatingForm(degree=k, dim=alg.dim, components=components)
 
 
-def _alternating_product(ads: list[linalg.Matrix], subset: tuple[int, ...], lower: dict) -> linalg.Matrix:
-    """A_J = sum_p (-1)^p ad e_{j_p} . A_{J minus j_p}, from the level below J."""
-    out = linalg.zeros(len(ads), len(ads))
-    for p, i in enumerate(subset):
-        rest = lower[subset[:p] + subset[p + 1 :]]
-        for out_row, ad_row in zip(out, ads[i - 1]):
-            for t, x in enumerate(ad_row):
-                if x:
-                    coef = -x if p % 2 else x
-                    for c, y in enumerate(rest[t]):
-                        out_row[c] += coef * y
-    return out
+def _cofaces(ads: dict, level: dict):
+    """(J' + {i}, (-1)^p, ad e_i, A_J') for nonzero A_J' and ad e_i, i not in J' and at position p."""
+    for lower_subset, lower in level.items():
+        for i, rows in ads.items():
+            if i not in lower_subset:
+                p = bisect(lower_subset, i)
+                yield lower_subset[:p] + (i,) + lower_subset[p:], -1 if p % 2 else 1, rows, lower
 
 
 def w1_character(alg: LieAlgebra) -> AlternatingForm:
     """Degree-1 form e_i -> tr(ad e_i), the adjoint character."""
-    components = {}
-    for i, ad in enumerate(alg.basis_ad(), start=1):
-        value = linalg.trace(ad)
-        if value != 0:
-            components[(i,)] = value
+    scale, ads = alg.sparse_ad
+    components = {(i,): Fraction(sum(dict(row).get(r, 0) for r, row in rows.items()), scale) for i, rows in ads.items()}
     return AlternatingForm(degree=1, dim=alg.dim, components=components)
 
 

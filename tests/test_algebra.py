@@ -157,6 +157,35 @@ def test_basis_ad_is_cached_outside_equality_and_returns_fresh_rows() -> None:
     assert g == sl2() and "_basis_ad" in vars(g) and "_basis_ad" not in vars(sl2())
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from(CATALOG_ALGEBRAS), drawn_constants()))
+def test_killing_equals_the_dense_trace_of_products(alg: LieAlgebra) -> None:
+    # the dense n^2 mat_mul route that killing() replaced, as the oracle
+    ads = alg.basis_ad()
+    expected = [[linalg.trace(linalg.mat_mul(a, b)) for b in ads] for a in ads]
+    assert alg.killing() == expected
+    assert all(type(x) is Fraction for row in alg.killing() for x in row)
+    assert alg.is_unimodular() == all(linalg.trace(a) == 0 for a in ads)
+
+
+def test_killing_is_cached_outside_equality_and_returns_fresh_rows() -> None:
+    g = lie_algebra(3, {(1, 2, 2): F(1, 2), (1, 3, 3): F(-2, 3)})
+    first = g.killing()
+    assert first[0][0] == F(1, 4) + F(4, 9)
+    first[0][0] = F(99)
+    assert g.killing() == lie_algebra(3, dict(g.c)).killing() != first
+    assert "_killing" in vars(g) and "sparse_ad" in vars(g) and g == lie_algebra(3, dict(g.c))
+    assert "sparse_ad" not in repr(g)
+
+
+def test_sparse_ad_holds_integer_rows_of_the_nonzero_adjoints() -> None:
+    g = lie_algebra(4, {(1, 2, 2): F(1, 2), (1, 3, 3): F(-2, 3)})
+    scale, ads = g.sparse_ad
+    assert scale == 6
+    assert ads == {1: {1: ((1, 3),), 2: ((2, -4),)}, 2: {1: ((0, -3),)}, 3: {2: ((0, 4),)}}
+    assert lie_algebra(60, {(1, 2, 3): 1}).sparse_ad == (1, {1: {2: ((1, 1),)}, 2: {2: ((0, -1),)}})
+
+
 def test_bracket_rows_list_the_nonzero_constants() -> None:
     g = lie_algebra(4, {(2, 1, 3): F(1), (1, 2, 1): F(2), (3, 4, 4): F(-1)})
     assert g.bracket_rows() == {(1, 2): [(1, F(2)), (3, F(-1))], (3, 4): [(4, F(-1))]}

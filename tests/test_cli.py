@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +15,9 @@ from liechar.algebra import LieAlgebra, lie_algebra
 from liechar.cli import CURVATURE_LATTICE_CAP, run
 from liechar.jets import Chart
 from liechar.fileformat import serialize_algebra
+
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -148,6 +153,28 @@ def test_forms_checks_jacobi_on_a_sparse_sixty_dimensional_file(capsys, tmp_path
     code, out, _ = invoke(capsys, "forms", str(path), "--degree", "1")
     assert code == 1
     assert [1, 2, 3, 2] in json.loads(out)["jacobi_violations"]
+
+
+def test_forms_degree_three_on_a_sparse_sixty_dimensional_file(capsys, tmp_path) -> None:
+    # only the three nonzero adjoints enter the trace form; every zero
+    # component is still printed
+    path = tmp_path / "sparse60.lie"
+    path.write_text("dim 60\n1 2 3 1\n")
+    code, out, err = invoke(capsys, "forms", str(path), "--degree", "3")
+    assert code == 0, err
+    components = json.loads(out)["components"]
+    assert len(components) == math.comb(60, 3) == 34220
+    assert set(components.values()) == {"0"}
+
+
+def test_analyze_b4_plus_abelian3_file(capsys) -> None:
+    # b4 + C^3 (dimension 13, at most the Betti cap): Betti table (1+t)^7
+    code, out, err = invoke(capsys, "analyze", str(BENCH_INPUTS / "b4_C3.txt"))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["dim"] == 13
+    assert report["betti"] == [math.comb(7, k) for k in range(14)]
+    assert report["classes"] == {"1": "nonzero class", **{str(k): "zero form" for k in range(3, 14, 2)}}
 
 
 def test_analyze_parse_error_exits_two(capsys, tmp_path) -> None:

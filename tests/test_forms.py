@@ -3,13 +3,15 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liechar import catalog
+from liechar import catalog, linalg
 from liechar.algebra import LieAlgebra, lie_algebra
+from liechar.fileformat import parse_algebra
 from liechar.forms import (
     AlternatingForm,
     permutation_sign,
@@ -101,6 +103,132 @@ def constants_and_degree(draw) -> tuple[LieAlgebra, int]:
 def test_trace_form_matches_permutation_oracle_on_random_constants(case) -> None:
     g, degree = case
     assert trace_form(g, degree).components == oracle_trace_form(g, degree)
+
+
+def dense_level_trace_form(alg: LieAlgebra, k: int) -> dict:
+    """Nonzero components from dense n x n Fraction products A_J for every
+    subset J of each level |J| = 1 .. k-1, starting at A_() = I: the
+    recursion trace_form used before it was driven by the support."""
+    ads = alg.basis_ad()
+    n = alg.dim
+    level = {(): linalg.identity(n)}
+    for size in range(1, k):
+        nxt = {}
+        for subset in itertools.combinations(range(1, n + 1), size):
+            out = linalg.zeros(n, n)
+            for p, i in enumerate(subset):
+                rest = level[subset[:p] + subset[p + 1 :]]
+                for out_row, ad_row in zip(out, ads[i - 1]):
+                    for t, x in enumerate(ad_row):
+                        if x:
+                            for c, y in enumerate(rest[t]):
+                                out_row[c] += (-x if p % 2 else x) * y
+            nxt[subset] = out
+        level = nxt
+    components = {}
+    for subset in itertools.combinations(range(1, n + 1), k):
+        total = Fraction(0)
+        for p, i in enumerate(subset):
+            rest = level[subset[:p] + subset[p + 1 :]]
+            term = sum(x * rest[c][r] for r, row in enumerate(ads[i - 1]) for c, x in enumerate(row) if x)
+            total += -term if p % 2 else term
+        if total:
+            components[subset] = total / k
+    return components
+
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+
+
+@pytest.mark.parametrize(
+    "name, degree", [("gl3", 6), ("gl3", 7), ("gl3", 8), ("gl3", 9), ("sl3", 6), ("sl3", 7), ("sl3", 8), ("b4", 7)]
+)
+def test_trace_form_matches_the_dense_level_recursion_in_high_degree(name: str, degree: int) -> None:
+    g = parse_algebra((BENCH_INPUTS / f"{name}.txt").read_text())
+    assert trace_form(g, degree).components == dense_level_trace_form(g, degree)
+
+
+@st.composite
+def dense_constants_and_odd_degree(draw) -> tuple[LieAlgebra, int]:
+    """Many arbitrary rational constants in dims 5-7, where odd forms of
+    degree >= 5 come out nonzero (the bench Lie algebras have none)."""
+    n = draw(st.integers(5, 7))
+    keys = [(i, j, k) for i, j in itertools.combinations(range(1, n + 1), 2) for k in range(1, n + 1)]
+    values = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    constants = draw(st.dictionaries(st.sampled_from(keys), values, min_size=2 * n, max_size=4 * n))
+    return lie_algebra(n, constants), draw(st.sampled_from([k for k in (5, 7) if k <= n]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(dense_constants_and_odd_degree())
+def test_trace_form_matches_the_dense_level_recursion_on_random_constants(case) -> None:
+    g, degree = case
+    assert trace_form(g, degree).components == dense_level_trace_form(g, degree)
+
+
+@st.composite
+def strictly_upper_triangular_algebras(draw) -> LieAlgebra:
+    """Span of random strictly upper-triangular 5 x 5 matrix units E_ij,
+    closed under E_ij E_jl = E_il, in its matrix-unit basis: nilpotent."""
+    positions = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    units = set(draw(st.lists(st.sampled_from(positions), min_size=1, max_size=7, unique=True)))
+    while products := {(i, l) for i, j in units for k, l in units if j == k} - units:
+        units |= products
+    units = sorted(units)
+    index = {unit: pos for pos, unit in enumerate(units, 1)}
+    constants = {}
+    for (a, (i, j)), (b, (k, l)) in itertools.combinations(enumerate(units, 1), 2):
+        # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj; both never hold at once
+        if j == k:
+            constants[a, b, index[i, l]] = 1
+        elif l == i:
+            constants[a, b, index[k, j]] = -1
+    return lie_algebra(len(units), constants)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(catalog.get("heisenberg3", kind="algebra").payload), strictly_upper_triangular_algebras()))
+def test_nilpotent_algebras_have_zero_trace_forms_in_every_degree(g: LieAlgebra) -> None:
+    # Engel: the adjoints are strictly triangular in one common basis, so
+    # every product of them is traceless, and trace forms pull back as forms
+    assert g.validate().ok and g.is_nilpotent()
+    for degree in range(1, g.dim + 1):
+        assert trace_form(g, degree).is_zero(), degree
+
+
+@st.composite
+def algebra_and_unipotent_change(draw) -> tuple[LieAlgebra, linalg.Matrix]:
+    """A catalog algebra of dimension <= 5 and P = S U S^-1, U rational upper
+    unitriangular and S a permutation."""
+    g = draw(st.sampled_from([e.payload for e in catalog.list_entries() if e.kind == "algebra" and e.payload.dim <= 5]))
+    perm = draw(st.permutations(range(g.dim)))
+    p = linalg.identity(g.dim)
+    for i, j in itertools.combinations(range(g.dim), 2):
+        p[perm[i]][perm[j]] = draw(st.fractions(min_value=-1, max_value=1, max_denominator=2))
+    return g, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra_and_unipotent_change())
+def test_trace_forms_pull_back_under_a_unipotent_basis_change(case) -> None:
+    # in the basis f_j = sum_i P[i][j] e_i, w_k(f_I) = w_k(P e_I): the form
+    # in the new constants equals the old form evaluated on P's columns
+    g, p = case
+    n = g.dim
+    columns = [[p[i][j] for i in range(n)] for j in range(n)]
+    constants = {}
+    for a, b in itertools.combinations(range(n), 2):
+        coords = linalg.solve(p, g.bracket(columns[a], columns[b]))
+        constants.update({(a + 1, b + 1, m + 1): v for m, v in enumerate(coords) if v})
+    changed = lie_algebra(n, constants)
+    for degree in range(1, n + 1):
+        old = trace_form(g, degree)
+        expected = {}
+        for subset in itertools.combinations(range(1, n + 1), degree):
+            value = old.evaluate(*(columns[i - 1] for i in subset))
+            if value:
+                expected[subset] = value
+        assert trace_form(changed, degree).components == expected, degree
 
 
 def test_trace_form_top_degree_of_abelian8_is_zero() -> None:
