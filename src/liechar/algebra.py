@@ -142,11 +142,10 @@ class LieAlgebra:
         with 1-based basis index i, 0-based row r and column t, read from the
         bracket rows as ad(e_i)[k][j] = c_ij^k. Built once per algebra and
         shared, so callers must not change it; == and repr ignore it."""
-        scale = lcm(*(value.denominator for value in self.c.values()))
+        scale, brackets = self._scaled_bracket_rows()
         ads: dict[int, dict[int, list[tuple[int, int]]]] = {}
-        for (i, j), row in self.bracket_rows().items():
-            for k, value in row:
-                x = value.numerator * (scale // value.denominator)
+        for (i, j), row in brackets.items():
+            for k, x in row:
                 ads.setdefault(i, {}).setdefault(k - 1, []).append((j - 1, x))
                 ads.setdefault(j, {}).setdefault(k - 1, []).append((i - 1, -x))
         table = {i: {r: tuple(sorted(row)) for r, row in sorted(rows.items())} for i, rows in sorted(ads.items())}
@@ -159,21 +158,39 @@ class LieAlgebra:
             rows.setdefault((i, j), []).append((k, value))
         return rows
 
+    def _scaled_bracket_rows(self) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
+        """(s, {(i, j): [(k, s * c_ij^k), ...]}): bracket_rows() in integers,
+        scaled by the lcm s of the constants' denominators."""
+        scale = lcm(*(value.denominator for value in self.c.values()))
+        rows = {
+            pair: [(k, value.numerator * (scale // value.denominator)) for k, value in row]
+            for pair, row in self.bracket_rows().items()
+        }
+        return scale, rows
+
     def validate(self) -> ValidationReport:
         """Check every Jacobi identity (antisymmetry holds by construction) on
         the triples through a nonzero bracket, the only ones that can fail;
-        violations (i, j, k, m) come in lexicographic order."""
-        rows = self.bracket_rows()
-        rows.update({(j, i): [(k, -value) for k, value in row] for (i, j), row in list(rows.items())})
-        triples = {tuple(sorted((i, j, r))) for i, j in rows for r in range(1, self.dim + 1) if r not in (i, j)}
+        violations (i, j, k, m) come in lexicographic order. The sums run in
+        integers, on the constants scaled by the lcm of their denominators."""
+        rows = self._scaled_bracket_rows()[1]
+        # (i, j) runs over the pairs i < j, so (i, j, r) sorts without sorted()
+        triples = {
+            (r, i, j) if r < i else (i, r, j) if r < j else (i, j, r)
+            for i, j in rows
+            for r in range(1, self.dim + 1)
+            if r != i and r != j
+        }
+        rows.update({(j, i): [(k, -x) for k, x in row] for (i, j), row in list(rows.items())})
         violations = []
         for i, j, k in sorted(triples):
-            totals: dict[int, Fraction] = {}
+            totals: dict[int, int] = {}
             for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
                 for a, outer in rows.get((p, q), ()):
                     for m, inner in rows.get((a, r), ()):
                         totals[m] = totals.get(m, 0) + outer * inner
-            violations.extend((i, j, k, m) for m in sorted(totals) if totals[m] != 0)
+            if any(totals.values()):
+                violations.extend((i, j, k, m) for m in sorted(totals) if totals[m] != 0)
         return ValidationReport(ok=not violations, violations=tuple(violations))
 
     def killing(self) -> Matrix:

@@ -96,18 +96,26 @@ def rank(matrix: Matrix) -> int:
 
 
 def rank_fraction_free(matrix: Matrix) -> int:
-    """Rank by Bareiss elimination on the denominator-cleared integer matrix.
+    """Rank by Bareiss elimination: the number of fraction_free_pivot_rows."""
+    return len(fraction_free_pivot_rows(matrix))
 
-    Independent of row_reduce: single-step fraction-free pivoting with exact
-    integer division, no Fraction arithmetic after clearing.
+
+def fraction_free_pivot_rows(matrix: Matrix) -> list[int]:
+    """Indices of the rows that Bareiss elimination on the denominator-cleared
+    integer matrix picks as pivots, in pivot order.
+
+    These rows are linearly independent and as many as the rank. Independent
+    of row_reduce: single-step fraction-free pivoting with exact integer
+    division, no Fraction arithmetic after clearing.
     """
     if not matrix or not matrix[0]:
-        return 0
+        return []
     m: list[list[int]] = []
     for row in matrix:
         scale = lcm(*(x.denominator for x in row)) if row else 1
         m.append([x.numerator * (scale // x.denominator) for x in row])
     rows, cols = len(m), len(m[0])
+    order = list(range(rows))
     r = 0
     prev = 1
     for c in range(cols):
@@ -115,6 +123,7 @@ def rank_fraction_free(matrix: Matrix) -> int:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
+        order[r], order[pivot_row] = order[pivot_row], order[r]
         for i in range(r + 1, rows):
             for j in range(c + 1, cols):
                 # Bareiss update: exact by Sylvester identity.
@@ -124,7 +133,7 @@ def rank_fraction_free(matrix: Matrix) -> int:
         r += 1
         if r == rows:
             break
-    return r
+    return order[:r]
 
 
 def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
@@ -191,6 +200,12 @@ def blocks(nonzeros: SparseMatrix, rows: int, cols: int) -> list[tuple[list[int]
 def block_rank(nonzeros: SparseMatrix, rows: int, cols: int) -> int:
     """Rank of a sparse matrix: the sum of the Bareiss ranks of its blocks."""
     return sum(rank_fraction_free(block) for _, _, block in blocks(nonzeros, rows, cols))
+
+
+def block_pivot_rows(nonzeros: SparseMatrix, rows: int, cols: int) -> list[int]:
+    """Row ids of the Bareiss pivots of every block of a sparse matrix: as
+    many as its rank, and linearly independent rows of it."""
+    return [row_ids[i] for row_ids, _, block in blocks(nonzeros, rows, cols) for i in fraction_free_pivot_rows(block)]
 
 
 def block_solve(nonzeros: SparseMatrix, rows: int, cols: int, b: list[Fraction]) -> list[Fraction] | None:

@@ -164,6 +164,8 @@ def suite_cohomology() -> list[CheckResult]:
     def betti_basics():
         for name, alg in _payloads("algebra"):
             table = cohomology.betti_table(alg)
+            full = [cohomology.betti(alg, k) for k in range(alg.dim + 1)]
+            assert table == full, f"{name}: Betti table {table} != per-degree betti {full}"
             assert table[0] == 1, f"{name}: b0 != 1"
             euler = sum((-1) ** k * b for k, b in enumerate(table))
             assert euler == 0, f"{name}: Euler characteristic {euler} != 0"

@@ -230,6 +230,27 @@ def test_forms_degree_out_of_range_exits_two(capsys) -> None:
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["cohomology", "catalog:sl2", "--degree", "4"], "degree 4 outside"),
+        (["cohomology", "catalog:sl2", "--degree", "-1"], "degree -1 outside"),
+        (["forms", "catalog:sl2", "--degree", "-1"], "degree -1 outside"),
+        (["curvature", "--frame", "identity(2)", "--h", "0"], "--h must be positive"),
+        (["curvature", "--frame", "identity(2)", "--h", "-1"], "--h must be positive"),
+        (["curvature", "--frame", "identity(2)", "--lattice", "1"], "--lattice must be at least 2"),
+        (["analyze", "FILE"], "'1/0'"),
+    ],
+)
+def test_usage_errors_exit_two_with_empty_stdout(capsys, tmp_path, argv, message) -> None:
+    path = tmp_path / "division_by_zero.lie"
+    path.write_text("dim 2\n1 2 2 1/0\n")
+    code, out, err = invoke(capsys, *(str(path) if arg == "FILE" else arg for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_cohomology_report(capsys) -> None:
     code, out, _ = invoke(capsys, "cohomology", "catalog:affine1", "--degree", "1")
     assert code == 0

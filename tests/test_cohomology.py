@@ -1,7 +1,9 @@
 """Chevalley-Eilenberg complex with trivial coefficients."""
 
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +24,7 @@ from liechar.cohomology import (
     is_closed,
     is_exact,
 )
+from liechar.fileformat import parse_algebra
 from liechar.forms import AlternatingForm, trace_form
 
 
@@ -30,6 +33,22 @@ CATALOG_ALGEBRAS = {
     for qualified in catalog.list_names()
     if qualified.startswith("algebra:")
 }
+
+
+# Betti tables from the Poincare polynomial of each catalog algebra
+CATALOG_POINCARE_TABLES = {
+    **{f"abelian({n})": [math.comb(n, k) for k in range(n + 1)] for n in range(1, 7)},
+    "affine1": [1, 1, 0],
+    "borel_sl2": [1, 1, 0],
+    "heisenberg3": [1, 2, 2, 1],
+    "sl2": [1, 0, 0, 1],
+    "so3": [1, 0, 0, 1],
+    "sl2_plus_abelian2": [1, 2, 1, 1, 2, 1],
+}
+
+# bench/inputs/*.txt, each with the Poincare-polynomial table of its header
+# line "# <name>, built from matrix units; expected betti b0 b1 ..."
+BENCH_INPUTS = sorted((Path(__file__).resolve().parents[1] / "bench" / "inputs").glob("*.txt"))
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -202,6 +221,38 @@ def test_betti_ranks_certified_by_both_elimination_routes() -> None:
             assert betti(g, k) == math.comb(n, k) - ranks[k] - (ranks[k - 1] if k else 0), (name, k)
 
 
+def full_rank_table(g: LieAlgebra) -> list[int]:
+    """betti() in every degree: each from the full block ranks of two
+    differentials, the reference for betti_table's reduced ranks."""
+    return [betti(g, k) for k in range(g.dim + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_ALGEBRAS))
+def test_reduced_betti_table_of_catalog_algebras(name) -> None:
+    g = CATALOG_ALGEBRAS[name]
+    table = betti_table(g)
+    assert table == full_rank_table(g) == CATALOG_POINCARE_TABLES[name]
+    assert betti_table(g, g.dim // 2) == table[: g.dim // 2 + 1]
+
+
+@pytest.mark.parametrize("path", BENCH_INPUTS, ids=lambda path: path.stem)
+def test_reduced_betti_table_of_bench_inputs(path) -> None:
+    text = path.read_text()
+    poincare = [int(b) for b in re.search(r"expected betti ([\d ]+)", text.splitlines()[0]).group(1).split()]
+    g = parse_algebra(text)
+    table = betti_table(g)
+    assert table == full_rank_table(g) == poincare
+    assert betti_table(g, g.dim // 2) == table[: g.dim // 2 + 1]
+
+
+def test_betti_table_refuses_a_bracket_that_fails_jacobi() -> None:
+    # the reduced ranks need d o d = 0, which fails with Jacobi
+    bad = lie_algebra(3, {(1, 2, 1): 1, (1, 3, 2): 1})
+    first = bad.validate().violations[0]
+    with pytest.raises(ValueError, match=re.escape(f"Jacobi identity fails at (i, j, k, m) = {first}")):
+        betti_table(bad)
+
+
 def test_dimension_cap_enforced() -> None:
     g = lie_algebra(BETTI_DIM_CAP + 1, {})
     with pytest.raises(ValueError):
@@ -293,7 +344,8 @@ def test_status_exact_constant_is_reachable() -> None:
 @settings(max_examples=30, deadline=None)
 @given(small_algebras(6), small_algebras(6))
 def test_betti_table_of_direct_sum_is_kunneth_product(a, b) -> None:
-    assert betti_table(direct_sum(a, b)) == poincare_product(betti_table(a), betti_table(b))
+    total = direct_sum(a, b)
+    assert betti_table(total) == full_rank_table(total) == poincare_product(betti_table(a), betti_table(b))
 
 
 @settings(max_examples=30, deadline=None)
@@ -302,7 +354,7 @@ def test_betti_table_is_invariant_under_unipotent_basis_change(data) -> None:
     g = data.draw(small_algebras(5))
     changed = change_basis(g, data.draw(unipotent_matrices(g.dim)))
     assert changed.validate().ok
-    assert betti_table(changed) == betti_table(g)
+    assert betti_table(changed) == full_rank_table(changed) == betti_table(g)
 
 
 def test_trace_form_classes_agree_with_unsplit_solve() -> None:

@@ -166,6 +166,9 @@ def test_block_rank_equals_both_unsplit_ranks(matrix) -> None:
     rows, cols, nonzeros = matrix
     dense = _dense(rows, cols, nonzeros)
     assert linalg.block_rank(nonzeros, rows, cols) == linalg.rank(dense) == linalg.rank_fraction_free(dense)
+    # the pivot rows are as many as the rank and independent
+    pivots = linalg.block_pivot_rows(nonzeros, rows, cols)
+    assert len(set(pivots)) == len(pivots) == linalg.rank([dense[r] for r in pivots]) == linalg.rank(dense)
 
 
 @settings(max_examples=300, deadline=None)
