@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -62,10 +61,6 @@ def _load_algebra(source: str) -> tuple[str, LieAlgebra]:
         raise CliError(f"{source}: {exc}") from exc
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _subset_key(subset: tuple[int, ...]) -> str:
     return ",".join(str(i) for i in subset)
 
@@ -110,7 +105,6 @@ def _report_algebra(
 
 
 def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
-    cap = alg.dim if args.max_degree is None else min(args.max_degree, alg.dim)
     pos, neg, zero = symmetric_signature(alg.killing())
     return {
         "name": name,
@@ -121,8 +115,8 @@ def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dic
         "semisimple": alg.is_semisimple(),
         "unimodular": alg.is_unimodular(),
         "killing_signature": [pos, neg, zero],
-        "betti": cohomology.betti_table(alg, cap),
-        "classes": {str(k): cohomology.trace_class(alg, k)[0] for k in range(1, cap + 1, 2)},
+        "betti": cohomology.betti_table(alg, args.max_degree),
+        "classes": {str(k): status for k, status in cohomology.class_report(alg, args.max_degree).items()},
     }
 
 
@@ -131,7 +125,7 @@ def _forms_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
         form = forms.trace_form(alg, args.degree)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    components = {_subset_key(subset): _fraction_str(value) for subset, value in sorted(form.components.items())}
+    components = {_subset_key(subset): str(value) for subset, value in sorted(form.components.items())}
     for subset in cohomology.cochain_basis(alg.dim, args.degree):
         components.setdefault(_subset_key(subset), "0")
     return {"name": name, "dim": alg.dim, "degree": args.degree, "components": components}
@@ -147,7 +141,7 @@ def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> 
         # trace forms of a Jacobi-valid algebra are always cocycles
         report.update(w_closed=True, w_status=status, w_primitive=None)
         if primitive is not None:
-            report["w_primitive"] = {_subset_key(s): _fraction_str(v) for s, v in sorted(primitive.components.items())}
+            report["w_primitive"] = {_subset_key(s): str(v) for s, v in sorted(primitive.components.items())}
     return report
 
 
@@ -209,8 +203,9 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "list":
-        for entry in catalog.list_entries():
-            print(f"{entry.kind:15s} {entry.name}")
+        for qualified in catalog.list_names():
+            kind, name = qualified.split(":", 1)
+            print(f"{kind:15s} {name}")
         return EXIT_OK
     try:
         entry = catalog.get(args.name)

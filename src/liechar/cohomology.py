@@ -6,20 +6,19 @@ The degree-k differential acts by
         (-1)^(i+j) * f([x_i, x_j], x_1, ..., omit x_i, ..., omit x_j, ..., x_{k+1})
 
 with 1-based argument positions. Each d_k is built sparse, from the nonzero
-structure constants only, and split into the connected components of its
-row/column incidence graph. In a weight basis these blocks follow the
-torus-weight grading (Hochschild-Serre); in a basis without one, such as
-so3's, there is a single block. Ranks are the sums of the fraction-free
-(Bareiss) ranks of the blocks, and exactness is solved block by block;
-tests certify every rank against both unsplit elimination routes.
+structure constants only. Ranks and exactness come from one sparse
+fraction-free integer elimination, linalg.echelon: a row meets only the
+kept rows that lead at one of its columns, so in a weight basis the
+elimination follows the torus-weight grading (Hochschild-Serre) without
+finding it, and a dense basis, such as so3's, needs no other path. Tests
+certify every rank against both dense elimination routes and every
+primitive against a dense solve.
 
 betti_table ranks d_0, d_1, ... in order and each d_k only on the columns
-that are not Bareiss pivot rows of d_{k-1}; since d_k o d_{k-1} = 0 this
-loses no rank. On a dense basis, where there is one block, this shrinks the
-eliminations to about half their columns (seeded unipotent basis changes,
-in-process, best of 3: gl3 0.30 -> 0.13 s, b4 2.5 -> 0.65 s, b4+C 32 ->
-5.5 s in one run). betti(alg, k) keeps the full block ranks of d_k and
-d_{k-1}, and tests hold the two routes equal.
+that are not kept (pivot) rows of d_{k-1}; since d_k o d_{k-1} = 0 this
+loses no rank. On a dense basis this keeps about half the columns.
+betti(alg, k) keeps the full ranks of d_k and d_{k-1}, and tests hold the
+two routes equal.
 """
 
 from __future__ import annotations
@@ -35,11 +34,12 @@ from .algebra import LieAlgebra
 from .forms import AlternatingForm, trace_form
 
 # Betti tables in matrix-unit bases, in-process on a 2-vCPU shared host
-# (Python 3.11.7, best of 3): b4+C^3 (dim 13) 0.10 s, b4+C^4 (dim 14)
-# 0.24 s, b5 (dim 15) 1.4 s, gl4 (dim 16) 23 s (one run). The middle
-# differential grows as C(n, n/2) and a basis without a torus grading has
-# one block: after a unipotent basis change b4+C (dim 11) already takes
-# 5.5 s. So the cap stops where sparse inputs are still interactive.
+# (Python 3.11.7): b4+C^3 (dim 13) 0.16 s, b4+C^4 (dim 14) 0.31 s (best
+# of 3), b5 (dim 15) 1.3 s, gl4 (dim 16) 4.3 s (one run each). The middle
+# differential grows as C(n, n/2), and after a unipotent basis change it
+# is dense: b4+C (dim 11) 2.1 s, b4+C^2 (dim 12) 8.5 s, b4+C^3 (dim 13)
+# 26 s. So the cap stays where dense inputs still finish in seconds to
+# tens of seconds.
 BETTI_DIM_CAP = 14
 
 
@@ -70,7 +70,7 @@ class DifferentialMatrix:
         return dense
 
     def rank(self) -> int:
-        return linalg.block_rank(self.nonzeros, len(self.row_basis), len(self.col_basis))
+        return len(linalg.echelon(self.nonzeros))
 
     def apply(self, form: AlternatingForm) -> list[Fraction]:
         if form.degree != self.degree:
@@ -127,7 +127,7 @@ def _differential_rank(alg: LieAlgebra, k: int) -> int:
 
 
 def betti(alg: LieAlgebra, k: int) -> int:
-    """dim ker(d_k) - rank(d_{k-1}), by block-split fraction-free ranks."""
+    """dim ker(d_k) - rank(d_{k-1}), from the full sparse ranks of both."""
     n = alg.dim
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} outside [0, {n}]")
@@ -156,7 +156,7 @@ def betti_table(alg: LieAlgebra, max_degree: int | None = None) -> list[int]:
     for k in range(min(top + 1, n)):
         d_k = differential_matrix(alg, k)
         kept = {cell: value for cell, value in d_k.nonzeros.items() if cell[1] not in pivots}
-        pivots = set(linalg.block_pivot_rows(kept, len(d_k.row_basis), len(d_k.col_basis)))
+        pivots = {r for r, _ in linalg.echelon(kept).values()}
         ranks.append(len(pivots))
     ranks.append(0)  # d_n maps to nothing
     return [comb(n, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1)]
@@ -184,7 +184,7 @@ def is_exact(alg: LieAlgebra, form: AlternatingForm) -> tuple[bool, AlternatingF
         return zero, (AlternatingForm(0, alg.dim, {}) if zero else None)
     d_prev = differential_matrix(alg, form.degree - 1)
     target = form.component_vector(d_prev.row_basis)
-    solution = linalg.block_solve(d_prev.nonzeros, len(d_prev.row_basis), len(d_prev.col_basis), target)
+    solution = linalg.sparse_solve(d_prev.nonzeros, len(d_prev.col_basis), target)
     if solution is None:
         return False, None
     primitive = AlternatingForm(
@@ -214,6 +214,8 @@ def trace_class(alg: LieAlgebra, k: int) -> tuple[str, AlternatingForm | None]:
     return (STATUS_EXACT if exact else STATUS_NONZERO_CLASS), primitive
 
 
-def class_report(alg: LieAlgebra) -> dict[int, str]:
-    """Status of the odd trace-form classes in every degree 2k+1 <= dim."""
-    return {degree: trace_class(alg, degree)[0] for degree in range(1, alg.dim + 1, 2)}
+def class_report(alg: LieAlgebra, max_degree: int | None = None) -> dict[int, str]:
+    """Status of the odd trace-form classes in every degree 2k+1 <= max_degree
+    (default and at most dim)."""
+    top = alg.dim if max_degree is None else min(max_degree, alg.dim)
+    return {degree: trace_class(alg, degree)[0] for degree in range(1, top + 1, 2)}

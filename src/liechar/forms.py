@@ -90,10 +90,6 @@ class AlternatingForm:
         return total
 
 
-def zero_form(alg: LieAlgebra, degree: int) -> AlternatingForm:
-    return AlternatingForm(degree=degree, dim=alg.dim, components={})
-
-
 def trace_form(alg: LieAlgebra, k: int) -> AlternatingForm:
     """Degree-k trace form of the adjoint representation, exactly."""
     if not 1 <= k <= alg.dim:

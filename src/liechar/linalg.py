@@ -4,15 +4,15 @@ Matrices are lists of lists of Fraction. Two independent rank routes are
 kept on purpose: plain fraction elimination and fraction-free (Bareiss)
 elimination over cleared integers. Callers that certify results run both.
 
-A sparse matrix is a map {(row, col): nonzero value}. block_rank and
-block_solve split it into the connected components of its row/column
-incidence graph and eliminate each dense block on its own.
+A sparse matrix is a map {(row, col): nonzero value}. echelon reduces it
+by fraction-free integer elimination on its nonzero cells only, and
+sparse_solve back-substitutes in that echelon form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 SparseMatrix = dict[tuple[int, int], Fraction]
@@ -96,26 +96,18 @@ def rank(matrix: Matrix) -> int:
 
 
 def rank_fraction_free(matrix: Matrix) -> int:
-    """Rank by Bareiss elimination: the number of fraction_free_pivot_rows."""
-    return len(fraction_free_pivot_rows(matrix))
+    """Rank by Bareiss elimination on the denominator-cleared integer matrix.
 
-
-def fraction_free_pivot_rows(matrix: Matrix) -> list[int]:
-    """Indices of the rows that Bareiss elimination on the denominator-cleared
-    integer matrix picks as pivots, in pivot order.
-
-    These rows are linearly independent and as many as the rank. Independent
-    of row_reduce: single-step fraction-free pivoting with exact integer
-    division, no Fraction arithmetic after clearing.
+    Independent of row_reduce: single-step fraction-free pivoting with exact
+    integer division, no Fraction arithmetic after clearing.
     """
     if not matrix or not matrix[0]:
-        return []
+        return 0
     m: list[list[int]] = []
     for row in matrix:
         scale = lcm(*(x.denominator for x in row)) if row else 1
         m.append([x.numerator * (scale // x.denominator) for x in row])
     rows, cols = len(m), len(m[0])
-    order = list(range(rows))
     r = 0
     prev = 1
     for c in range(cols):
@@ -123,7 +115,6 @@ def fraction_free_pivot_rows(matrix: Matrix) -> list[int]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        order[r], order[pivot_row] = order[pivot_row], order[r]
         for i in range(r + 1, rows):
             for j in range(c + 1, cols):
                 # Bareiss update: exact by Sylvester identity.
@@ -133,7 +124,7 @@ def fraction_free_pivot_rows(matrix: Matrix) -> list[int]:
         r += 1
         if r == rows:
             break
-    return order[:r]
+    return r
 
 
 def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
@@ -150,98 +141,74 @@ def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     return x
 
 
-def blocks(nonzeros: SparseMatrix, rows: int, cols: int) -> list[tuple[list[int], list[int], Matrix]]:
-    """Dense blocks of a rows x cols sparse matrix, one per connected
-    component of its row/column incidence graph.
+def echelon(nonzeros: SparseMatrix) -> dict[int, tuple[int, dict[int, int]]]:
+    """Row echelon form of a sparse matrix, by fraction-free elimination.
 
-    Each block is (row ids, column ids, dense sub-matrix), ids ascending.
-    Rows and columns without a nonzero lie in no block. Reordering rows and
-    columns by block makes the matrix block diagonal, so ranks add over the
-    blocks and a x = b splits into one system per block.
+    Returns {leading column: (row id, integer row {col: nonzero})}, one
+    entry per kept row. The rows are cleared of denominators and inserted
+    sparsest first (ties by row id); each is reduced by its leading column
+    against the rows kept so far, row = p*row - a*pivot with p, a the two
+    leading entries over their gcd, and divided by its content. A row that
+    vanishes is dependent. So the kept rows are independent, as many as the
+    rank, and their leading columns are the pivot columns of row_reduce.
+    A row meets only the kept rows that lead at one of its columns, so a
+    block-diagonal matrix is reduced block by block without finding blocks.
     """
-    # union-find over rows 0..rows-1 and columns rows..rows+cols-1
-    parent = list(range(rows + cols))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merges = 0
-    for r, c in nonzeros:
-        a, b = find(r), find(rows + c)
-        if a != b:
-            parent[a] = b
-            merges += 1
-    row_ids = sorted({r for r, _ in nonzeros})
-    col_ids = sorted({c for _, c in nonzeros})
-    if len(row_ids) + len(col_ids) - merges <= 1:
-        # at most one component: no grouping of the cells by root
-        groups = [(row_ids, col_ids, list(nonzeros))] if nonzeros else []
-    else:
-        by_root: dict[int, list[tuple[int, int]]] = {}
-        for cell in nonzeros:
-            by_root.setdefault(find(cell[0]), []).append(cell)
-        groups = [
-            (sorted({r for r, _ in cells}), sorted({c for _, c in cells}), cells) for cells in by_root.values()
-        ]
-    out = []
-    for row_ids, col_ids, cells in groups:
-        row_pos = {r: i for i, r in enumerate(row_ids)}
-        col_pos = {c: j for j, c in enumerate(col_ids)}
-        block = zeros(len(row_ids), len(col_ids))
-        for r, c in cells:
-            block[row_pos[r]][col_pos[c]] = nonzeros[r, c]
-        out.append((row_ids, col_ids, block))
-    return out
+    grouped: dict[int, dict[int, Fraction]] = {}
+    for (r, c), value in nonzeros.items():
+        grouped.setdefault(r, {})[c] = value
+    pending = []
+    for r, cells in grouped.items():
+        scale = lcm(*(x.denominator for x in cells.values()))
+        pending.append((len(cells), r, {c: x.numerator * (scale // x.denominator) for c, x in cells.items()}))
+    pending.sort(key=lambda item: item[:2])
+    kept: dict[int, tuple[int, dict[int, int]]] = {}
+    for _, r, row in pending:
+        lead = min(row)
+        while lead in kept:
+            pivot = kept[lead][1]
+            g = gcd(pivot[lead], row[lead])
+            p, a = pivot[lead] // g, row[lead] // g
+            if p != 1:
+                for c in row:
+                    row[c] *= p
+            for c, x in pivot.items():
+                value = row.get(c, 0) - a * x
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
+            if not row:
+                break
+            content = gcd(*row.values())
+            if content != 1:
+                for c in row:
+                    row[c] //= content
+            lead = min(row)
+        else:  # the row did not vanish
+            kept[lead] = (r, row)
+    return kept
 
 
-def block_rank(nonzeros: SparseMatrix, rows: int, cols: int) -> int:
-    """Rank of a sparse matrix: the sum of the Bareiss ranks of its blocks."""
-    return sum(rank_fraction_free(block) for _, _, block in blocks(nonzeros, rows, cols))
+def sparse_solve(nonzeros: SparseMatrix, cols: int, b: list[Fraction]) -> list[Fraction] | None:
+    """solve() on a sparse matrix with cols columns, from the echelon form of
+    [A | b], b as column cols; None if a kept row leads there.
 
-
-def block_pivot_rows(nonzeros: SparseMatrix, rows: int, cols: int) -> list[int]:
-    """Row ids of the Bareiss pivots of every block of a sparse matrix: as
-    many as its rank, and linearly independent rows of it."""
-    return [row_ids[i] for row_ids, _, block in blocks(nonzeros, rows, cols) for i in fraction_free_pivot_rows(block)]
-
-
-def block_solve(nonzeros: SparseMatrix, rows: int, cols: int, b: list[Fraction]) -> list[Fraction] | None:
-    """solve() on a sparse matrix, one block at a time.
-
-    A column is a pivot of the whole matrix exactly when it is a pivot within
-    its block, and free columns (with every column outside the blocks) get
-    0, so the result equals solve() on the dense matrix.
+    The leading columns of any echelon basis of a row space are its reduced
+    row echelon pivots, so back-substitution with the free columns at 0
+    gives exactly the solution of solve() on the dense matrix.
     """
-    covered = {r for r, _ in nonzeros}
-    if any(b[r] != 0 for r in range(rows) if r not in covered):
+    augmented = dict(nonzeros)
+    augmented.update({(r, cols): value for r, value in enumerate(b) if value})
+    kept = echelon(augmented)
+    if cols in kept:
         return None
     x = [Fraction(0)] * cols
-    for row_ids, col_ids, block in blocks(nonzeros, rows, cols):
-        part = solve(block, [b[r] for r in row_ids])
-        if part is None:
-            return None
-        for c, value in zip(col_ids, part):
-            x[c] = value
+    for lead in sorted(kept, reverse=True):
+        row = kept[lead][1]
+        rest = sum(value * x[c] for c, value in row.items() if lead < c < cols)
+        x[lead] = Fraction(row.get(cols, 0) - rest) / row[lead]
     return x
-
-
-def nullspace(a: Matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rref, pivots = row_reduce(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
 
 
 def determinant(a: Matrix) -> Fraction:

@@ -177,7 +177,7 @@ def suite_cohomology() -> list[CheckResult]:
                 assert cohomology.betti(alg, 2) == 0, f"{name}: b2 != 0"
 
     def rank_dual_route():
-        # the block-split rank betti uses against both unsplit routes
+        # the sparse echelon rank betti uses against both dense routes
         for name, alg in _payloads("algebra"):
             for k in range(alg.dim + 1):
                 d_k = cohomology.differential_matrix(alg, k)

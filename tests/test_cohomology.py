@@ -23,6 +23,7 @@ from liechar.cohomology import (
     differential_matrix,
     is_closed,
     is_exact,
+    trace_class,
 )
 from liechar.fileformat import parse_algebra
 from liechar.forms import AlternatingForm, trace_form
@@ -207,8 +208,8 @@ def test_whitehead_vanishing_for_semisimple() -> None:
 
 
 def test_betti_ranks_certified_by_both_elimination_routes() -> None:
-    # the block-split rank betti uses, against both unsplit routes, in every
-    # degree of every catalog algebra
+    # the sparse echelon rank betti uses, against both dense routes, in
+    # every degree of every catalog algebra
     for name, g in CATALOG_ALGEBRAS.items():
         n = g.dim
         ranks = []
@@ -222,7 +223,7 @@ def test_betti_ranks_certified_by_both_elimination_routes() -> None:
 
 
 def full_rank_table(g: LieAlgebra) -> list[int]:
-    """betti() in every degree: each from the full block ranks of two
+    """betti() in every degree: each from the full sparse ranks of two
     differentials, the reference for betti_table's reduced ranks."""
     return [betti(g, k) for k in range(g.dim + 1)]
 
@@ -358,8 +359,8 @@ def test_betti_table_is_invariant_under_unipotent_basis_change(data) -> None:
 
 
 def test_trace_form_classes_agree_with_unsplit_solve() -> None:
-    # nonzero odd trace forms of the catalog: the block-wise primitive (or
-    # its absence) equals one dense solve
+    # nonzero odd trace forms of the catalog: the sparse primitive (or its
+    # absence) equals one dense solve
     for name, g in CATALOG_ALGEBRAS.items():
         for k in range(1, g.dim + 1, 2):
             form = trace_form(g, k)
@@ -399,3 +400,41 @@ def test_coboundary_primitive_equals_unsplit_solve(data) -> None:
     assert ok
     assert primitive.components == unsplit_primitive(g, form)
     assert d_k.apply(primitive) == image
+
+
+def basis_free_invariants(g: LieAlgebra) -> tuple:
+    """Killing signature, structure flags and the trace-class status in every
+    degree; the statuses go through the sparse solve."""
+    flags = (g.is_solvable(), g.is_nilpotent(), g.is_semisimple(), g.is_unimodular())
+    statuses = [trace_class(g, k)[0] for k in range(1, g.dim + 1)]
+    return linalg.symmetric_signature(g.killing()), flags, statuses
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_invariants_are_unchanged_by_unipotent_basis_change(data) -> None:
+    g = data.draw(small_algebras(5))
+    changed = change_basis(g, data.draw(unipotent_matrices(g.dim)))
+    assert changed.validate().ok
+    assert basis_free_invariants(changed) == basis_free_invariants(g)
+
+
+def assert_poincare_duality(g: LieAlgebra, table: list[int]) -> None:
+    """b_n is 1 exactly for a unimodular algebra, which then has b_k = b_{n-k}."""
+    assert table[g.dim] == (1 if g.is_unimodular() else 0)
+    if g.is_unimodular():
+        assert table == table[::-1]
+
+
+def test_poincare_duality_of_catalog_algebras_and_bench_inputs() -> None:
+    algebras = [*CATALOG_ALGEBRAS.values(), *(parse_algebra(path.read_text()) for path in BENCH_INPUTS)]
+    assert any(g.is_unimodular() for g in algebras) and not all(g.is_unimodular() for g in algebras)
+    for g in algebras:
+        assert_poincare_duality(g, betti_table(g))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_algebras(6), small_algebras(6))
+def test_poincare_duality_of_direct_sums(a, b) -> None:
+    total = direct_sum(a, b)
+    assert_poincare_duality(total, betti_table(total))

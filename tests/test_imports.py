@@ -26,7 +26,12 @@ def test_exact_commands_do_not_load_numpy(tmp_path) -> None:
         [command, source, *extra]
         for source in ("catalog:sl2", "catalog:heisenberg3", str(good))
         for command, extra in (("analyze", []), ("forms", ["--degree", "3"]), ("cohomology", ["--degree", "3"]))
-    ] + [["analyze", str(bad)], ["forms", str(bad), "--degree", "1"], ["analyze", "catalog:sl2", "--format", "text"]]
+    ] + [
+        ["analyze", str(bad)],
+        ["forms", str(bad), "--degree", "1"],
+        ["analyze", "catalog:sl2", "--format", "text"],
+        ["catalog", "list"],
+    ]
     script = f"""
 import contextlib, io, json, sys
 import liechar
@@ -39,7 +44,7 @@ after_runs = sorted(m for m in {FD_MODULES!r} if m in sys.modules)
 print(json.dumps({{"package": after_package, "cli": after_cli, "runs": after_runs, "codes": codes}}))
 """
     result = run_fresh(script)
-    assert result["codes"] == [0] * 9 + [1, 1, 0]
+    assert result["codes"] == [0] * 9 + [1, 1, 0, 0]
     assert result["package"] == result["cli"] == result["runs"] == []
 
 

@@ -99,18 +99,6 @@ def test_solve_underdetermined_returns_particular_solution() -> None:
     assert linalg.mat_vec(a, x) == b
 
 
-def test_nullspace_spans_kernel() -> None:
-    a = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
-    basis = linalg.nullspace(a)
-    assert len(basis) == 2
-    for v in basis:
-        assert linalg.mat_vec(a, v) == [F(0), F(0)]
-
-
-def test_nullspace_trivial_for_invertible() -> None:
-    assert linalg.nullspace([[F(1), F(1)], [F(0), F(1)]]) == []
-
-
 def test_determinant_known_values() -> None:
     assert linalg.determinant([[F(1), F(2)], [F(3), F(4)]]) == F(-2)
     assert linalg.determinant([[F(2)]]) == F(2)
@@ -162,19 +150,25 @@ def _dense(rows: int, cols: int, nonzeros: linalg.SparseMatrix) -> linalg.Matrix
 @example((3, 4, {}))  # all zero
 @example((1, 1, {(0, 0): F(-2, 3)}))  # single entry
 @example((4, 5, {(1, 3): F(1), (3, 0): F(2)}))  # empty rows and columns, two blocks
-def test_block_rank_equals_both_unsplit_ranks(matrix) -> None:
+def test_echelon_rank_pivots_and_rows_match_dense_routes(matrix) -> None:
     rows, cols, nonzeros = matrix
     dense = _dense(rows, cols, nonzeros)
-    assert linalg.block_rank(nonzeros, rows, cols) == linalg.rank(dense) == linalg.rank_fraction_free(dense)
-    # the pivot rows are as many as the rank and independent
-    pivots = linalg.block_pivot_rows(nonzeros, rows, cols)
-    assert len(set(pivots)) == len(pivots) == linalg.rank([dense[r] for r in pivots]) == linalg.rank(dense)
+    kept = linalg.echelon(nonzeros)
+    assert len(kept) == linalg.rank(dense) == linalg.rank_fraction_free(dense)
+    assert sorted(kept) == linalg.row_reduce(dense)[1]
+    # the kept rows are distinct, independent rows of the matrix, and each
+    # integer row leads at its key and lies in the row space
+    ids = [r for r, _ in kept.values()]
+    assert len(set(ids)) == len(ids) == linalg.rank([dense[r] for r in ids])
+    for lead, (_, row) in kept.items():
+        assert min(row) == lead and all(isinstance(x, int) and x for x in row.values())
+        assert linalg.rank(dense + [[F(row.get(c, 0)) for c in range(cols)]]) == len(kept)
 
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices().filter(lambda m: m[0] > 0), st.data())
 @example((4, 5, {(1, 3): F(1), (3, 0): F(2)}), None)
-def test_block_solve_equals_unsplit_solve(matrix, data) -> None:
+def test_sparse_solve_equals_dense_solve(matrix, data) -> None:
     rows, cols, nonzeros = matrix
     if data is None:
         b = [F(0), F(3), F(0), F(-1)]
@@ -184,13 +178,15 @@ def test_block_solve_equals_unsplit_solve(matrix, data) -> None:
         b = linalg.mat_vec(_dense(rows, cols, nonzeros), x) if cols else [F(0)] * rows
     else:
         b = data.draw(st.lists(st.integers(-2, 2).map(F), min_size=rows, max_size=rows))
-    assert linalg.block_solve(nonzeros, rows, cols, b) == linalg.solve(_dense(rows, cols, nonzeros), b)
+    assert linalg.sparse_solve(nonzeros, cols, b) == linalg.solve(_dense(rows, cols, nonzeros), b)
 
 
-def test_blocks_split_by_incidence_and_skip_empty_lines() -> None:
-    nonzeros = {(0, 0): F(1), (0, 2): F(2), (2, 2): F(3), (3, 1): F(4)}
-    assert linalg.blocks(nonzeros, 4, 4) == [
-        ([0, 2], [0, 2], [[F(1), F(2)], [F(0), F(3)]]),
-        ([3], [1], [[F(4)]]),
-    ]
-    assert linalg.blocks({}, 3, 3) == []
+def test_sparse_solve_known_systems() -> None:
+    # two blocks: x3 = 3 and 2 x0 = -1; x1, x2, x4 are free and get 0
+    nonzeros = {(1, 3): F(1), (3, 0): F(2)}
+    assert linalg.sparse_solve(nonzeros, 5, [F(0), F(3), F(0), F(-1)]) == [F(-1, 2), F(0), F(0), F(3), F(0)]
+    # a right-hand side on an empty row is inconsistent
+    assert linalg.sparse_solve(nonzeros, 5, [F(1), F(3), F(0), F(-1)]) is None
+    # x0 + x1 = 1, x1 = 2 needs back-substitution from the last pivot
+    assert linalg.sparse_solve({(0, 0): F(1), (0, 1): F(1), (1, 1): F(1)}, 2, [F(1), F(2)]) == [F(-1), F(2)]
+    assert linalg.sparse_solve({}, 2, [F(0)]) == [F(0), F(0)]
