@@ -151,6 +151,22 @@ class LieAlgebra:
         table = {i: {r: tuple(sorted(row)) for r, row in sorted(rows.items())} for i, rows in sorted(ads.items())}
         return scale, table
 
+    @cached_property
+    def toral_weights(self) -> dict[int, tuple[int, ...]]:
+        """{i: (s * lambda_1, ..., s * lambda_n)} for each toral basis vector e_i,
+        one whose ad is diagonal and nonzero in this basis: [e_i, e_j] =
+        lambda_j e_j for every j, with s the scale of sparse_ad. A central e_i
+        has every weight 0 and is left out. Read from sparse_ad once per
+        algebra and shared, so callers must not change it; == ignores it."""
+        weights = {}
+        for i, rows in self.sparse_ad[1].items():
+            if all(len(row) == 1 and row[0][0] == r for r, row in rows.items()):
+                diagonal = [0] * self.dim
+                for r, ((_, x),) in rows.items():
+                    diagonal[r] = x
+                weights[i] = tuple(diagonal)
+        return weights
+
     def bracket_rows(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
         """Nonzero brackets as rows (i, j) -> [(k, c_ij^k), ...], i < j, ascending."""
         rows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
@@ -217,31 +233,46 @@ class LieAlgebra:
         """kappa(x, y) = tr(ad x . ad y)."""
         return linalg.trace(linalg.mat_mul(self.ad(x), self.ad(y)))
 
-    def _subspace_brackets(self, left: list[Vector], right: list[Vector]) -> list[Vector]:
-        """Echelon basis of span{[u, v] : u in left, v in right}."""
-        products = [self.bracket(u, v) for u in left for v in right]
-        products = [p for p in products if any(p)]
-        if not products:
-            return []
-        rref, pivots = linalg.row_reduce(products)
-        return [rref[r] for r in range(len(pivots))]
+    def _ad_apply(self, i: int, v: dict[int, int]) -> dict[int, int]:
+        """s * ad(e_i) v for a sparse integer vector v {0-based index: value}."""
+        out = {}
+        for r, row in self.sparse_ad[1].get(i, {}).items():
+            x = sum(a * v[t] for t, a in row if t in v)
+            if x:
+                out[r] = x
+        return out
+
+    def _bracket_sparse(self, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+        """s * [u, v] = sum over i of u_i * s * ad(e_i) v, sparse, in integers."""
+        out: dict[int, int] = {}
+        for t, x in u.items():
+            for r, y in self._ad_apply(t + 1, v).items():
+                out[r] = out.get(r, 0) + x * y
+        return {r: x for r, x in out.items() if x}
+
+    @staticmethod
+    def _span(vectors: list[dict[int, int]]) -> list[dict[int, int]]:
+        """Echelon rows of span(vectors), by linalg.echelon."""
+        cells = {(r, c): x for r, v in enumerate(vectors) for c, x in v.items()}
+        return [row for _, row in linalg.echelon(cells).values()]
 
     def is_solvable(self) -> bool:
-        """Derived series [g, g], [[g,g],[g,g]], ... reaches zero."""
-        span = [self.basis_vector(i) for i in range(1, self.dim + 1)]
+        """Derived series [g, g], [[g,g],[g,g]], ... reaches zero; each term is
+        spanned by the brackets of the pairs a < b of the previous one."""
+        span = [{t: 1} for t in range(self.dim)]
         while span:
-            nxt = self._subspace_brackets(span, span)
+            nxt = self._span([self._bracket_sparse(u, v) for a, u in enumerate(span) for v in span[a + 1 :]])
             if len(nxt) == len(span):
                 return False
             span = nxt
         return True
 
     def is_nilpotent(self) -> bool:
-        """Lower central series [g, g], [g, [g, g]], ... reaches zero."""
-        full = [self.basis_vector(i) for i in range(1, self.dim + 1)]
-        span = full
+        """Lower central series [g, g], [g, [g, g]], ... reaches zero; each term
+        is spanned by ad(e_i) s over the basis and the previous term."""
+        span = [{t: 1} for t in range(self.dim)]
         while span:
-            nxt = self._subspace_brackets(full, span)
+            nxt = self._span([self._ad_apply(i, s) for i in range(1, self.dim + 1) for s in span])
             if len(nxt) == len(span):
                 return False
             span = nxt

@@ -135,13 +135,14 @@ def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> 
     k = args.degree
     if not 0 <= k <= alg.dim:
         raise CliError(f"degree {k} outside 0..{alg.dim}")
-    report: dict = {"name": name, "dim": alg.dim, "degree": k, "betti": cohomology.betti(alg, k)}
-    if k >= 1:
-        status, primitive = cohomology.trace_class(alg, k)
-        # trace forms of a Jacobi-valid algebra are always cocycles
-        report.update(w_closed=True, w_status=status, w_primitive=None)
-        if primitive is not None:
-            report["w_primitive"] = {_subset_key(s): str(v) for s, v in sorted(primitive.components.items())}
+    report: dict = {"name": name, "dim": alg.dim, "degree": k}
+    if k == 0:
+        return {**report, "betti": cohomology.betti(alg, 0)}
+    betti, status, primitive = cohomology.betti_and_class(alg, k)
+    # trace forms of a Jacobi-valid algebra are always cocycles
+    report.update(betti=betti, w_closed=True, w_status=status, w_primitive=None)
+    if primitive is not None:
+        report["w_primitive"] = {_subset_key(s): str(v) for s, v in sorted(primitive.components.items())}
     return report
 
 

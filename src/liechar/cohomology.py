@@ -7,16 +7,26 @@ The degree-k differential acts by
 
 with 1-based argument positions. Each d_k is built sparse, from the nonzero
 structure constants only. Ranks and exactness come from one sparse
-fraction-free integer elimination, linalg.echelon: a row meets only the
-kept rows that lead at one of its columns, so in a weight basis the
-elimination follows the torus-weight grading (Hochschild-Serre) without
-finding it, and a dense basis, such as so3's, needs no other path. Tests
-certify every rank against both dense elimination routes and every
-primitive against a dense solve.
+fraction-free integer elimination, linalg.echelon. Tests certify every
+rank against both dense elimination routes and every primitive against a
+dense solve.
 
-betti_table ranks d_0, d_1, ... in order and each d_k only on the columns
-that are not kept (pivot) rows of d_{k-1}; since d_k o d_{k-1} = 0 this
-loses no rank. On a dense basis this keeps about half the columns.
+betti_table ranks only the subcomplex of cochains of joint weight zero
+under the toral basis vectors, those e_i whose ad is diagonal in the given
+basis (LieAlgebra.toral_weights). Two toral vectors h_s, h_t commute,
+because [h_s, h_t] is a multiple of both h_s and h_t, so the contraction
+i_h of each preserves every joint weight space. On a space where some
+weight lambda is not 0, the Cartan formula L_h = d i_h + i_h d gives
+lambda * id = d i_h + i_h d, so that space is acyclic (Hochschild-Serre
+1953), and b_k = |C^k_0| - rank d_k|_0 - rank d_{k-1}|_0. Each nonzero
+cell of d_k joins two subsets of equal weight, so only the weight-zero
+rows and columns are ever built. A basis with no toral vector, such as
+so3's or any dense one, has every cochain at weight zero and is ranked
+whole. Inside the subcomplex, d_0, d_1, ... are ranked in order and each
+d_k only on the columns that are not kept (pivot) rows of d_{k-1}; since
+d_k o d_{k-1} = 0 this loses no rank. Both steps need d o d = 0, that is
+Jacobi.
+
 betti(alg, k) keeps the full ranks of d_k and d_{k-1}, and tests hold the
 two routes equal.
 """
@@ -33,13 +43,15 @@ from . import linalg
 from .algebra import LieAlgebra
 from .forms import AlternatingForm, trace_form
 
-# Betti tables in matrix-unit bases, in-process on a 2-vCPU shared host
-# (Python 3.11.7): b4+C^3 (dim 13) 0.16 s, b4+C^4 (dim 14) 0.31 s (best
-# of 3), b5 (dim 15) 1.3 s, gl4 (dim 16) 4.3 s (one run each). The middle
-# differential grows as C(n, n/2), and after a unipotent basis change it
-# is dense: b4+C (dim 11) 2.1 s, b4+C^2 (dim 12) 8.5 s, b4+C^3 (dim 13)
-# 26 s. So the cap stays where dense inputs still finish in seconds to
-# tens of seconds.
+# Betti tables, in-process on a 2-vCPU shared host (Python 3.11.7). In
+# matrix-unit bases, on the weight-zero subcomplex: b4+C^3 (dim 13) 6 ms,
+# b4+C^4 (dim 14) 11 ms (best of 3); above the cap, measured in a copy
+# with the cap raised, sl4 (dim 15) 0.11 s, b5 (dim 15) 0.02 s, gl4
+# (dim 16, middle degree 426 of 12,870 cochains) 0.24 s (one run each).
+# A unipotent basis change leaves no toral vector, so the whole complex is
+# ranked and its middle differential grows as C(n, n/2), dense: b4+C
+# (dim 11) 1.5-2.1 s, b4+C^2 (dim 12) 8.5 s, b4+C^3 (dim 13) 26 s. So the
+# cap stays where dense inputs still finish within tens of seconds.
 BETTI_DIM_CAP = 14
 
 
@@ -84,15 +96,25 @@ class DifferentialMatrix:
 
 
 def differential_matrix(alg: LieAlgebra, k: int) -> DifferentialMatrix:
-    """Matrix of the degree-k differential on the subset bases."""
+    """Matrix of the degree-k differential on the full subset bases."""
     n = alg.dim
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} outside [0, {n}]")
+    return subcomplex_differential(alg, k, cochain_basis(n, k + 1), cochain_basis(n, k))
+
+
+def subcomplex_differential(
+    alg: LieAlgebra, k: int, row_basis: list[tuple[int, ...]], col_basis: list[tuple[int, ...]]
+) -> DifferentialMatrix:
+    """Matrix of d_k from the span of col_basis to the span of row_basis.
+
+    Only the given rows are built, and every column that one of them reaches
+    must be in col_basis: the full bases, or the weight-zero ones of a
+    Jacobi-valid bracket (see weight_zero_cochains).
+    """
     # (i, j) -> [(a, c_ij^a, -c_ij^a)], negated once per constant; i < j, as
     # in every pair of an ascending row subset
     brackets = {pair: [(a, cval, -cval) for a, cval in row] for pair, row in alg.bracket_rows().items()}
-    row_basis = cochain_basis(n, k + 1)
-    col_basis = cochain_basis(n, k)
     col_index = {subset: pos for pos, subset in enumerate(col_basis)}
     pairs = [(i, j, (i + j) % 2) for i, j in combinations(range(k + 1), 2)]
     sums: dict[tuple[int, int], Fraction] = {}
@@ -116,14 +138,39 @@ def differential_matrix(alg: LieAlgebra, k: int) -> DifferentialMatrix:
     return DifferentialMatrix(degree=k, row_basis=row_basis, col_basis=col_basis, nonzeros=nonzeros)
 
 
+def weight_zero_cochains(alg: LieAlgebra, k: int) -> list[tuple[int, ...]]:
+    """Lexicographic k-subsets S with sum of lambda_j over j in S zero for the
+    weights lambda of every toral basis vector (alg.toral_weights): the
+    degree-k cochains of joint weight zero. All of them when there is no
+    toral vector."""
+    basis = cochain_basis(alg.dim, k)
+    if not alg.toral_weights:
+        return basis
+    # one integer per basis index: its toral weights as the digits of a
+    # balanced base-(2M+1) number, M the sum of |weights| of that toral
+    # vector, so a subset's digits never carry and its keys sum to 0
+    # exactly when each of its weight sums does
+    keys = [0] * (alg.dim + 1)
+    place = 1
+    for weights in alg.toral_weights.values():
+        for j, x in enumerate(weights, 1):
+            keys[j] += x * place
+        place *= 2 * sum(map(abs, weights)) + 1
+    return [subset for subset in basis if not sum(map(keys.__getitem__, subset))]
+
+
 def _check_betti_size(alg: LieAlgebra) -> None:
     if alg.dim > BETTI_DIM_CAP:
         raise ValueError(f"dimension {alg.dim} exceeds the Betti cap {BETTI_DIM_CAP}")
 
 
-def _differential_rank(alg: LieAlgebra, k: int) -> int:
-    """rank d_k; d_k is zero below degree 0 and maps to nothing in degree dim."""
-    return differential_matrix(alg, k).rank() if 0 <= k < alg.dim else 0
+def _differential(alg: LieAlgebra, k: int) -> DifferentialMatrix | None:
+    """d_k; None below degree 0 and in degree dim, where it maps to nothing."""
+    return differential_matrix(alg, k) if 0 <= k < alg.dim else None
+
+
+def _betti(alg: LieAlgebra, k: int, d_k: DifferentialMatrix | None, d_prev: DifferentialMatrix | None) -> int:
+    return comb(alg.dim, k) - (d_k.rank() if d_k else 0) - (d_prev.rank() if d_prev else 0)
 
 
 def betti(alg: LieAlgebra, k: int) -> int:
@@ -132,18 +179,28 @@ def betti(alg: LieAlgebra, k: int) -> int:
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} outside [0, {n}]")
     _check_betti_size(alg)
-    return comb(n, k) - _differential_rank(alg, k) - _differential_rank(alg, k - 1)
+    return _betti(alg, k, _differential(alg, k), _differential(alg, k - 1))
 
 
 def betti_table(alg: LieAlgebra, max_degree: int | None = None) -> list[int]:
     """Betti numbers in degrees 0..max_degree (default and at most dim).
 
-    Ranks d_0, d_1, ... in order, and each d_k only on the degree-k cochains
-    that are not pivot rows of d_{k-1}. Those pivot rows are independent rows
-    of d_{k-1}, so the other coordinate vectors and im d_{k-1} together span
-    the degree-k cochains, and d_k vanishes on im d_{k-1}. That needs
-    d o d = 0, which holds exactly when the bracket satisfies Jacobi: a
-    bracket that does not raises ValueError naming the first violation.
+    Ranks each d_k only on the cochains of joint weight zero under the toral
+    basis vectors (weight_zero_cochains). Two toral vectors h_s, h_t commute,
+    since [h_s, h_t] is a multiple of both, so each has joint weight 0 and
+    its contraction i_h preserves every joint weight space; on a space where
+    some weight is lambda != 0, the Cartan formula L_h = d i_h + i_h d makes
+    lambda * id null-homotopic, so that space is acyclic (Hochschild-Serre).
+    A cell of d_k joins two subsets of equal weight, so the weight-zero rows
+    reach only weight-zero columns and nothing else is built.
+
+    Inside that subcomplex it ranks d_0, d_1, ... in order, and each d_k
+    only on the cochains that are not pivot rows of d_{k-1}. Those pivot rows
+    are independent rows of d_{k-1}, so the other coordinate vectors and
+    im d_{k-1} together span the cochains, and d_k vanishes on im d_{k-1}.
+    Both steps need d o d = 0, which holds exactly when the bracket satisfies
+    Jacobi: a bracket that does not raises ValueError naming the first
+    violation.
     """
     n = alg.dim
     _check_betti_size(alg)
@@ -151,24 +208,30 @@ def betti_table(alg: LieAlgebra, max_degree: int | None = None) -> list[int]:
     if violations:
         raise ValueError(f"Jacobi identity fails at (i, j, k, m) = {violations[0]}: no cochain complex")
     top = n if max_degree is None else min(max_degree, n)
+    cochains = weight_zero_cochains(alg, 0)
+    sizes = [len(cochains)]
     ranks = []
     pivots: set[int] = set()
     for k in range(min(top + 1, n)):
-        d_k = differential_matrix(alg, k)
+        rows = weight_zero_cochains(alg, k + 1)
+        d_k = subcomplex_differential(alg, k, rows, cochains)
         kept = {cell: value for cell, value in d_k.nonzeros.items() if cell[1] not in pivots}
         pivots = {r for r, _ in linalg.echelon(kept).values()}
         ranks.append(len(pivots))
+        sizes.append(len(rows))
+        cochains = rows
     ranks.append(0)  # d_n maps to nothing
-    return [comb(n, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1)]
+    return [sizes[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1)]
 
 
 def is_closed(alg: LieAlgebra, form: AlternatingForm) -> bool:
     if form.dim != alg.dim:
         raise ValueError("form dimension does not match the algebra")
-    if form.degree == alg.dim:
-        return True
-    image = differential_matrix(alg, form.degree).apply(form)
-    return all(x == 0 for x in image)
+    return _closed(_differential(alg, form.degree), form)
+
+
+def _closed(d_k: DifferentialMatrix | None, form: AlternatingForm) -> bool:
+    return d_k is None or not any(d_k.apply(form))
 
 
 def is_exact(alg: LieAlgebra, form: AlternatingForm) -> tuple[bool, AlternatingForm | None]:
@@ -179,10 +242,16 @@ def is_exact(alg: LieAlgebra, form: AlternatingForm) -> tuple[bool, AlternatingF
     """
     if not is_closed(alg, form):
         raise ValueError("exactness asked for a non-closed form")
-    if form.degree == 0:
+    return _solve(alg, _differential(alg, form.degree - 1), form)
+
+
+def _solve(
+    alg: LieAlgebra, d_prev: DifferentialMatrix | None, form: AlternatingForm
+) -> tuple[bool, AlternatingForm | None]:
+    """is_exact for a closed form, given d_prev = d_{degree-1} (None in degree 0)."""
+    if d_prev is None:
         zero = form.is_zero()
         return zero, (AlternatingForm(0, alg.dim, {}) if zero else None)
-    d_prev = differential_matrix(alg, form.degree - 1)
     target = form.component_vector(d_prev.row_basis)
     solution = linalg.sparse_solve(d_prev.nonzeros, len(d_prev.col_basis), target)
     if solution is None:
@@ -204,14 +273,36 @@ STATUS_NONZERO_CLASS = "nonzero class"
 def trace_class(alg: LieAlgebra, k: int) -> tuple[str, AlternatingForm | None]:
     """Status of the degree-k trace form's class, with a primitive when exact.
 
-    Trace forms of a Jacobi-valid algebra are cocycles; is_exact raises
-    ValueError if this one is not.
+    Trace forms of a Jacobi-valid algebra are cocycles; a trace form that is
+    not raises ValueError.
     """
     form = trace_form(alg, k)
     if form.is_zero():
         return STATUS_ZERO, None
-    exact, primitive = is_exact(alg, form)
+    return _classify(alg, form, _differential(alg, k), _differential(alg, k - 1))
+
+
+def _classify(
+    alg: LieAlgebra, form: AlternatingForm, d_k: DifferentialMatrix | None, d_prev: DifferentialMatrix | None
+) -> tuple[str, AlternatingForm | None]:
+    """trace_class of a nonzero trace form, given d_k and d_{k-1}."""
+    if not _closed(d_k, form):
+        raise ValueError("exactness asked for a non-closed form")
+    exact, primitive = _solve(alg, d_prev, form)
     return (STATUS_EXACT if exact else STATUS_NONZERO_CLASS), primitive
+
+
+def betti_and_class(alg: LieAlgebra, k: int) -> tuple[int, str, AlternatingForm | None]:
+    """betti(alg, k) and trace_class(alg, k) for 1 <= k <= dim, from one
+    build each of d_k and d_{k-1}."""
+    n = alg.dim
+    if not 1 <= k <= n:
+        raise ValueError(f"degree {k} outside [1, {n}]")
+    _check_betti_size(alg)
+    d_k, d_prev = _differential(alg, k), _differential(alg, k - 1)
+    form = trace_form(alg, k)
+    status, primitive = (STATUS_ZERO, None) if form.is_zero() else _classify(alg, form, d_k, d_prev)
+    return _betti(alg, k, d_k, d_prev), status, primitive
 
 
 def class_report(alg: LieAlgebra, max_degree: int | None = None) -> dict[int, str]:

@@ -285,6 +285,22 @@ def test_cohomology_reports_class_in_degree_eight(capsys, tmp_path) -> None:
     assert report["w_primitive"] is None
 
 
+def test_cohomology_builds_each_differential_once(capsys, monkeypatch) -> None:
+    # betti and the class of w3 share one build each of d_3 and d_2
+    built = []
+    differential_matrix = cohomology.differential_matrix
+
+    def recording(alg, k):
+        built.append(k)
+        return differential_matrix(alg, k)
+
+    monkeypatch.setattr(cohomology, "differential_matrix", recording)
+    code, out, _ = invoke(capsys, "cohomology", str(BENCH_INPUTS / "sl3.txt"), "--degree", "3")
+    assert code == 0
+    assert json.loads(out)["w_status"] == "nonzero class"
+    assert built == [3, 2]
+
+
 def test_curvature_report(capsys) -> None:
     code, out, _ = invoke(
         capsys, "curvature", "--frame", "unipotent_sin", "--lattice", "3"

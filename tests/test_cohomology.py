@@ -1,6 +1,7 @@
 """Chevalley-Eilenberg complex with trivial coefficients."""
 
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -21,9 +22,12 @@ from liechar.cohomology import (
     class_report,
     cochain_basis,
     differential_matrix,
+    betti_and_class,
     is_closed,
     is_exact,
+    subcomplex_differential,
     trace_class,
+    weight_zero_cochains,
 )
 from liechar.fileformat import parse_algebra
 from liechar.forms import AlternatingForm, trace_form
@@ -438,3 +442,167 @@ def test_poincare_duality_of_catalog_algebras_and_bench_inputs() -> None:
 def test_poincare_duality_of_direct_sums(a, b) -> None:
     total = direct_sum(a, b)
     assert_poincare_duality(total, betti_table(total))
+
+
+def bench_input(name: str) -> LieAlgebra:
+    return parse_algebra((BENCH_INPUTS[0].parent / f"{name}.txt").read_text())
+
+
+def seeded_unipotent(n: int, seed: int) -> linalg.Matrix:
+    """S U S^-1 as in unipotent_matrices, with every entry above the
+    diagonal of U drawn from the nonzero halves and units in -1..1."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = linalg.identity(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p[perm[i]][perm[j]] = Fraction(rng.choice((-1, 1)), rng.choice((1, 2)))
+    return p
+
+
+def test_toral_basis_vectors_of_weight_and_changed_bases() -> None:
+    # the diagonal matrix units are the toral vectors of a matrix-unit basis
+    gl3, sl3 = bench_input("gl3"), bench_input("sl3")
+    assert sorted(gl3.toral_weights) == [4, 5, 6]
+    assert sorted(sl3.toral_weights) == [4, 5]
+    # E11 in gl3's basis E12 E13 E23 E11 E22 E33 E21 E31 E32: [E11, E_ij] =
+    # (delta_1i - delta_1j) E_ij
+    assert gl3.toral_weights[4] == (1, 1, 0, 0, 0, 0, -1, -1, 0)
+    for seed in range(5):
+        for g in (gl3, sl3):
+            changed = change_basis(g, seeded_unipotent(g.dim, seed))
+            assert changed.validate().ok
+            assert changed.toral_weights == {}, seed
+    # a central vector has ad 0 and restricts nothing
+    assert CATALOG_ALGEBRAS["abelian(3)"].toral_weights == {}
+
+
+def test_betti_table_ranks_only_the_weight_zero_subcomplex(monkeypatch) -> None:
+    # gl3's joint weight-zero cochains under E11, E22, E33 are 80 of 2^9 = 512,
+    # and betti_table builds and ranks nothing else
+    g = bench_input("gl3")
+    assert sum(len(weight_zero_cochains(g, k)) for k in range(g.dim + 1)) == 80
+    built = []
+
+    def recording(alg, k, row_basis, col_basis):
+        built.append((k, len(row_basis), len(col_basis)))
+        return subcomplex_differential(alg, k, row_basis, col_basis)
+
+    monkeypatch.setattr("liechar.cohomology.subcomplex_differential", recording)
+    monkeypatch.setattr("liechar.cohomology.differential_matrix", None)
+    assert betti_table(g) == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
+    assert [k for k, _, _ in built] == list(range(g.dim))
+    assert sum(cols for _, _, cols in built) + built[-1][1] == 80
+    assert all(rows == cols_next for (_, rows, _), (_, _, cols_next) in zip(built, built[1:]))
+
+
+def test_weight_zero_cochains_without_toral_vectors_are_all_cochains() -> None:
+    g = change_basis(bench_input("sl3"), seeded_unipotent(8, 0))
+    for k in range(g.dim + 1):
+        assert weight_zero_cochains(g, k) == cochain_basis(g.dim, k)
+
+
+def poincare_of_odd_degrees(degrees: range) -> list[int]:
+    """Coefficients of prod (1 + t^(2i-1)) over i in degrees."""
+    table = [1]
+    for i in degrees:
+        table = poincare_product(table, [1] + [0] * (2 * i - 2) + [1])
+    return table
+
+
+@pytest.mark.parametrize(
+    "name, degrees", [("gl2", range(1, 3)), ("gl3", range(1, 4)), ("sl2", range(2, 3)), ("sl3", range(2, 4))]
+)
+def test_betti_table_equals_poincare_polynomial_of_gl_and_sl(name, degrees) -> None:
+    g = bench_input(name)
+    assert g.toral_weights
+    assert betti_table(g) == poincare_of_odd_degrees(degrees)
+
+
+def test_betti_table_of_b4_plus_abelian4_at_the_cap() -> None:
+    # b4 has Poincare polynomial (1+t)^4 and C^4 (1+t)^4; dimension 14
+    g = direct_sum(bench_input("b4"), CATALOG_ALGEBRAS["abelian(4)"])
+    assert g.dim == BETTI_DIM_CAP
+    assert betti_table(g) == [math.comb(8, k) for k in range(9)] + [0] * 6
+
+
+MATRIX_UNIT_ALGEBRAS = [bench_input(name) for name in ("sl2", "gl2", "b3")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_betti_table_of_mixed_bases_is_kunneth_product(data) -> None:
+    # a matrix-unit summand keeps its toral vectors, a basis-changed one
+    # may have none: the weight-zero subcomplex mixes both cases
+    a = data.draw(st.one_of(st.sampled_from(MATRIX_UNIT_ALGEBRAS), upper_triangular_algebras(4)))
+    b = data.draw(small_algebras(4))
+    b = change_basis(b, data.draw(unipotent_matrices(b.dim)))
+    total = direct_sum(a, b)
+    assert {i for i in total.toral_weights if i <= a.dim} == set(a.toral_weights)
+    assert betti_table(total) == full_rank_table(total) == poincare_product(betti_table(a), betti_table(b))
+
+
+def test_mixed_basis_has_only_the_toral_vectors_of_its_weight_summand() -> None:
+    gl2 = bench_input("gl2")
+    dense_sl2 = change_basis(bench_input("sl2"), seeded_unipotent(3, 1))
+    total = direct_sum(gl2, dense_sl2)
+    assert sorted(total.toral_weights) == sorted(gl2.toral_weights) != []
+    assert betti_table(total) == full_rank_table(total) == poincare_product([1, 1, 0, 1, 1], [1, 0, 0, 1])
+
+
+def test_betti_and_class_equals_betti_and_trace_class() -> None:
+    algebras = {**CATALOG_ALGEBRAS, **{path.stem: parse_algebra(path.read_text()) for path in BENCH_INPUTS}}
+    for name, g in algebras.items():
+        if g.dim > 10:
+            continue
+        for k in range(1, g.dim + 1):
+            b, status, primitive = betti_and_class(g, k)
+            expected_status, expected_primitive = trace_class(g, k)
+            assert (b, status) == (betti(g, k), expected_status), (name, k)
+            assert (primitive and primitive.components) == (expected_primitive and expected_primitive.components)
+
+
+def dense_series_flags(g: LieAlgebra) -> tuple[bool, bool]:
+    """Derived and lower central series from Fraction brackets of every
+    ordered pair and row_reduce: the route the sparse flags replaced."""
+
+    def span(vectors):
+        vectors = [v for v in vectors if any(v)]
+        if not vectors:
+            return []
+        rref, pivots = linalg.row_reduce(vectors)
+        return rref[: len(pivots)]
+
+    full = [g.basis_vector(i) for i in range(1, g.dim + 1)]
+    flags = []
+    for lower_central in (False, True):
+        current = full
+        while current:
+            nxt = span([g.bracket(u, v) for u in (full if lower_central else current) for v in current])
+            if len(nxt) == len(current):
+                break
+            current = nxt
+        flags.append(not current)
+    return flags[0], flags[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sparse_series_flags_equal_the_dense_fraction_route(data) -> None:
+    g = data.draw(small_algebras(6))
+    if data.draw(st.booleans()):
+        g = change_basis(g, data.draw(unipotent_matrices(g.dim)))
+    assert (g.is_solvable(), g.is_nilpotent()) == dense_series_flags(g)
+
+
+def test_series_flags_of_bench_inputs_and_their_changed_bases() -> None:
+    for path in BENCH_INPUTS:
+        g = parse_algebra(path.read_text())
+        flags = (g.is_solvable(), g.is_nilpotent())
+        # the b_n and their sums with abelian parts are solvable, none is nilpotent
+        assert flags == (path.stem.startswith("b"), False), path.stem
+        if g.dim <= 9:
+            assert dense_series_flags(g) == flags, path.stem
+            changed = change_basis(g, seeded_unipotent(g.dim, 3))
+            assert (changed.is_solvable(), changed.is_nilpotent()) == flags, path.stem
