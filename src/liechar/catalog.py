@@ -4,20 +4,26 @@ Every entry is hand-verified: algebras pass the Jacobi validation, frames
 meet the invertibility bound on their chart lattice, multiplications
 satisfy the identity laws. The names are stable identifiers used by the
 command line interface.
+
+Each entry is built and validated at most once per process, on its first
+lookup, and every later lookup returns the same shared object. Callers
+must not change a payload; derive a new object instead.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import TYPE_CHECKING, Union
 
 from .algebra import LieAlgebra, lie_algebra
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .geometry import FrameField, LocalGroupMultiplication
-    from .jets import Chart
 
 # Frame and multiplication builders import numpy and the finite-difference
 # modules when they build, so that importing the catalog (and the exact
@@ -37,236 +43,150 @@ class CatalogEntry:
     note: str
 
 
-def _unit_box(n: int, h: float = 1e-3) -> Chart:
-    from .jets import Chart
-
-    return Chart(lower=tuple([-1.0] * n), upper=tuple([1.0] * n), h=h)
-
-
-def _halfplane_box(h: float = 1e-3) -> Chart:
-    from .jets import Chart
-
-    # first coordinate kept away from 0 so 1/x1 frames stay invertible
-    return Chart(lower=(0.5, -1.0), upper=(2.5, 1.0), h=h)
-
-
-def _abelian_algebra(n: int) -> CatalogEntry:
-    return CatalogEntry(
-        name=f"abelian({n})",
-        kind="algebra",
-        payload=lie_algebra(n, {}),
-        note=f"{n}-dimensional algebra with all brackets zero",
-    )
-
-
-def _heisenberg3() -> CatalogEntry:
-    return CatalogEntry(
-        name="heisenberg3",
-        kind="algebra",
-        payload=lie_algebra(3, {(1, 2, 3): 1}, names=("p", "q", "z")),
-        note="nilpotent 3-dimensional algebra [p, q] = z with central z",
-    )
-
-
-def _affine1() -> CatalogEntry:
-    return CatalogEntry(
-        name="affine1",
-        kind="algebra",
-        payload=lie_algebra(2, {(1, 2, 2): 1}, names=("t", "s")),
-        note="affine transformations of the line, [t, s] = s; solvable, not unimodular",
-    )
-
-
-def _borel_sl2() -> CatalogEntry:
-    return CatalogEntry(
-        name="borel_sl2",
-        kind="algebra",
-        payload=lie_algebra(2, {(1, 2, 2): 2}, names=("h", "x")),
-        note="upper-triangular traceless 2x2 matrices, basis (h, x) with [h, x] = 2x",
-    )
-
-
-def _sl2() -> CatalogEntry:
-    return CatalogEntry(
-        name="sl2",
-        kind="algebra",
-        payload=lie_algebra(
-            3,
-            {(1, 2, 1): -2, (1, 3, 2): 1, (2, 3, 3): -2},
-            names=("X", "H", "Y"),
-        ),
-        note="traceless 2x2 matrices in the (X, H, Y) basis: [H,X]=2X, [X,Y]=H, [H,Y]=-2Y",
-    )
-
-
-def _so3() -> CatalogEntry:
-    return CatalogEntry(
-        name="so3",
-        kind="algebra",
-        payload=lie_algebra(
-            3,
-            {(1, 2, 3): -1, (1, 3, 2): 1, (2, 3, 1): -1},
-            names=("A", "B", "C"),
-        ),
-        note="rotation algebra, orthogonal basis with [A,C] = B and [B,C] = -A",
-    )
-
-
-def _sl2_plus_abelian2() -> CatalogEntry:
-    return CatalogEntry(
-        name="sl2_plus_abelian2",
-        kind="algebra",
-        payload=lie_algebra(
-            5,
-            {(1, 2, 1): -2, (1, 3, 2): 1, (2, 3, 3): -2},
-            names=("X", "H", "Y", "u", "v"),
-        ),
-        note="direct sum of sl2 with a 2-dimensional center; reductive, not semisimple",
-    )
-
-
-def _identity_frame(n: int) -> CatalogEntry:
-    import numpy as np
-
-    from .geometry import FrameField
-
-    eye = np.eye(n)
-    return CatalogEntry(
-        name=f"identity({n})",
-        kind="frame",
-        payload=FrameField(chart=_unit_box(n), matrix=lambda x: np.broadcast_to(eye, x.shape[:-1] + (n, n))),
-        note=f"constant identity frame on the unit box in dimension {n}",
-    )
-
-
-def _affine_halfplane() -> CatalogEntry:
-    import numpy as np
-
-    from .geometry import FrameField
-
-    def matrix(x: np.ndarray) -> np.ndarray:
-        return x[..., 0, None, None] * np.eye(2)
-
-    return CatalogEntry(
-        name="affine_halfplane",
-        kind="frame",
-        payload=FrameField(chart=_halfplane_box(), matrix=matrix),
-        note="A(x) = x1 * identity on {x1 > 0}; left-translation frame of the affine group",
-    )
-
-
-def _unipotent_sin() -> CatalogEntry:
-    import numpy as np
-
+def _frame(lower: tuple[float, ...], upper: tuple[float, ...], matrix: Callable) -> FrameField:
     from .geometry import FrameField
     from .jets import Chart
 
-    def matrix(x: np.ndarray) -> np.ndarray:
-        a = np.zeros(x.shape[:-1] + (2, 2))
-        a[..., 0, 0] = a[..., 1, 1] = 1.0
-        a[..., 1, 0] = np.sin(x[..., 1])
-        return a
-
-    return CatalogEntry(
-        name="unipotent_sin",
-        kind="frame",
-        payload=FrameField(
-            chart=Chart(lower=(0.2, 0.2), upper=(1.2, 1.2)),
-            matrix=matrix,
-        ),
-        note="lower unipotent frame with entry sin(x2); its invariant fields do not close",
-    )
+    return FrameField(chart=Chart(lower=lower, upper=upper), matrix=matrix)
 
 
-def _borel_frame() -> CatalogEntry:
-    import numpy as np
-
-    from .geometry import FrameField
-
-    def matrix(x: np.ndarray) -> np.ndarray:
-        a = np.zeros(x.shape[:-1] + (2, 2))
-        a[..., 0, 0] = a[..., 1, 1] = x[..., 0]
-        a[..., 1, 0] = -x[..., 1]
-        return a
-
-    return CatalogEntry(
-        name="borel_frame",
-        kind="frame",
-        payload=FrameField(chart=_halfplane_box(), matrix=matrix),
-        note="left-translation frame of the Borel group in coordinates (a, b), a > 0",
-    )
-
-
-def _abelian_multiplication(n: int) -> CatalogEntry:
+def _multiplication(
+    lower: tuple[float, ...], upper: tuple[float, ...], multiply: Callable, identity: tuple[float, ...]
+) -> LocalGroupMultiplication:
     import numpy as np
 
     from .geometry import LocalGroupMultiplication
+    from .jets import Chart
 
-    return CatalogEntry(
-        name=f"abelian({n})",
-        kind="multiplication",
-        payload=LocalGroupMultiplication(
-            chart=_unit_box(n),
-            multiply=lambda a, b: a + b,
-            identity=np.zeros(n),
-        ),
-        note=f"vector addition on the unit box in dimension {n}",
-    )
+    chart = Chart(lower=lower, upper=upper)
+    return LocalGroupMultiplication(chart=chart, multiply=multiply, identity=np.array(identity))
 
 
-def _affine_group() -> CatalogEntry:
+def _unit_box(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    return (-1.0,) * n, (1.0,) * n
+
+
+# first coordinate kept away from 0 so 1/x1 frames stay invertible
+_HALFPLANE = ((0.5, -1.0), (2.5, 1.0))
+
+
+def _identity_matrix(n: int, x: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    from .geometry import LocalGroupMultiplication
-
-    def multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        a, b = p[..., 0], p[..., 1]
-        c, d = q[..., 0], q[..., 1]
-        return np.stack([a * c, a * d + b], axis=-1)
-
-    return CatalogEntry(
-        name="affine_group",
-        kind="multiplication",
-        payload=LocalGroupMultiplication(chart=_halfplane_box(), multiply=multiply, identity=np.array([1.0, 0.0])),
-        note="x -> ax + b maps composed as (a,b)(c,d) = (ac, ad + b), identity (1, 0)",
-    )
+    return np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n))
 
 
-def _borel_sl2_group() -> CatalogEntry:
+def _scaled_identity(x: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    from .geometry import LocalGroupMultiplication
-
-    def multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        a1, b1 = p[..., 0], p[..., 1]
-        a2, b2 = q[..., 0], q[..., 1]
-        return np.stack([a1 * a2, a1 * b2 + b1 / a2], axis=-1)
-
-    return CatalogEntry(
-        name="borel_sl2_group",
-        kind="multiplication",
-        payload=LocalGroupMultiplication(chart=_halfplane_box(), multiply=multiply, identity=np.array([1.0, 0.0])),
-        note="upper-triangular (a, b; 0, 1/a) matrices, a > 0, in the coordinates (a, b)",
-    )
+    return x[..., 0, None, None] * np.eye(2)
 
 
-# Every entry, keyed by (kind, name); list_names() prints them as "kind:name".
-_TABLE: dict[tuple[str, str], Callable[[], CatalogEntry]] = {
-    ("algebra", "heisenberg3"): _heisenberg3,
-    ("algebra", "affine1"): _affine1,
-    ("algebra", "borel_sl2"): _borel_sl2,
-    ("algebra", "sl2"): _sl2,
-    ("algebra", "so3"): _so3,
-    ("algebra", "sl2_plus_abelian2"): _sl2_plus_abelian2,
-    ("frame", "affine_halfplane"): _affine_halfplane,
-    ("frame", "unipotent_sin"): _unipotent_sin,
-    ("frame", "borel_frame"): _borel_frame,
-    ("multiplication", "affine_group"): _affine_group,
-    ("multiplication", "borel_sl2_group"): _borel_sl2_group,
-    **{("algebra", f"abelian({n})"): partial(_abelian_algebra, n) for n in range(1, ABELIAN_MAX_DIM + 1)},
-    **{("frame", f"identity({n})"): partial(_identity_frame, n) for n in range(1, ABELIAN_MAX_DIM + 1)},
-    **{("multiplication", f"abelian({n})"): partial(_abelian_multiplication, n) for n in range(1, ABELIAN_MAX_DIM + 1)},
+def _lower_triangular(x: np.ndarray, diagonal: float | np.ndarray, below: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    a = np.zeros(x.shape[:-1] + (2, 2))
+    a[..., 0, 0] = a[..., 1, 1] = diagonal
+    a[..., 1, 0] = below
+    return a
+
+
+def _unipotent_sin(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    return _lower_triangular(x, 1.0, np.sin(x[..., 1]))
+
+
+def _borel_matrix(x: np.ndarray) -> np.ndarray:
+    return _lower_triangular(x, x[..., 0], -x[..., 1])
+
+
+def _affine_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    a, b = p[..., 0], p[..., 1]
+    c, d = q[..., 0], q[..., 1]
+    return np.stack([a * c, a * d + b], axis=-1)
+
+
+def _borel_sl2_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    a1, b1 = p[..., 0], p[..., 1]
+    a2, b2 = q[..., 0], q[..., 1]
+    return np.stack([a1 * a2, a1 * b2 + b1 / a2], axis=-1)
+
+
+_SL2 = {(1, 2, 1): -2, (1, 3, 2): 1, (2, 3, 3): -2}
+
+# The only place an entry is declared: (kind, name) -> (note, build), where
+# build() returns the payload. list_names() prints the keys as "kind:name".
+_TABLE: dict[tuple[str, str], tuple[str, Callable[[], Payload]]] = {
+    ("algebra", "heisenberg3"): (
+        "nilpotent 3-dimensional algebra [p, q] = z with central z",
+        partial(lie_algebra, 3, {(1, 2, 3): 1}, names=("p", "q", "z")),
+    ),
+    ("algebra", "affine1"): (
+        "affine transformations of the line, [t, s] = s; solvable, not unimodular",
+        partial(lie_algebra, 2, {(1, 2, 2): 1}, names=("t", "s")),
+    ),
+    ("algebra", "borel_sl2"): (
+        "upper-triangular traceless 2x2 matrices, basis (h, x) with [h, x] = 2x",
+        partial(lie_algebra, 2, {(1, 2, 2): 2}, names=("h", "x")),
+    ),
+    ("algebra", "sl2"): (
+        "traceless 2x2 matrices in the (X, H, Y) basis: [H,X]=2X, [X,Y]=H, [H,Y]=-2Y",
+        partial(lie_algebra, 3, _SL2, names=("X", "H", "Y")),
+    ),
+    ("algebra", "so3"): (
+        "rotation algebra, orthogonal basis with [A,C] = B and [B,C] = -A",
+        partial(lie_algebra, 3, {(1, 2, 3): -1, (1, 3, 2): 1, (2, 3, 1): -1}, names=("A", "B", "C")),
+    ),
+    ("algebra", "sl2_plus_abelian2"): (
+        "direct sum of sl2 with a 2-dimensional center; reductive, not semisimple",
+        partial(lie_algebra, 5, _SL2, names=("X", "H", "Y", "u", "v")),
+    ),
+    ("frame", "affine_halfplane"): (
+        "A(x) = x1 * identity on {x1 > 0}; left-translation frame of the affine group",
+        partial(_frame, *_HALFPLANE, _scaled_identity),
+    ),
+    ("frame", "unipotent_sin"): (
+        "lower unipotent frame with entry sin(x2); its invariant fields do not close",
+        partial(_frame, (0.2, 0.2), (1.2, 1.2), _unipotent_sin),
+    ),
+    ("frame", "borel_frame"): (
+        "left-translation frame of the Borel group in coordinates (a, b), a > 0",
+        partial(_frame, *_HALFPLANE, _borel_matrix),
+    ),
+    ("multiplication", "affine_group"): (
+        "x -> ax + b maps composed as (a,b)(c,d) = (ac, ad + b), identity (1, 0)",
+        partial(_multiplication, *_HALFPLANE, _affine_multiply, (1.0, 0.0)),
+    ),
+    ("multiplication", "borel_sl2_group"): (
+        "upper-triangular (a, b; 0, 1/a) matrices, a > 0, in the coordinates (a, b)",
+        partial(_multiplication, *_HALFPLANE, _borel_sl2_multiply, (1.0, 0.0)),
+    ),
 }
+for _n in range(1, ABELIAN_MAX_DIM + 1):
+    _TABLE["algebra", f"abelian({_n})"] = (
+        f"{_n}-dimensional algebra with all brackets zero",
+        partial(lie_algebra, _n, {}),
+    )
+    _TABLE["frame", f"identity({_n})"] = (
+        f"constant identity frame on the unit box in dimension {_n}",
+        partial(_frame, *_unit_box(_n), partial(_identity_matrix, _n)),
+    )
+    _TABLE["multiplication", f"abelian({_n})"] = (
+        f"vector addition on the unit box in dimension {_n}",
+        partial(_multiplication, *_unit_box(_n), operator.add, (0.0,) * _n),
+    )
+
+
+@cache
+def _entry(kind: str, name: str) -> CatalogEntry:
+    # a build that raises is not cached, so it raises again on the next lookup
+    note, build = _TABLE[kind, name]
+    return CatalogEntry(name=name, kind=kind, payload=build(), note=note)
 
 
 def get(name: str, kind: str | None = None) -> CatalogEntry:
@@ -278,20 +198,18 @@ def get(name: str, kind: str | None = None) -> CatalogEntry:
         prefix, rest = name.split(":", 1)
         if prefix in KINDS:
             kind, name = prefix, rest
-    kinds = (kind,) if kind is not None else KINDS
-    for candidate in kinds:
+    for candidate in (kind,) if kind is not None else KINDS:
         if candidate not in KINDS:
             raise KeyError(f"unknown catalog kind {candidate!r}")
-        builder = _TABLE.get((candidate, name))
-        if builder is not None:
-            return builder()
+        if (candidate, name) in _TABLE:
+            return _entry(candidate, name)
     where = f" of kind {kind!r}" if kind else ""
     raise KeyError(f"no catalog entry named {name!r}{where}")
 
 
 def list_entries() -> list[CatalogEntry]:
-    """Every entry, built afresh, sorted by (kind, name)."""
-    return [_TABLE[key]() for key in sorted(_TABLE)]
+    """Every entry, sorted by (kind, name); each is the shared object get() returns."""
+    return [_entry(*key) for key in sorted(_TABLE)]
 
 
 def list_names() -> list[str]:

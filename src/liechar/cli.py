@@ -16,6 +16,7 @@ import json
 import sys
 from collections.abc import Callable
 from functools import partial
+from math import comb
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,19 +38,27 @@ EXIT_USAGE = 2
 # reach about 1 GB.
 CURVATURE_LATTICE_CAP = 4096
 
+# forms prints every one of the C(dim, degree) components, zeros included.
+# Padding alone took 0.23 s for C(60, 3) = 34,220 components, 1.3 s for
+# 499,500, 5.4 s for 1,999,000 and 6.5 s for 10^6 in dimension 10^6.
+FORMS_COMPONENT_CAP = 500_000
+
 
 class CliError(Exception):
     """Usage or I/O failure; maps to exit code 2."""
 
 
+def _catalog_entry(name: str, kind: str | None = None) -> catalog.CatalogEntry:
+    try:
+        return catalog.get(name, kind=kind)
+    except KeyError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _load_algebra(source: str) -> tuple[str, LieAlgebra]:
     if source.startswith("catalog:"):
         name = source[len("catalog:") :]
-        try:
-            entry = catalog.get(name, kind="algebra")
-        except KeyError as exc:
-            raise CliError(str(exc)) from exc
-        return name, entry.payload
+        return name, _catalog_entry(name, "algebra").payload
     path = Path(source)
     try:
         text = path.read_text()
@@ -87,14 +96,28 @@ def _text_lines(tree: dict, prefix: str) -> list[str]:
     return lines
 
 
+def _check_betti_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
+    if alg.dim > BETTI_DIM_CAP:
+        raise CliError(f"dimension {alg.dim} exceeds the Betti table cap ({BETTI_DIM_CAP})")
+
+
+def _check_forms_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
+    if args.degree >= 0 and (count := comb(alg.dim, args.degree)) > FORMS_COMPONENT_CAP:
+        raise CliError(
+            f"degree {args.degree} in dimension {alg.dim} gives {count} components,"
+            f" over the cap of {FORMS_COMPONENT_CAP}"
+        )
+
+
 def _report_algebra(
-    build_report: Callable[[str, LieAlgebra, argparse.Namespace], dict], max_dim: int | None, args: argparse.Namespace
+    build_report: Callable[[str, LieAlgebra, argparse.Namespace], dict],
+    check_size: Callable[[LieAlgebra, argparse.Namespace], None],
+    args: argparse.Namespace,
 ) -> int:
-    """Load args.source, check its size before the (sparse) Jacobi check, then
+    """Load args.source, check_size it before the (sparse) Jacobi check, then
     emit build_report(name, alg, args), or the Jacobi violations with exit 1."""
     name, alg = _load_algebra(args.source)
-    if max_dim is not None and alg.dim > max_dim:
-        raise CliError(f"dimension {alg.dim} exceeds the Betti table cap ({max_dim})")
+    check_size(alg, args)
     validation = alg.validate()
     if not validation.ok:
         violations = [list(v) for v in validation.violations]
@@ -166,11 +189,7 @@ def _curvature_sweep(frame: FrameField, points_per_axis: int) -> dict[str, float
 def _cmd_curvature(args: argparse.Namespace) -> int:
     from . import geometry
 
-    try:
-        entry = catalog.get(args.frame, kind="frame")
-    except KeyError as exc:
-        raise CliError(str(exc)) from exc
-    frame = entry.payload
+    frame = _catalog_entry(args.frame, "frame").payload
     if args.lattice < 2:
         raise CliError("--lattice must be at least 2")
     points = args.lattice**frame.chart.dim
@@ -208,10 +227,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             kind, name = qualified.split(":", 1)
             print(f"{kind:15s} {name}")
         return EXIT_OK
-    try:
-        entry = catalog.get(args.name)
-    except KeyError as exc:
-        raise CliError(str(exc)) from exc
+    entry = _catalog_entry(args.name)
     report: dict = {"name": entry.name, "kind": entry.kind, "note": entry.note}
     payload = entry.payload
     if isinstance(payload, LieAlgebra):
@@ -273,19 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("source")
     p_analyze.add_argument("--max-degree", type=_nonnegative_int, default=None, help="cap Betti/class degrees")
     add_format(p_analyze)
-    p_analyze.set_defaults(func=partial(_report_algebra, _analyze_report, BETTI_DIM_CAP))
+    p_analyze.set_defaults(func=partial(_report_algebra, _analyze_report, _check_betti_size))
 
     p_forms = sub.add_parser("forms", help="components of the degree-k trace form")
     p_forms.add_argument("source")
     p_forms.add_argument("--degree", type=int, required=True)
     add_format(p_forms)
-    p_forms.set_defaults(func=partial(_report_algebra, _forms_report, None))
+    p_forms.set_defaults(func=partial(_report_algebra, _forms_report, _check_forms_size))
 
     p_coh = sub.add_parser("cohomology", help="Betti number and trace-form class in degree k")
     p_coh.add_argument("source")
     p_coh.add_argument("--degree", type=int, required=True)
     add_format(p_coh)
-    p_coh.set_defaults(func=partial(_report_algebra, _cohomology_report, BETTI_DIM_CAP))
+    p_coh.set_defaults(func=partial(_report_algebra, _cohomology_report, _check_betti_size))
 
     p_curv = sub.add_parser("curvature", help="lattice curvature statistics for a catalog frame")
     p_curv.add_argument("--frame", required=True, help="catalog frame name")

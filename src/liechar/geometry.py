@@ -415,7 +415,8 @@ class LocalGroupMultiplication:
     identity: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.identity, dtype=float)
+        e = np.array(self.identity, dtype=float)  # a copy, so freezing it leaves the caller's array writable
+        e.flags.writeable = False
         object.__setattr__(self, "identity", e)
         if not self.chart.contains(e, margin=2 * self.chart.h):
             raise ValueError("identity must be interior to the chart")

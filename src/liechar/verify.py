@@ -3,6 +3,11 @@
 Each check is a deterministic pass/fail probe of one mathematical
 invariant, sized for quick runs; the full test suite exercises the same
 identities with larger sample counts.
+
+The checks read catalog entries that are built once per process and then
+shared. A build that fails is not kept, so it fails again on every lookup:
+catalog.all_entries_validate still means that every entry builds and
+validates, even after an earlier check has looked entries up.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ def _rational_vectors(rng: np.random.Generator, dim: int, count: int) -> list[li
 
 
 def _payloads(kind: str) -> list[tuple[str, Any]]:
-    """(name, payload) of every catalog entry of one kind, building only those."""
-    names = [qualified.split(":", 1)[1] for qualified in catalog.list_names() if qualified.startswith(f"{kind}:")]
-    return [(name, catalog.get(name, kind=kind).payload) for name in names]
+    """(name, payload) of every catalog entry of one kind, building only those, once."""
+    entries = [catalog.get(qualified) for qualified in catalog.list_names() if qualified.startswith(f"{kind}:")]
+    return [(entry.name, entry.payload) for entry in entries]
 
 
 def _poly_field(rng: np.random.Generator, n: int) -> jets.VectorField:
@@ -337,9 +342,7 @@ def suite_catalog() -> list[CheckResult]:
     def entries_build():
         names = catalog.list_names()
         assert len(names) == len(set(names)), "duplicate catalog names"
-        for qualified in names:
-            kind, name = qualified.split(":", 1)
-            catalog.get(name, kind=kind)
+        catalog.list_entries()
 
     def associativity():
         for name, mult in _payloads("multiplication"):

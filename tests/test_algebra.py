@@ -149,12 +149,18 @@ def test_basis_ad_equals_ad_of_the_basis_vectors(alg: LieAlgebra) -> None:
 
 
 def test_basis_ad_is_cached_outside_equality_and_returns_fresh_rows() -> None:
-    g, fresh = sl2(), sl2()
+    # built here, not looked up: the catalog shares one sl2, whose cache
+    # any earlier test may already have filled
+    def own_sl2() -> LieAlgebra:
+        return lie_algebra(3, {(1, 2, 1): -2, (1, 3, 2): 1, (2, 3, 3): -2}, names=("X", "H", "Y"))
+
+    g, fresh = own_sl2(), own_sl2()
+    assert g == sl2()
     first = g.basis_ad()
     first[0][0][0] = F(99)
     first[1].append([F(1)])
     assert g.basis_ad() == fresh.basis_ad() != first
-    assert g == sl2() and "_basis_ad" in vars(g) and "_basis_ad" not in vars(sl2())
+    assert g == own_sl2() and "_basis_ad" in vars(g) and "_basis_ad" not in vars(own_sl2())
 
 
 @settings(max_examples=100, deadline=None)

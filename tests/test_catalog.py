@@ -103,3 +103,39 @@ def test_identity_frames_cover_dimensions_one_through_six() -> None:
         assert frame.chart.dim == n
         x = np.zeros(n)
         assert np.array_equal(frame.matrix(x), np.eye(n))
+
+
+def test_each_entry_is_built_once_and_shared() -> None:
+    entries = catalog.list_entries()
+    for qualified, entry in zip(catalog.list_names(), entries):
+        kind, name = qualified.split(":", 1)
+        assert catalog.get(name, kind=kind) is catalog.get(name, kind=kind) is entry
+        assert catalog.get(qualified) is entry
+    assert all(again is entry for again, entry in zip(catalog.list_entries(), entries))
+
+
+def test_a_failing_build_is_not_kept(monkeypatch) -> None:
+    builds = []
+
+    def broken():
+        builds.append(1)
+        raise ValueError("frame is singular")
+
+    monkeypatch.setitem(catalog._TABLE, ("frame", "broken"), ("never builds", broken))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="singular"):
+            catalog.get("frame:broken")
+    assert len(builds) == 2
+
+
+def test_multiplication_identity_is_a_read_only_copy() -> None:
+    shared = catalog.get("multiplication:abelian(3)").payload
+    with pytest.raises(ValueError):
+        shared.identity[0] = 1.0
+    assert np.array_equal(shared.identity, np.zeros(3))
+    template = catalog.get("affine_group", kind="multiplication").payload
+    own = np.array([1.0, 0.0])
+    mult = LocalGroupMultiplication(chart=template.chart, multiply=template.multiply, identity=own)
+    assert own.flags.writeable and not mult.identity.flags.writeable
+    own[0] = 2.0
+    assert np.array_equal(mult.identity, [1.0, 0.0])

@@ -10,9 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from liechar import catalog, cohomology
+from liechar import catalog, cohomology, forms
 from liechar.algebra import LieAlgebra, lie_algebra
-from liechar.cli import CURVATURE_LATTICE_CAP, run
+from liechar.cli import CURVATURE_LATTICE_CAP, FORMS_COMPONENT_CAP, run
 from liechar.jets import Chart
 from liechar.fileformat import serialize_algebra
 
@@ -141,7 +141,8 @@ def test_oversized_input_exits_two_before_jacobi(capsys, monkeypatch, tmp_path, 
 
 
 def test_forms_checks_jacobi_on_a_sparse_sixty_dimensional_file(capsys, tmp_path) -> None:
-    # forms has no size cap; Jacobi visits only the triples through nonzero brackets
+    # forms caps its output, not the dimension; Jacobi visits only the triples
+    # through nonzero brackets
     path = tmp_path / "sparse60.lie"
     path.write_text("dim 60\n1 2 3 1\n")
     code, out, err = invoke(capsys, "forms", str(path), "--degree", "1")
@@ -222,6 +223,21 @@ def test_forms_fractional_component(capsys, tmp_path) -> None:
     code, out, _ = invoke(capsys, "forms", str(path), "--degree", "1")
     assert code == 0
     assert json.loads(out)["components"] == {"1": "1/2", "2": "0"}
+
+
+def test_forms_refuses_oversized_output_before_jacobi_and_trace_form(capsys, monkeypatch, tmp_path) -> None:
+    calls = []
+    monkeypatch.setattr(forms, "trace_form", lambda alg, k: calls.append(k))
+    monkeypatch.setattr(LieAlgebra, "validate", lambda self: calls.append("validate"))
+    path = tmp_path / "wide.lie"
+    path.write_text("dim 200\n1 2 2 1\n")
+    count = math.comb(200, 4)
+    assert count > FORMS_COMPONENT_CAP >= math.comb(60, 3)
+    code, out, err = invoke(capsys, "forms", str(path), "--degree", "4")
+    assert code == 2
+    assert out == ""
+    assert f"{count} components" in err and "over the cap" in err
+    assert calls == []
 
 
 def test_forms_degree_out_of_range_exits_two(capsys) -> None:
@@ -398,6 +414,23 @@ def test_catalog_show(capsys) -> None:
     code, out, _ = invoke(capsys, "catalog", "show", "sl2")
     assert code == 0
     assert "definition" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    ("name", "dim", "lower", "upper", "identity"),
+    [
+        ("multiplication:abelian(3)", 3, [-1.0] * 3, [1.0] * 3, [0.0] * 3),
+        ("borel_sl2_group", 2, [0.5, -1.0], [2.5, 1.0], [1.0, 0.0]),
+    ],
+)
+def test_catalog_show_multiplication(capsys, name, dim, lower, upper, identity) -> None:
+    code, out, _ = invoke(capsys, "catalog", "show", name)
+    assert code == 0
+    report = json.loads(out)
+    assert report["kind"] == "multiplication"
+    assert report["dim"] == dim
+    assert report["chart"] == {"lower": lower, "upper": upper, "h": 0.001}
+    assert report["identity"] == identity
 
 
 def test_catalog_show_unknown_exits_two(capsys) -> None:
