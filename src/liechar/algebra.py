@@ -186,15 +186,17 @@ class LieAlgebra:
 
     def validate(self) -> ValidationReport:
         """Check every Jacobi identity (antisymmetry holds by construction) on
-        the triples through a nonzero bracket, the only ones that can fail;
-        violations (i, j, k, m) come in lexicographic order. The sums run in
-        integers, on the constants scaled by the lcm of their denominators."""
+        the triples (i, j, r) with [e_i, e_j] != 0 and e_r in some nonzero
+        bracket, the only ones that can fail: every bracket with any other e_r
+        vanishes. Violations (i, j, k, m) come in lexicographic order. The sums
+        run in integers, on the constants scaled by the lcm of the denominators."""
         rows = self._scaled_bracket_rows()[1]
+        paired = {index for pair in rows for index in pair}
         # (i, j) runs over the pairs i < j, so (i, j, r) sorts without sorted()
         triples = {
             (r, i, j) if r < i else (i, r, j) if r < j else (i, j, r)
             for i, j in rows
-            for r in range(1, self.dim + 1)
+            for r in paired
             if r != i and r != j
         }
         rows.update({(j, i): [(k, -x) for k, x in row] for (i, j), row in list(rows.items())})

@@ -102,7 +102,9 @@ def _check_betti_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
 
 
 def _check_forms_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
-    if args.degree >= 0 and (count := comb(alg.dim, args.degree)) > FORMS_COMPONENT_CAP:
+    if not 1 <= args.degree <= alg.dim:
+        raise CliError(f"degree {args.degree} outside [1, {alg.dim}]")
+    if (count := comb(alg.dim, args.degree)) > FORMS_COMPONENT_CAP:
         raise CliError(
             f"degree {args.degree} in dimension {alg.dim} gives {count} components,"
             f" over the cap of {FORMS_COMPONENT_CAP}"
@@ -144,10 +146,7 @@ def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dic
 
 
 def _forms_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
-    try:
-        form = forms.trace_form(alg, args.degree)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    form = forms.trace_form(alg, args.degree)
     components = {_subset_key(subset): str(value) for subset, value in sorted(form.components.items())}
     for subset in cohomology.cochain_basis(alg.dim, args.degree):
         components.setdefault(_subset_key(subset), "0")

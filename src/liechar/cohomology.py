@@ -23,12 +23,20 @@ cell of d_k joins two subsets of equal weight, so only the weight-zero
 rows and columns are ever built. A basis with no toral vector, such as
 so3's or any dense one, has every cochain at weight zero and is ranked
 whole. Inside the subcomplex, d_0, d_1, ... are ranked in order and each
-d_k only on the columns that are not kept (pivot) rows of d_{k-1}; since
-d_k o d_{k-1} = 0 this loses no rank. Both steps need d o d = 0, that is
+d_k only on the columns that are not kept (pivot) rows of d_{k-1}: those
+rows are independent, so the other coordinate vectors and im d_{k-1} span
+C^k_0, and d_k vanishes on im d_{k-1}. Both steps need d o d = 0, that is
 Jacobi.
 
-betti(alg, k) keeps the full ranks of d_k and d_{k-1}, and tests hold the
-two routes equal.
+The trace-form classes (class_report, betti_and_class) are solved on the
+same weight-zero d_k and d_{k-1}, with the full bases' results: trace forms
+are ad-invariant, so of weight zero; the full d_{k-1} is block-diagonal by
+weight, its weight-zero columns in the subcomplex's order; and the
+reduced-echelon solution of linalg.sparse_solve (free columns at 0) is 0
+off weight zero and the subcomplex solve on it. _solve refuses a form with
+a component outside the rows of d_{k-1}, so a trace form that is not a
+weight-zero cocycle raises ValueError. betti, is_closed and is_exact keep
+the full bases, as the references of the tests.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from math import comb
 
 from . import linalg
 from .algebra import LieAlgebra
-from .forms import AlternatingForm, trace_form
+from .forms import AlternatingForm, trace_form, trace_forms
 
 # Betti tables, in-process on a 2-vCPU shared host (Python 3.11.7). In
 # matrix-unit bases, on the weight-zero subcomplex: b4+C^3 (dim 13) 6 ms,
@@ -164,13 +172,20 @@ def _check_betti_size(alg: LieAlgebra) -> None:
         raise ValueError(f"dimension {alg.dim} exceeds the Betti cap {BETTI_DIM_CAP}")
 
 
+def _require_jacobi(alg: LieAlgebra) -> None:
+    violations = alg.validate().violations
+    if violations:
+        raise ValueError(f"Jacobi identity fails at (i, j, k, m) = {violations[0]}: no cochain complex")
+
+
 def _differential(alg: LieAlgebra, k: int) -> DifferentialMatrix | None:
     """d_k; None below degree 0 and in degree dim, where it maps to nothing."""
     return differential_matrix(alg, k) if 0 <= k < alg.dim else None
 
 
-def _betti(alg: LieAlgebra, k: int, d_k: DifferentialMatrix | None, d_prev: DifferentialMatrix | None) -> int:
-    return comb(alg.dim, k) - (d_k.rank() if d_k else 0) - (d_prev.rank() if d_prev else 0)
+def _weight_zero_differential(alg: LieAlgebra, k: int) -> DifferentialMatrix:
+    """d_k on the weight-zero cochains, 0 <= k <= dim; d_dim has no rows."""
+    return subcomplex_differential(alg, k, weight_zero_cochains(alg, k + 1), weight_zero_cochains(alg, k))
 
 
 def betti(alg: LieAlgebra, k: int) -> int:
@@ -179,34 +194,19 @@ def betti(alg: LieAlgebra, k: int) -> int:
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} outside [0, {n}]")
     _check_betti_size(alg)
-    return _betti(alg, k, _differential(alg, k), _differential(alg, k - 1))
+    d_k, d_prev = _differential(alg, k), _differential(alg, k - 1)
+    return comb(n, k) - (d_k.rank() if d_k else 0) - (d_prev.rank() if d_prev else 0)
 
 
 def betti_table(alg: LieAlgebra, max_degree: int | None = None) -> list[int]:
-    """Betti numbers in degrees 0..max_degree (default and at most dim).
-
-    Ranks each d_k only on the cochains of joint weight zero under the toral
-    basis vectors (weight_zero_cochains). Two toral vectors h_s, h_t commute,
-    since [h_s, h_t] is a multiple of both, so each has joint weight 0 and
-    its contraction i_h preserves every joint weight space; on a space where
-    some weight is lambda != 0, the Cartan formula L_h = d i_h + i_h d makes
-    lambda * id null-homotopic, so that space is acyclic (Hochschild-Serre).
-    A cell of d_k joins two subsets of equal weight, so the weight-zero rows
-    reach only weight-zero columns and nothing else is built.
-
-    Inside that subcomplex it ranks d_0, d_1, ... in order, and each d_k
-    only on the cochains that are not pivot rows of d_{k-1}. Those pivot rows
-    are independent rows of d_{k-1}, so the other coordinate vectors and
-    im d_{k-1} together span the cochains, and d_k vanishes on im d_{k-1}.
-    Both steps need d o d = 0, which holds exactly when the bracket satisfies
-    Jacobi: a bracket that does not raises ValueError naming the first
-    violation.
-    """
+    """Betti numbers in degrees 0..max_degree (default and at most dim), each
+    d_k ranked on the weight-zero subcomplex and only on the cochains that are
+    not pivot rows of d_{k-1}, as the module docstring sets out. Both steps
+    need d o d = 0, so a bracket that fails Jacobi raises ValueError naming
+    the first violation."""
     n = alg.dim
     _check_betti_size(alg)
-    violations = alg.validate().violations
-    if violations:
-        raise ValueError(f"Jacobi identity fails at (i, j, k, m) = {violations[0]}: no cochain complex")
+    _require_jacobi(alg)
     top = n if max_degree is None else min(max_degree, n)
     cochains = weight_zero_cochains(alg, 0)
     sizes = [len(cochains)]
@@ -227,10 +227,7 @@ def betti_table(alg: LieAlgebra, max_degree: int | None = None) -> list[int]:
 def is_closed(alg: LieAlgebra, form: AlternatingForm) -> bool:
     if form.dim != alg.dim:
         raise ValueError("form dimension does not match the algebra")
-    return _closed(_differential(alg, form.degree), form)
-
-
-def _closed(d_k: DifferentialMatrix | None, form: AlternatingForm) -> bool:
+    d_k = _differential(alg, form.degree)
     return d_k is None or not any(d_k.apply(form))
 
 
@@ -248,11 +245,14 @@ def is_exact(alg: LieAlgebra, form: AlternatingForm) -> tuple[bool, AlternatingF
 def _solve(
     alg: LieAlgebra, d_prev: DifferentialMatrix | None, form: AlternatingForm
 ) -> tuple[bool, AlternatingForm | None]:
-    """is_exact for a closed form, given d_prev = d_{degree-1} (None in degree 0)."""
+    """is_exact for a closed form, given d_prev = d_{degree-1} (None in degree 0);
+    a form with a component outside d_prev.row_basis raises ValueError."""
     if d_prev is None:
         zero = form.is_zero()
         return zero, (AlternatingForm(0, alg.dim, {}) if zero else None)
     target = form.component_vector(d_prev.row_basis)
+    if sum(map(bool, target)) != len(form.components):
+        raise ValueError("form has a component of nonzero weight")
     solution = linalg.sparse_solve(d_prev.nonzeros, len(d_prev.col_basis), target)
     if solution is None:
         return False, None
@@ -270,43 +270,45 @@ STATUS_EXACT = "exact"
 STATUS_NONZERO_CLASS = "nonzero class"
 
 
-def trace_class(alg: LieAlgebra, k: int) -> tuple[str, AlternatingForm | None]:
-    """Status of the degree-k trace form's class, with a primitive when exact.
-
-    Trace forms of a Jacobi-valid algebra are cocycles; a trace form that is
-    not raises ValueError.
-    """
-    form = trace_form(alg, k)
-    if form.is_zero():
-        return STATUS_ZERO, None
-    return _classify(alg, form, _differential(alg, k), _differential(alg, k - 1))
-
-
 def _classify(
-    alg: LieAlgebra, form: AlternatingForm, d_k: DifferentialMatrix | None, d_prev: DifferentialMatrix | None
+    alg: LieAlgebra, form: AlternatingForm, d_k: DifferentialMatrix, d_prev: DifferentialMatrix
 ) -> tuple[str, AlternatingForm | None]:
-    """trace_class of a nonzero trace form, given d_k and d_{k-1}."""
-    if not _closed(d_k, form):
+    """Status of a nonzero trace form's class, with a primitive when exact, given
+    the weight-zero d_k and d_{k-1}; raises ValueError off weight-zero cocycles."""
+    if any(d_k.apply(form)):
         raise ValueError("exactness asked for a non-closed form")
     exact, primitive = _solve(alg, d_prev, form)
     return (STATUS_EXACT if exact else STATUS_NONZERO_CLASS), primitive
 
 
 def betti_and_class(alg: LieAlgebra, k: int) -> tuple[int, str, AlternatingForm | None]:
-    """betti(alg, k) and trace_class(alg, k) for 1 <= k <= dim, from one
-    build each of d_k and d_{k-1}."""
+    """betti(alg, k) and the degree-k trace form's class status and primitive
+    (None unless exact), 1 <= k <= dim, from one build each of the weight-zero
+    d_k and d_{k-1}. A bracket that fails Jacobi raises ValueError."""
     n = alg.dim
     if not 1 <= k <= n:
         raise ValueError(f"degree {k} outside [1, {n}]")
     _check_betti_size(alg)
-    d_k, d_prev = _differential(alg, k), _differential(alg, k - 1)
+    _require_jacobi(alg)
+    d_k, d_prev = _weight_zero_differential(alg, k), _weight_zero_differential(alg, k - 1)
     form = trace_form(alg, k)
     status, primitive = (STATUS_ZERO, None) if form.is_zero() else _classify(alg, form, d_k, d_prev)
-    return _betti(alg, k, d_k, d_prev), status, primitive
+    return len(d_prev.row_basis) - d_k.rank() - d_prev.rank(), status, primitive
 
 
 def class_report(alg: LieAlgebra, max_degree: int | None = None) -> dict[int, str]:
     """Status of the odd trace-form classes in every degree 2k+1 <= max_degree
-    (default and at most dim)."""
+    (default and at most dim), from one trace_forms recursion. A bracket that
+    fails Jacobi raises ValueError."""
     top = alg.dim if max_degree is None else min(max_degree, alg.dim)
-    return {degree: trace_class(alg, degree)[0] for degree in range(1, top + 1, 2)}
+    degrees = range(1, top + 1, 2)
+    if not degrees:
+        return {}
+    _require_jacobi(alg)
+    forms = trace_forms(alg, degrees[-1])
+    report = dict.fromkeys(degrees, STATUS_ZERO)
+    for k in degrees:
+        if not forms[k].is_zero():
+            d_k, d_prev = _weight_zero_differential(alg, k), _weight_zero_differential(alg, k - 1)
+            report[k] = _classify(alg, forms[k], d_k, d_prev)[0]
+    return report

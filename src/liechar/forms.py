@@ -5,15 +5,16 @@ The degree-k trace form on basis vectors (e_{i_1}, ..., e_{i_k}) is
     (1/k) * sum over permutations s of sgn(s) * tr(ad e_{i_s(1)} . ... . ad e_{i_s(k)})
 
 with normalization 1/k, not 1/k!; the k=3 form factors through the Killing
-form as kappa(x, [y, z]) and vanishes identically in every even degree.
+form as kappa(x, [y, z]), and every even-degree form vanishes by cyclicity.
 
 The k!-term sum is never expanded. The alternating product of an index
 tuple J, A_J = sum over s of sgn(s) * ad e_{j_s(0)} . ... . ad e_{j_s(m-1)},
 splits on its first factor as A_J = sum_p (-1)^p * ad e_{j_p} . A_{J minus j_p},
-and w_k(I) = (1/k) * sum_p (-1)^p * tr(ad e_{i_p} . A_{I minus i_p}). Both
-sums vanish where every face does, so trace_form keeps only the nonzero A_J
-of each level as sparse integer maps {row: {col: value}} and visits only the
-subsets J' + {i} with A_{J'} and ad e_i nonzero, dropping cancelled cells.
+and w_m(J) = tr(A_J)/m. Both vanish where every face does, so trace_forms
+keeps only the nonzero A_J of each level as sparse integer maps
+{row: {col: value}}, visits only the subsets J' + {i} with A_{J'} and ad e_i
+nonzero, and drops cancelled cells. It traces the top level k unbuilt, as
+w_k(I) = (1/k) * sum_p (-1)^p * tr(ad e_{i_p} . A_{I minus i_p}).
 """
 
 from __future__ import annotations
@@ -90,17 +91,22 @@ class AlternatingForm:
         return total
 
 
-def trace_form(alg: LieAlgebra, k: int) -> AlternatingForm:
-    """Degree-k trace form of the adjoint representation, exactly."""
-    if not 1 <= k <= alg.dim:
-        raise ValueError(f"degree {k} outside [1, {alg.dim}]")
-    if k == 1:
-        return w1_character(alg)
+def trace_forms(alg: LieAlgebra, top: int) -> dict[int, AlternatingForm]:
+    """Trace forms of degrees 1..top from one recursion: each degree below top
+    read off its level as that is built, the top level traced unbuilt."""
+    if not 1 <= top <= alg.dim:
+        raise ValueError(f"degree {top} outside [1, {alg.dim}]")
     scale, ads = alg.sparse_ad  # integers: level m holds scale^m * A_J
     level = {(i,): {r: dict(row) for r, row in rows.items()} for i, rows in ads.items()}
-    for _ in range(2, k):
+    traces = [{subset: sum(cells.get(r, 0) for r, cells in rows.items()) for subset, rows in level.items()}]
+    for m in range(2, top + 1):
         products: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
+        totals: dict[tuple[int, ...], int] = {}
         for subset, sign, rows, lower in _cofaces(ads, level):
+            if m == top:  # tr(ad e_i . A_rest) without forming the product
+                term = sum(x * lower[t][r] for r, row in rows.items() for t, x in row if r in lower.get(t, ()))
+                totals[subset] = totals.get(subset, 0) + sign * term
+                continue
             out = products.setdefault(subset, {})
             for r, row in rows.items():
                 cells = out.setdefault(r, {})
@@ -111,13 +117,21 @@ def trace_form(alg: LieAlgebra, k: int) -> AlternatingForm:
         for subset, out in products.items():
             if kept := {r: nz for r, cells in out.items() if (nz := {c: v for c, v in cells.items() if v})}:
                 level[subset] = kept
-    totals: dict[tuple[int, ...], int] = {}
-    for subset, sign, rows, lower in _cofaces(ads, level):
-        # tr(ad e_i . A_rest) without forming the product
-        term = sum(x * lower[t][r] for r, row in rows.items() for t, x in row if r in lower.get(t, ()))
-        totals[subset] = totals.get(subset, 0) + sign * term
-    components = {subset: Fraction(v, k * scale**k) for subset, v in sorted(totals.items()) if v}
-    return AlternatingForm(degree=k, dim=alg.dim, components=components)
+                totals[subset] = sum(cells.get(r, 0) for r, cells in kept.items())
+        traces.append(totals)
+    return {
+        m: AlternatingForm(degree=m, dim=alg.dim, components={s: Fraction(v, m * scale**m) for s, v in t.items()})
+        for m, t in enumerate(traces, 1)
+    }
+
+
+def trace_form(alg: LieAlgebra, k: int) -> AlternatingForm:
+    """Degree-k trace form of the adjoint representation, exactly: degree k of
+    trace_forms. An even degree, or one above the number of nonzero adjoints
+    (so that every k-subset meets a zero one), is 0 without the recursion."""
+    if 1 <= k <= alg.dim and (k % 2 == 0 or k > len(alg.sparse_ad[1])):
+        return AlternatingForm(degree=k, dim=alg.dim, components={})
+    return trace_forms(alg, k)[k]
 
 
 def _cofaces(ads: dict, level: dict):
@@ -131,9 +145,7 @@ def _cofaces(ads: dict, level: dict):
 
 def w1_character(alg: LieAlgebra) -> AlternatingForm:
     """Degree-1 form e_i -> tr(ad e_i), the adjoint character."""
-    scale, ads = alg.sparse_ad
-    components = {(i,): Fraction(sum(dict(row).get(r, 0) for r, row in rows.items()), scale) for i, rows in ads.items()}
-    return AlternatingForm(degree=1, dim=alg.dim, components=components)
+    return trace_forms(alg, 1)[1]
 
 
 def w3_killing(alg: LieAlgebra, x: Vector, y: Vector, z: Vector) -> Fraction:

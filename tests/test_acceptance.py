@@ -137,11 +137,13 @@ def test_criterion_03_degree3_vanishing_iff_solvable() -> None:
 
 
 def test_criterion_04_even_degree_trace_forms_vanish() -> None:
+    # through the recursion, which trace_form skips in even degrees
     for name, alg in algebras():
+        computed = forms.trace_forms(alg, min(alg.dim, 4))
         if alg.dim >= 2:
-            assert forms.trace_form(alg, 2).is_zero(), name
+            assert computed[2].is_zero(), name
         if alg.dim >= 4:
-            assert forms.trace_form(alg, 4).is_zero(), name
+            assert computed[4].is_zero(), name
 
 
 def test_criterion_05_odd_trace_forms_are_closed() -> None:

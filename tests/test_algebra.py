@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liechar import catalog, linalg
@@ -134,6 +134,8 @@ def drawn_constants(draw) -> LieAlgebra:
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.sampled_from(CATALOG_ALGEBRAS), drawn_constants()))
+# one violation, (1, 3, 5, 3), and e2, e4, e6 in no bracket
+@example(lie_algebra(6, {(1, 3, 1): 1, (1, 5, 3): 1}))
 def test_sparse_jacobi_matches_the_dense_loop(alg: LieAlgebra) -> None:
     report = alg.validate()
     assert report.violations == dense_jacobi_violations(alg)

@@ -105,18 +105,24 @@ def test_analyze_dimension_nine_reports_every_odd_class(capsys, tmp_path) -> Non
 
 
 def test_analyze_max_degree_limits_trace_forms(capsys, monkeypatch) -> None:
-    degrees = []
-    trace_form = cohomology.trace_form
+    # one recursion per analyze, up to the largest odd degree it reports
+    tops = []
+    trace_forms = cohomology.trace_forms
 
-    def counted(alg, k):
-        degrees.append(k)
-        return trace_form(alg, k)
+    def counted(alg, top):
+        tops.append(top)
+        return trace_forms(alg, top)
 
-    monkeypatch.setattr(cohomology, "trace_form", counted)
+    monkeypatch.setattr(cohomology, "trace_forms", counted)
+    monkeypatch.setattr(cohomology, "trace_form", None)
     code, out, _ = invoke(capsys, "analyze", "catalog:sl2", "--max-degree", "1")
     assert code == 0
     assert json.loads(out)["classes"] == {"1": "zero form"}
-    assert degrees == [1]
+    assert tops == [1]
+    code, out, _ = invoke(capsys, "analyze", "catalog:sl2_plus_abelian2", "--max-degree", "4")
+    assert code == 0
+    assert json.loads(out)["classes"] == {"1": "zero form", "3": "nonzero class"}
+    assert tops == [1, 3]
 
 
 def test_analyze_negative_max_degree_exits_two(capsys) -> None:
@@ -246,6 +252,20 @@ def test_forms_degree_out_of_range_exits_two(capsys) -> None:
     assert err != ""
 
 
+@pytest.mark.parametrize("degree", ["0", "-1", "1000001"])
+def test_forms_refuses_a_degree_out_of_range_before_jacobi(capsys, monkeypatch, tmp_path, degree) -> None:
+    def refuse(self):
+        raise AssertionError("validate ran for a degree out of range")
+
+    monkeypatch.setattr(LieAlgebra, "validate", refuse)
+    path = tmp_path / "huge.lie"
+    path.write_text("dim 1000000\n1 2 2 1\n")
+    code, out, err = invoke(capsys, "forms", str(path), "--degree", degree)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: degree {degree} outside [1, 1000000]\n"
+
+
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
@@ -302,15 +322,17 @@ def test_cohomology_reports_class_in_degree_eight(capsys, tmp_path) -> None:
 
 
 def test_cohomology_builds_each_differential_once(capsys, monkeypatch) -> None:
-    # betti and the class of w3 share one build each of d_3 and d_2
+    # betti and the class of w3 share one build each of the weight-zero d_3
+    # and d_2, and nothing builds a full-basis differential
     built = []
-    differential_matrix = cohomology.differential_matrix
+    subcomplex_differential = cohomology.subcomplex_differential
 
-    def recording(alg, k):
+    def recording(alg, k, row_basis, col_basis):
         built.append(k)
-        return differential_matrix(alg, k)
+        return subcomplex_differential(alg, k, row_basis, col_basis)
 
-    monkeypatch.setattr(cohomology, "differential_matrix", recording)
+    monkeypatch.setattr(cohomology, "subcomplex_differential", recording)
+    monkeypatch.setattr(cohomology, "differential_matrix", None)
     code, out, _ = invoke(capsys, "cohomology", str(BENCH_INPUTS / "sl3.txt"), "--degree", "3")
     assert code == 0
     assert json.loads(out)["w_status"] == "nonzero class"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from liechar import catalog, linalg
+from liechar import catalog, cohomology, linalg
 from liechar.algebra import LieAlgebra, lie_algebra
 from liechar.cohomology import (
     BETTI_DIM_CAP,
@@ -26,7 +26,6 @@ from liechar.cohomology import (
     is_closed,
     is_exact,
     subcomplex_differential,
-    trace_class,
     weight_zero_cochains,
 )
 from liechar.fileformat import parse_algebra
@@ -408,9 +407,9 @@ def test_coboundary_primitive_equals_unsplit_solve(data) -> None:
 
 def basis_free_invariants(g: LieAlgebra) -> tuple:
     """Killing signature, structure flags and the trace-class status in every
-    degree; the statuses go through the sparse solve."""
+    degree; the statuses go through the weight-zero sparse solve."""
     flags = (g.is_solvable(), g.is_nilpotent(), g.is_semisimple(), g.is_unimodular())
-    statuses = [trace_class(g, k)[0] for k in range(1, g.dim + 1)]
+    statuses = [betti_and_class(g, k)[1] for k in range(1, g.dim + 1)]
     return linalg.symmetric_signature(g.killing()), flags, statuses
 
 
@@ -551,16 +550,108 @@ def test_mixed_basis_has_only_the_toral_vectors_of_its_weight_summand() -> None:
     assert betti_table(total) == full_rank_table(total) == poincare_product([1, 1, 0, 1, 1], [1, 0, 0, 1])
 
 
-def test_betti_and_class_equals_betti_and_trace_class() -> None:
-    algebras = {**CATALOG_ALGEBRAS, **{path.stem: parse_algebra(path.read_text()) for path in BENCH_INPUTS}}
-    for name, g in algebras.items():
-        if g.dim > 10:
-            continue
+def full_route_class(g: LieAlgebra, k: int) -> tuple[str, dict | None]:
+    """Status of the degree-k trace form's class and its primitive's
+    components from the full-basis is_exact (which refuses a non-closed form):
+    the reference for the weight-zero class solves."""
+    form = trace_form(g, k)
+    if form.is_zero():
+        return STATUS_ZERO, None
+    ok, primitive = is_exact(g, form)
+    return (STATUS_EXACT if ok else STATUS_NONZERO_CLASS), (primitive.components if ok else None)
+
+
+ALGEBRAS_UP_TO_DIM_10 = {
+    **CATALOG_ALGEBRAS,
+    **{path.stem: parse_algebra(path.read_text()) for path in BENCH_INPUTS if path.stem != "b4_C3"},
+}
+
+
+def test_betti_and_class_equals_the_full_reference_route() -> None:
+    assert max(g.dim for g in ALGEBRAS_UP_TO_DIM_10.values()) == 10
+    for name, g in ALGEBRAS_UP_TO_DIM_10.items():
         for k in range(1, g.dim + 1):
             b, status, primitive = betti_and_class(g, k)
-            expected_status, expected_primitive = trace_class(g, k)
-            assert (b, status) == (betti(g, k), expected_status), (name, k)
-            assert (primitive and primitive.components) == (expected_primitive and expected_primitive.components)
+            assert (b, status, primitive and primitive.components) == (betti(g, k), *full_route_class(g, k)), (name, k)
+
+
+def test_class_report_equals_the_full_reference_route() -> None:
+    for name, g in ALGEBRAS_UP_TO_DIM_10.items():
+        expected = {k: full_route_class(g, k)[0] for k in range(1, g.dim + 1, 2)}
+        assert class_report(g) == expected, name
+
+
+def weight_zero_coboundary(g: LieAlgebra, k: int, seed: int) -> AlternatingForm:
+    """d(mu) for a seeded weight-zero (k-1)-cochain mu with entries in -2..2."""
+    rng = random.Random(seed)
+    d_prev = cohomology._weight_zero_differential(g, k - 1)
+    mu = AlternatingForm(k - 1, g.dim, {subset: Fraction(rng.randint(-2, 2)) for subset in d_prev.col_basis})
+    return AlternatingForm(k, g.dim, dict(zip(d_prev.row_basis, d_prev.apply(mu))))
+
+
+def assert_weight_zero_solves_equal_the_full_route(g: LieAlgebra) -> None:
+    """The weight-zero solve of each nonzero trace form and of a weight-zero
+    coboundary in every degree gives is_exact's status and primitive."""
+    for k in range(1, g.dim + 1):
+        d_prev = cohomology._weight_zero_differential(g, k - 1)
+        for form in (trace_form(g, k), weight_zero_coboundary(g, k, seed=k)):
+            if form.is_zero():
+                continue
+            ok, primitive = cohomology._solve(g, d_prev, form)
+            expected_ok, expected = is_exact(g, form)
+            assert (ok, primitive and primitive.components) == (expected_ok, expected and expected.components), k
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS_UP_TO_DIM_10))
+def test_weight_zero_primitives_equal_the_full_primitives(name) -> None:
+    assert_weight_zero_solves_equal_the_full_route(ALGEBRAS_UP_TO_DIM_10[name])
+
+
+def test_weight_zero_primitives_of_a_toral_plus_dense_sum() -> None:
+    total = direct_sum(bench_input("gl2"), change_basis(bench_input("sl2"), seeded_unipotent(3, 1)))
+    assert total.toral_weights
+    assert_weight_zero_solves_equal_the_full_route(total)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_weight_zero_primitives_under_unipotent_basis_change(data) -> None:
+    # the changed summand has every cochain at weight zero, the matrix-unit
+    # one keeps its toral vectors
+    a = data.draw(st.one_of(st.sampled_from(MATRIX_UNIT_ALGEBRAS), upper_triangular_algebras(4)))
+    b = data.draw(small_algebras(3))
+    total = direct_sum(a, change_basis(b, data.draw(unipotent_matrices(b.dim))))
+    assert_weight_zero_solves_equal_the_full_route(total)
+
+
+def test_solve_refuses_a_form_with_a_component_of_nonzero_weight() -> None:
+    # d(e^E12) is exact in the full complex, but lies off weight zero: the
+    # weight-zero solve refuses it rather than solving for nothing
+    g = bench_input("gl2")
+    d_1 = cohomology._weight_zero_differential(g, 1)
+    off = next(subset for subset in cochain_basis(g.dim, 1) if subset not in d_1.col_basis)
+    full_d_1 = differential_matrix(g, 1)
+    image = full_d_1.apply(AlternatingForm(1, g.dim, {off: Fraction(1)}))
+    form = AlternatingForm(2, g.dim, dict(zip(full_d_1.row_basis, image)))
+    assert not form.is_zero() and is_exact(g, form)[0]
+    with pytest.raises(ValueError, match="nonzero weight"):
+        cohomology._solve(g, d_1, form)
+
+
+def test_class_report_builds_each_weight_zero_differential_once(monkeypatch) -> None:
+    built = []
+
+    def recording(alg, k, row_basis, col_basis):
+        built.append(k)
+        return subcomplex_differential(alg, k, row_basis, col_basis)
+
+    monkeypatch.setattr(cohomology, "subcomplex_differential", recording)
+    monkeypatch.setattr(cohomology, "differential_matrix", None)
+    # w1 of affine1 and w3 of gl3 are nonzero classes, every other odd form is 0
+    g = direct_sum(CATALOG_ALGEBRAS["affine1"], bench_input("gl3"))
+    expected = {k: STATUS_ZERO for k in range(5, 12, 2)}
+    assert class_report(g) == {1: STATUS_NONZERO_CLASS, 3: STATUS_NONZERO_CLASS, **expected}
+    assert sorted(built) == [0, 1, 2, 3]
 
 
 def dense_series_flags(g: LieAlgebra) -> tuple[bool, bool]:

@@ -16,6 +16,7 @@ from liechar.forms import (
     AlternatingForm,
     permutation_sign,
     trace_form,
+    trace_forms,
     w1_character,
     w3_killing,
 )
@@ -103,6 +104,21 @@ def constants_and_degree(draw) -> tuple[LieAlgebra, int]:
 def test_trace_form_matches_permutation_oracle_on_random_constants(case) -> None:
     g, degree = case
     assert trace_form(g, degree).components == oracle_trace_form(g, degree)
+
+
+CATALOG_ALGEBRAS = [entry.payload for entry in catalog.list_entries() if entry.kind == "algebra"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(CATALOG_ALGEBRAS), constants_and_degree().map(lambda case: case[0])))
+def test_trace_forms_equal_trace_form_and_the_oracle_in_every_degree(g: LieAlgebra) -> None:
+    # one recursion: every level below the top read off as built, the top
+    # traced only; even degrees included, where trace_form skips the recursion
+    top = min(g.dim, 5)
+    forms = trace_forms(g, top)
+    assert sorted(forms) == list(range(1, top + 1))
+    for degree, form in forms.items():
+        assert form.components == trace_form(g, degree).components == oracle_trace_form(g, degree), degree
 
 
 def dense_level_trace_form(alg: LieAlgebra, k: int) -> dict:
@@ -275,11 +291,14 @@ def test_w3_equals_killing_shortcut_on_random_vectors() -> None:
 
 
 def test_even_degrees_vanish() -> None:
+    # through the recursion: trace_form returns even degrees without it
     for name in ("sl2", "so3", "heisenberg3", "affine1", "sl2_plus_abelian2"):
         g = catalog.get(name, kind="algebra").payload
+        forms = trace_forms(g, g.dim)
         for degree in (2, 4):
             if degree > g.dim:
                 continue
+            assert forms[degree].is_zero(), (name, degree)
             assert trace_form(g, degree).is_zero(), (name, degree)
 
 
