@@ -24,6 +24,7 @@ from .cohomology import (
     betti,
     betti_table,
     class_report,
+    cochain_complex,
     differential_matrix,
     is_closed,
     is_exact,
@@ -59,6 +60,7 @@ __all__ = [
     "betti",
     "betti_table",
     "class_report",
+    "cochain_complex",
     "delta_one_form",
     "differential_matrix",
     "frame_from_multiplication",

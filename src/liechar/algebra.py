@@ -189,7 +189,13 @@ class LieAlgebra:
         the triples (i, j, r) with [e_i, e_j] != 0 and e_r in some nonzero
         bracket, the only ones that can fail: every bracket with any other e_r
         vanishes. Violations (i, j, k, m) come in lexicographic order. The sums
-        run in integers, on the constants scaled by the lcm of the denominators."""
+        run in integers, on the constants scaled by the lcm of the denominators,
+        once per algebra: c is read-only."""
+        return self._validation
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        """validate's report, outside ==."""
         rows = self._scaled_bracket_rows()[1]
         paired = {index for pair in rows for index in pair}
         # (i, j) runs over the pairs i < j, so (i, j, r) sorts without sorted()

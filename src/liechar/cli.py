@@ -101,6 +101,12 @@ def _check_betti_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
         raise CliError(f"dimension {alg.dim} exceeds the Betti table cap ({BETTI_DIM_CAP})")
 
 
+def _check_cohomology_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
+    _check_betti_size(alg, args)
+    if not 0 <= args.degree <= alg.dim:
+        raise CliError(f"degree {args.degree} outside 0..{alg.dim}")
+
+
 def _check_forms_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
     if not 1 <= args.degree <= alg.dim:
         raise CliError(f"degree {args.degree} outside [1, {alg.dim}]")
@@ -131,6 +137,7 @@ def _report_algebra(
 
 def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
     pos, neg, zero = symmetric_signature(alg.killing())
+    complex_ = cohomology.cochain_complex(alg, args.max_degree)
     return {
         "name": name,
         "dim": alg.dim,
@@ -140,8 +147,8 @@ def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dic
         "semisimple": alg.is_semisimple(),
         "unimodular": alg.is_unimodular(),
         "killing_signature": [pos, neg, zero],
-        "betti": cohomology.betti_table(alg, args.max_degree),
-        "classes": {str(k): status for k, status in cohomology.class_report(alg, args.max_degree).items()},
+        "betti": list(complex_.betti),
+        "classes": {str(k): status for k, status in cohomology.class_report(complex_).items()},
     }
 
 
@@ -155,14 +162,13 @@ def _forms_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
 
 def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
     k = args.degree
-    if not 0 <= k <= alg.dim:
-        raise CliError(f"degree {k} outside 0..{alg.dim}")
-    report: dict = {"name": name, "dim": alg.dim, "degree": k}
+    complex_ = cohomology.cochain_complex(alg, k)
+    report: dict = {"name": name, "dim": alg.dim, "degree": k, "betti": complex_.betti[k]}
     if k == 0:
-        return {**report, "betti": cohomology.betti(alg, 0)}
-    betti, status, primitive = cohomology.betti_and_class(alg, k)
+        return report
+    status, primitive = complex_.trace_class(forms.trace_form(alg, k))
     # trace forms of a Jacobi-valid algebra are always cocycles
-    report.update(betti=betti, w_closed=True, w_status=status, w_primitive=None)
+    report.update(w_closed=True, w_status=status, w_primitive=None)
     if primitive is not None:
         report["w_primitive"] = {_subset_key(s): str(v) for s, v in sorted(primitive.components.items())}
     return report
@@ -300,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("source")
     p_coh.add_argument("--degree", type=int, required=True)
     add_format(p_coh)
-    p_coh.set_defaults(func=partial(_report_algebra, _cohomology_report, _check_betti_size))
+    p_coh.set_defaults(func=partial(_report_algebra, _cohomology_report, _check_cohomology_size))
 
     p_curv = sub.add_parser("curvature", help="lattice curvature statistics for a catalog frame")
     p_curv.add_argument("--frame", required=True, help="catalog frame name")

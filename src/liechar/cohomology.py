@@ -11,7 +11,7 @@ fraction-free integer elimination, linalg.echelon. Tests certify every
 rank against both dense elimination routes and every primitive against a
 dense solve.
 
-betti_table ranks only the subcomplex of cochains of joint weight zero
+cochain_complex ranks only the subcomplex of cochains of joint weight zero
 under the toral basis vectors, those e_i whose ad is diagonal in the given
 basis (LieAlgebra.toral_weights). Two toral vectors h_s, h_t commute,
 because [h_s, h_t] is a multiple of both h_s and h_t, so the contraction
@@ -26,9 +26,9 @@ whole. Inside the subcomplex, d_0, d_1, ... are ranked in order and each
 d_k only on the columns that are not kept (pivot) rows of d_{k-1}: those
 rows are independent, so the other coordinate vectors and im d_{k-1} span
 C^k_0, and d_k vanishes on im d_{k-1}. Both steps need d o d = 0, that is
-Jacobi.
+Jacobi. cochain_complex checks it once and builds each d_k once.
 
-The trace-form classes (class_report, betti_and_class) are solved on the
+The trace-form classes (CochainComplex.trace_class) are solved on the
 same weight-zero d_k and d_{k-1}, with the full bases' results: trace forms
 are ad-invariant, so of weight zero; the full d_{k-1} is block-diagonal by
 weight, its weight-zero columns in the subcomplex's order; and the
@@ -36,7 +36,7 @@ reduced-echelon solution of linalg.sparse_solve (free columns at 0) is 0
 off weight zero and the subcomplex solve on it. _solve refuses a form with
 a component outside the rows of d_{k-1}, so a trace form that is not a
 weight-zero cocycle raises ValueError. betti, is_closed and is_exact keep
-the full bases, as the references of the tests.
+the full bases, as the references of verify and the tests.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from math import comb
 
 from . import linalg
 from .algebra import LieAlgebra
-from .forms import AlternatingForm, trace_form, trace_forms
+from .forms import AlternatingForm, trace_forms
 
 # Betti tables, in-process on a 2-vCPU shared host (Python 3.11.7). In
 # matrix-unit bases, on the weight-zero subcomplex: b4+C^3 (dim 13) 6 ms,
@@ -172,20 +172,9 @@ def _check_betti_size(alg: LieAlgebra) -> None:
         raise ValueError(f"dimension {alg.dim} exceeds the Betti cap {BETTI_DIM_CAP}")
 
 
-def _require_jacobi(alg: LieAlgebra) -> None:
-    violations = alg.validate().violations
-    if violations:
-        raise ValueError(f"Jacobi identity fails at (i, j, k, m) = {violations[0]}: no cochain complex")
-
-
 def _differential(alg: LieAlgebra, k: int) -> DifferentialMatrix | None:
     """d_k; None below degree 0 and in degree dim, where it maps to nothing."""
     return differential_matrix(alg, k) if 0 <= k < alg.dim else None
-
-
-def _weight_zero_differential(alg: LieAlgebra, k: int) -> DifferentialMatrix:
-    """d_k on the weight-zero cochains, 0 <= k <= dim; d_dim has no rows."""
-    return subcomplex_differential(alg, k, weight_zero_cochains(alg, k + 1), weight_zero_cochains(alg, k))
 
 
 def betti(alg: LieAlgebra, k: int) -> int:
@@ -196,32 +185,6 @@ def betti(alg: LieAlgebra, k: int) -> int:
     _check_betti_size(alg)
     d_k, d_prev = _differential(alg, k), _differential(alg, k - 1)
     return comb(n, k) - (d_k.rank() if d_k else 0) - (d_prev.rank() if d_prev else 0)
-
-
-def betti_table(alg: LieAlgebra, max_degree: int | None = None) -> list[int]:
-    """Betti numbers in degrees 0..max_degree (default and at most dim), each
-    d_k ranked on the weight-zero subcomplex and only on the cochains that are
-    not pivot rows of d_{k-1}, as the module docstring sets out. Both steps
-    need d o d = 0, so a bracket that fails Jacobi raises ValueError naming
-    the first violation."""
-    n = alg.dim
-    _check_betti_size(alg)
-    _require_jacobi(alg)
-    top = n if max_degree is None else min(max_degree, n)
-    cochains = weight_zero_cochains(alg, 0)
-    sizes = [len(cochains)]
-    ranks = []
-    pivots: set[int] = set()
-    for k in range(min(top + 1, n)):
-        rows = weight_zero_cochains(alg, k + 1)
-        d_k = subcomplex_differential(alg, k, rows, cochains)
-        kept = {cell: value for cell, value in d_k.nonzeros.items() if cell[1] not in pivots}
-        pivots = {r for r, _ in linalg.echelon(kept).values()}
-        ranks.append(len(pivots))
-        sizes.append(len(rows))
-        cochains = rows
-    ranks.append(0)  # d_n maps to nothing
-    return [sizes[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1)]
 
 
 def is_closed(alg: LieAlgebra, form: AlternatingForm) -> bool:
@@ -239,17 +202,15 @@ def is_exact(alg: LieAlgebra, form: AlternatingForm) -> tuple[bool, AlternatingF
     """
     if not is_closed(alg, form):
         raise ValueError("exactness asked for a non-closed form")
-    return _solve(alg, _differential(alg, form.degree - 1), form)
+    return _solve(_differential(alg, form.degree - 1), form)
 
 
-def _solve(
-    alg: LieAlgebra, d_prev: DifferentialMatrix | None, form: AlternatingForm
-) -> tuple[bool, AlternatingForm | None]:
+def _solve(d_prev: DifferentialMatrix | None, form: AlternatingForm) -> tuple[bool, AlternatingForm | None]:
     """is_exact for a closed form, given d_prev = d_{degree-1} (None in degree 0);
     a form with a component outside d_prev.row_basis raises ValueError."""
     if d_prev is None:
         zero = form.is_zero()
-        return zero, (AlternatingForm(0, alg.dim, {}) if zero else None)
+        return zero, (AlternatingForm(0, form.dim, {}) if zero else None)
     target = form.component_vector(d_prev.row_basis)
     if sum(map(bool, target)) != len(form.components):
         raise ValueError("form has a component of nonzero weight")
@@ -258,7 +219,7 @@ def _solve(
         return False, None
     primitive = AlternatingForm(
         degree=form.degree - 1,
-        dim=alg.dim,
+        dim=form.dim,
         components={subset: solution[pos] for pos, subset in enumerate(d_prev.col_basis)},
     )
     return True, primitive
@@ -270,45 +231,70 @@ STATUS_EXACT = "exact"
 STATUS_NONZERO_CLASS = "nonzero class"
 
 
-def _classify(
-    alg: LieAlgebra, form: AlternatingForm, d_k: DifferentialMatrix, d_prev: DifferentialMatrix
-) -> tuple[str, AlternatingForm | None]:
-    """Status of a nonzero trace form's class, with a primitive when exact, given
-    the weight-zero d_k and d_{k-1}; raises ValueError off weight-zero cocycles."""
-    if any(d_k.apply(form)):
-        raise ValueError("exactness asked for a non-closed form")
-    exact, primitive = _solve(alg, d_prev, form)
-    return (STATUS_EXACT if exact else STATUS_NONZERO_CLASS), primitive
+@dataclass(frozen=True)
+class CochainComplex:
+    """The weight-zero complex of alg in degrees 0..top, top = len(betti) - 1:
+    its Betti numbers and its differentials d_0, ..., d_min(top, dim - 1)."""
+
+    alg: LieAlgebra
+    betti: tuple[int, ...]
+    differentials: tuple[DifferentialMatrix, ...]
+
+    def trace_class(self, form: AlternatingForm) -> tuple[str, AlternatingForm | None]:
+        """Status of a trace form's class, with a primitive when exact (else
+        None), closed on d_k and solved on d_{k-1}. A form above the top
+        degree, or one that is not a weight-zero cocycle, raises ValueError."""
+        k = form.degree
+        if k >= len(self.betti):
+            raise ValueError(f"degree {k} above the top degree {len(self.betti) - 1} of the complex")
+        if form.is_zero():
+            return STATUS_ZERO, None
+        if k < len(self.differentials) and any(self.differentials[k].apply(form)):
+            raise ValueError("exactness asked for a non-closed form")
+        exact, primitive = _solve(self.differentials[k - 1] if k else None, form)
+        return (STATUS_EXACT if exact else STATUS_NONZERO_CLASS), primitive
 
 
-def betti_and_class(alg: LieAlgebra, k: int) -> tuple[int, str, AlternatingForm | None]:
-    """betti(alg, k) and the degree-k trace form's class status and primitive
-    (None unless exact), 1 <= k <= dim, from one build each of the weight-zero
-    d_k and d_{k-1}. A bracket that fails Jacobi raises ValueError."""
+def cochain_complex(alg: LieAlgebra, top: int | None = None) -> CochainComplex:
+    """The weight-zero complex up to degree top (default and at most dim), each
+    d_k built once and ranked as the module docstring sets out. A dimension
+    over BETTI_DIM_CAP or a bracket that fails Jacobi (named by its first
+    violation) raises ValueError."""
     n = alg.dim
-    if not 1 <= k <= n:
-        raise ValueError(f"degree {k} outside [1, {n}]")
     _check_betti_size(alg)
-    _require_jacobi(alg)
-    d_k, d_prev = _weight_zero_differential(alg, k), _weight_zero_differential(alg, k - 1)
-    form = trace_form(alg, k)
-    status, primitive = (STATUS_ZERO, None) if form.is_zero() else _classify(alg, form, d_k, d_prev)
-    return len(d_prev.row_basis) - d_k.rank() - d_prev.rank(), status, primitive
+    violations = alg.validate().violations
+    if violations:
+        raise ValueError(f"Jacobi identity fails at (i, j, k, m) = {violations[0]}: no cochain complex")
+    top = n if top is None else min(top, n)
+    cochains = weight_zero_cochains(alg, 0)
+    sizes = [len(cochains)]
+    ranks = []
+    differentials = []
+    pivots: set[int] = set()
+    for k in range(min(top + 1, n)):
+        rows = weight_zero_cochains(alg, k + 1)
+        d_k = subcomplex_differential(alg, k, rows, cochains)
+        kept = {cell: value for cell, value in d_k.nonzeros.items() if cell[1] not in pivots}
+        pivots = {r for r, _ in linalg.echelon(kept).values()}
+        ranks.append(len(pivots))
+        sizes.append(len(rows))
+        differentials.append(d_k)
+        cochains = rows
+    ranks.append(0)  # d_n maps to nothing
+    table = tuple(sizes[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1))
+    return CochainComplex(alg, table, tuple(differentials))
 
 
-def class_report(alg: LieAlgebra, max_degree: int | None = None) -> dict[int, str]:
-    """Status of the odd trace-form classes in every degree 2k+1 <= max_degree
-    (default and at most dim), from one trace_forms recursion. A bracket that
-    fails Jacobi raises ValueError."""
-    top = alg.dim if max_degree is None else min(max_degree, alg.dim)
-    degrees = range(1, top + 1, 2)
+def betti_table(alg: LieAlgebra, max_degree: int | None = None) -> list[int]:
+    """Betti numbers in degrees 0..max_degree (default and at most dim)."""
+    return list(cochain_complex(alg, max_degree).betti)
+
+
+def class_report(complex_: CochainComplex) -> dict[int, str]:
+    """Status of the odd trace-form classes in every degree up to the top of
+    complex_, from one trace_forms recursion."""
+    degrees = range(1, len(complex_.betti), 2)
     if not degrees:
         return {}
-    _require_jacobi(alg)
-    forms = trace_forms(alg, degrees[-1])
-    report = dict.fromkeys(degrees, STATUS_ZERO)
-    for k in degrees:
-        if not forms[k].is_zero():
-            d_k, d_prev = _weight_zero_differential(alg, k), _weight_zero_differential(alg, k - 1)
-            report[k] = _classify(alg, forms[k], d_k, d_prev)[0]
-    return report
+    forms = trace_forms(complex_.alg, degrees[-1])
+    return {k: complex_.trace_class(forms[k])[0] for k in degrees}

@@ -155,14 +155,14 @@ def test_criterion_05_odd_trace_forms_are_closed() -> None:
 
 def test_criterion_06_cohomology_class_statuses() -> None:
     for name in ("sl2", "so3"):
-        report = cohomology.class_report(catalog.get(name, kind="algebra").payload)
+        report = cohomology.class_report(cohomology.cochain_complex(catalog.get(name, kind="algebra").payload))
         assert report[3] == STATUS_NONZERO_CLASS, name
     for name in ("affine1", "borel_sl2"):
-        report = cohomology.class_report(catalog.get(name, kind="algebra").payload)
+        report = cohomology.class_report(cohomology.cochain_complex(catalog.get(name, kind="algebra").payload))
         assert report[1] == STATUS_NONZERO_CLASS, name
     for name, alg in algebras():
         if alg.is_unimodular():
-            assert cohomology.class_report(alg)[1] == STATUS_ZERO, name
+            assert cohomology.class_report(cohomology.cochain_complex(alg))[1] == STATUS_ZERO, name
 
 
 def test_criterion_07_betti_tables_with_independent_rank_oracle() -> None:

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from liechar import catalog, cohomology, forms
 from liechar.algebra import LieAlgebra, lie_algebra
 from liechar.cli import CURVATURE_LATTICE_CAP, FORMS_COMPONENT_CAP, run
 from liechar.jets import Chart
-from liechar.fileformat import serialize_algebra
+from liechar.fileformat import parse_algebra, serialize_algebra
 
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
@@ -114,7 +115,7 @@ def test_analyze_max_degree_limits_trace_forms(capsys, monkeypatch) -> None:
         return trace_forms(alg, top)
 
     monkeypatch.setattr(cohomology, "trace_forms", counted)
-    monkeypatch.setattr(cohomology, "trace_form", None)
+    monkeypatch.setattr(forms, "trace_form", None)
     code, out, _ = invoke(capsys, "analyze", "catalog:sl2", "--max-degree", "1")
     assert code == 0
     assert json.loads(out)["classes"] == {"1": "zero form"}
@@ -132,18 +133,31 @@ def test_analyze_negative_max_degree_exits_two(capsys) -> None:
     assert "--max-degree" in err and "at least 0" in err
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["cohomology", "--degree", "1"]])
+OVER_THE_BETTI_CAP = f"dim {cohomology.BETTI_DIM_CAP + 1}\n1 2 3 1\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        (["analyze"], OVER_THE_BETTI_CAP, "Betti table cap"),
+        (["cohomology", "--degree", "1"], OVER_THE_BETTI_CAP, "Betti table cap"),
+        # fails Jacobi, but a degree outside 0..dim is refused first
+        (["cohomology", "--degree", "99"], "dim 3\n1 2 1 1\n1 3 2 1\n", "error: degree 99 outside 0..3\n"),
+    ],
+)
 def test_oversized_input_exits_two_before_jacobi(capsys, monkeypatch, tmp_path, command) -> None:
+    argv, text, message = command
+
     def refuse(self):
-        raise AssertionError("validate ran on an input over the Betti cap")
+        raise AssertionError("validate ran on an input that fails the size check")
 
     monkeypatch.setattr(LieAlgebra, "validate", refuse)
     path = tmp_path / "big.lie"
-    path.write_text(f"dim {cohomology.BETTI_DIM_CAP + 1}\n1 2 3 1\n")
-    code, out, err = invoke(capsys, command[0], str(path), *command[1:])
+    path.write_text(text)
+    code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
     assert code == 2
     assert out == ""
-    assert "Betti table cap" in err
+    assert message in err
 
 
 def test_forms_checks_jacobi_on_a_sparse_sixty_dimensional_file(capsys, tmp_path) -> None:
@@ -321,9 +335,10 @@ def test_cohomology_reports_class_in_degree_eight(capsys, tmp_path) -> None:
     assert report["w_primitive"] is None
 
 
-def test_cohomology_builds_each_differential_once(capsys, monkeypatch) -> None:
-    # betti and the class of w3 share one build each of the weight-zero d_3
-    # and d_2, and nothing builds a full-basis differential
+def record_weight_zero_builds(monkeypatch) -> list[int]:
+    """The degrees of the weight-zero differentials built from here on, with
+    the full-basis references (betti, is_closed, is_exact and
+    differential_matrix) unset, so that nothing reaches them."""
     built = []
     subcomplex_differential = cohomology.subcomplex_differential
 
@@ -332,11 +347,53 @@ def test_cohomology_builds_each_differential_once(capsys, monkeypatch) -> None:
         return subcomplex_differential(alg, k, row_basis, col_basis)
 
     monkeypatch.setattr(cohomology, "subcomplex_differential", recording)
-    monkeypatch.setattr(cohomology, "differential_matrix", None)
+    for name in ("betti", "is_closed", "is_exact", "differential_matrix"):
+        monkeypatch.setattr(cohomology, name, None)
+    return built
+
+
+def test_cohomology_builds_each_differential_once(capsys, monkeypatch) -> None:
+    # betti and the class of w3 share one build each of the weight-zero
+    # d_0, ..., d_3, and no degree reaches a full-basis reference
+    built = record_weight_zero_builds(monkeypatch)
     code, out, _ = invoke(capsys, "cohomology", str(BENCH_INPUTS / "sl3.txt"), "--degree", "3")
     assert code == 0
     assert json.loads(out)["w_status"] == "nonzero class"
-    assert built == [3, 2]
+    assert built == [0, 1, 2, 3]
+    sl3_betti = [1, 0, 0, 1, 0, 1, 0, 0, 1]
+    for k in range(9):
+        built.clear()
+        code, out, _ = invoke(capsys, "cohomology", str(BENCH_INPUTS / "sl3.txt"), "--degree", str(k))
+        assert code == 0
+        assert json.loads(out)["betti"] == sl3_betti[k], k
+        assert built == list(range(min(k, 7) + 1)), k
+
+
+def test_analyze_builds_each_differential_once_and_checks_jacobi_once(capsys, monkeypatch, tmp_path) -> None:
+    # the Betti table and the classes share one build of each weight-zero d_k
+    # and one run of the Jacobi check, and nothing reaches a full-basis reference
+    validation = LieAlgebra._validation
+    checked = []
+
+    def counted(self):
+        checked.append(self.dim)
+        return validation.func(self)
+
+    counted_validation = cached_property(counted)
+    counted_validation.__set_name__(LieAlgebra, "_validation")
+    monkeypatch.setattr(LieAlgebra, "_validation", counted_validation)
+    built = record_weight_zero_builds(monkeypatch)
+    gl3 = parse_algebra((BENCH_INPUTS / "gl3.txt").read_text())
+    shifted = {(i + 2, j + 2, k + 2): value for (i, j, k), value in gl3.c.items()}
+    path = tmp_path / "affine1_gl3.lie"
+    path.write_text(serialize_algebra(lie_algebra(11, {(1, 2, 2): 1, **shifted})))
+    code, out, _ = invoke(capsys, "analyze", str(path))
+    assert code == 0
+    # w1 of affine1 and w3 of gl3 are nonzero classes, every other odd form is 0
+    expected = {str(k): "zero form" for k in range(5, 12, 2)}
+    assert json.loads(out)["classes"] == {"1": "nonzero class", "3": "nonzero class", **expected}
+    assert built == list(range(11))
+    assert checked == [11]
 
 
 def test_curvature_report(capsys) -> None:

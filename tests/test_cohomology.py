@@ -21,8 +21,8 @@ from liechar.cohomology import (
     betti_table,
     class_report,
     cochain_basis,
+    cochain_complex,
     differential_matrix,
-    betti_and_class,
     is_closed,
     is_exact,
     subcomplex_differential,
@@ -313,15 +313,15 @@ def test_is_exact_requires_closed_input() -> None:
 
 def test_class_report_statuses() -> None:
     g = catalog.get("sl2", kind="algebra").payload
-    report = class_report(g)
+    report = class_report(cochain_complex(g))
     assert report[1] == STATUS_ZERO
     assert report[3] == STATUS_NONZERO_CLASS
 
     g = catalog.get("affine1", kind="algebra").payload
-    assert class_report(g)[1] == STATUS_NONZERO_CLASS
+    assert class_report(cochain_complex(g))[1] == STATUS_NONZERO_CLASS
 
     g = catalog.get("sl2_plus_abelian2", kind="algebra").payload
-    report = class_report(g)
+    report = class_report(cochain_complex(g))
     assert report[1] == STATUS_ZERO
     assert report[3] == STATUS_NONZERO_CLASS
     assert report[5] == STATUS_ZERO
@@ -409,7 +409,8 @@ def basis_free_invariants(g: LieAlgebra) -> tuple:
     """Killing signature, structure flags and the trace-class status in every
     degree; the statuses go through the weight-zero sparse solve."""
     flags = (g.is_solvable(), g.is_nilpotent(), g.is_semisimple(), g.is_unimodular())
-    statuses = [betti_and_class(g, k)[1] for k in range(1, g.dim + 1)]
+    complex_ = cochain_complex(g)
+    statuses = [complex_.trace_class(trace_form(g, k))[0] for k in range(1, g.dim + 1)]
     return linalg.symmetric_signature(g.killing()), flags, statuses
 
 
@@ -567,37 +568,50 @@ ALGEBRAS_UP_TO_DIM_10 = {
 }
 
 
-def test_betti_and_class_equals_the_full_reference_route() -> None:
+def test_cochain_complex_equals_the_full_reference_route() -> None:
     assert max(g.dim for g in ALGEBRAS_UP_TO_DIM_10.values()) == 10
     for name, g in ALGEBRAS_UP_TO_DIM_10.items():
+        complex_ = cochain_complex(g)
+        assert complex_.betti[0] == betti(g, 0) == 1, name
         for k in range(1, g.dim + 1):
-            b, status, primitive = betti_and_class(g, k)
+            status, primitive = complex_.trace_class(trace_form(g, k))
+            b = complex_.betti[k]
             assert (b, status, primitive and primitive.components) == (betti(g, k), *full_route_class(g, k)), (name, k)
+
+
+def test_trace_class_refuses_a_degree_above_the_top_of_the_complex() -> None:
+    g = bench_input("sl3")
+    complex_ = cochain_complex(g, 2)
+    assert complex_.betti == (1, 0, 0) and len(complex_.differentials) == 3
+    assert complex_.trace_class(trace_form(g, 1)) == (STATUS_ZERO, None)
+    with pytest.raises(ValueError, match="above the top degree 2"):
+        complex_.trace_class(trace_form(g, 3))
 
 
 def test_class_report_equals_the_full_reference_route() -> None:
     for name, g in ALGEBRAS_UP_TO_DIM_10.items():
         expected = {k: full_route_class(g, k)[0] for k in range(1, g.dim + 1, 2)}
-        assert class_report(g) == expected, name
+        assert class_report(cochain_complex(g)) == expected, name
 
 
-def weight_zero_coboundary(g: LieAlgebra, k: int, seed: int) -> AlternatingForm:
-    """d(mu) for a seeded weight-zero (k-1)-cochain mu with entries in -2..2."""
+def weight_zero_coboundary(g: LieAlgebra, d_prev: cohomology.DifferentialMatrix, seed: int) -> AlternatingForm:
+    """d(mu) for a seeded weight-zero cochain mu with entries in -2..2, given
+    the weight-zero d_prev of its degree."""
     rng = random.Random(seed)
-    d_prev = cohomology._weight_zero_differential(g, k - 1)
-    mu = AlternatingForm(k - 1, g.dim, {subset: Fraction(rng.randint(-2, 2)) for subset in d_prev.col_basis})
-    return AlternatingForm(k, g.dim, dict(zip(d_prev.row_basis, d_prev.apply(mu))))
+    mu = AlternatingForm(d_prev.degree, g.dim, {subset: Fraction(rng.randint(-2, 2)) for subset in d_prev.col_basis})
+    return AlternatingForm(d_prev.degree + 1, g.dim, dict(zip(d_prev.row_basis, d_prev.apply(mu))))
 
 
 def assert_weight_zero_solves_equal_the_full_route(g: LieAlgebra) -> None:
     """The weight-zero solve of each nonzero trace form and of a weight-zero
     coboundary in every degree gives is_exact's status and primitive."""
+    differentials = cochain_complex(g).differentials
     for k in range(1, g.dim + 1):
-        d_prev = cohomology._weight_zero_differential(g, k - 1)
-        for form in (trace_form(g, k), weight_zero_coboundary(g, k, seed=k)):
+        d_prev = differentials[k - 1]
+        for form in (trace_form(g, k), weight_zero_coboundary(g, d_prev, seed=k)):
             if form.is_zero():
                 continue
-            ok, primitive = cohomology._solve(g, d_prev, form)
+            ok, primitive = cohomology._solve(d_prev, form)
             expected_ok, expected = is_exact(g, form)
             assert (ok, primitive and primitive.components) == (expected_ok, expected and expected.components), k
 
@@ -628,30 +642,14 @@ def test_solve_refuses_a_form_with_a_component_of_nonzero_weight() -> None:
     # d(e^E12) is exact in the full complex, but lies off weight zero: the
     # weight-zero solve refuses it rather than solving for nothing
     g = bench_input("gl2")
-    d_1 = cohomology._weight_zero_differential(g, 1)
+    d_1 = cochain_complex(g).differentials[1]
     off = next(subset for subset in cochain_basis(g.dim, 1) if subset not in d_1.col_basis)
     full_d_1 = differential_matrix(g, 1)
     image = full_d_1.apply(AlternatingForm(1, g.dim, {off: Fraction(1)}))
     form = AlternatingForm(2, g.dim, dict(zip(full_d_1.row_basis, image)))
     assert not form.is_zero() and is_exact(g, form)[0]
     with pytest.raises(ValueError, match="nonzero weight"):
-        cohomology._solve(g, d_1, form)
-
-
-def test_class_report_builds_each_weight_zero_differential_once(monkeypatch) -> None:
-    built = []
-
-    def recording(alg, k, row_basis, col_basis):
-        built.append(k)
-        return subcomplex_differential(alg, k, row_basis, col_basis)
-
-    monkeypatch.setattr(cohomology, "subcomplex_differential", recording)
-    monkeypatch.setattr(cohomology, "differential_matrix", None)
-    # w1 of affine1 and w3 of gl3 are nonzero classes, every other odd form is 0
-    g = direct_sum(CATALOG_ALGEBRAS["affine1"], bench_input("gl3"))
-    expected = {k: STATUS_ZERO for k in range(5, 12, 2)}
-    assert class_report(g) == {1: STATUS_NONZERO_CLASS, 3: STATUS_NONZERO_CLASS, **expected}
-    assert sorted(built) == [0, 1, 2, 3]
+        cohomology._solve(d_1, form)
 
 
 def dense_series_flags(g: LieAlgebra) -> tuple[bool, bool]:
