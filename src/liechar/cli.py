@@ -5,8 +5,10 @@ Reports go to stdout as JSON with sorted keys (or --format text);
 diagnostics go to stderr. Exit codes: 0 success, 1 mathematical
 validation failure, 2 parse/IO/usage error.
 
-The finite-difference lane (geometry, verify and numpy) is imported inside
-the commands that use it, so analyze, forms and cohomology never load it.
+The finite-difference lane is imported inside the commands that use it:
+curvature and catalog show import the geometry module (with jets and
+numpy) and verify imports the verify suites, so analyze, forms and
+cohomology load none of them and curvature does not compile the suites.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from collections.abc import Callable
 from functools import partial
 from math import comb
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import catalog, cohomology, forms
 from .algebra import LieAlgebra
@@ -26,17 +27,17 @@ from .cohomology import BETTI_DIM_CAP
 from .fileformat import AlgebraFileError, parse_algebra, serialize_algebra
 from .linalg import symmetric_signature
 
-if TYPE_CHECKING:
-    from .geometry import FrameField
-
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 
-# A curvature sweep holds whole-lattice arrays: identity(6) at --lattice 4
-# (4,096 points) peaks at 263 MB, and --lattice 5 (15,625 points) would
-# reach about 1 GB.
-CURVATURE_LATTICE_CAP = 4096
+# A curvature sweep runs in blocks of geometry.SWEEP_BLOCK_POINTS, so its
+# memory does not grow with the lattice and the cap is a time limit: about
+# 10 s for a run. identity(6), the costliest catalog frame per point, takes
+# 0.36 ms a point for the two sweeps on a 2-vCPU host: 1.5 s at --lattice 4,
+# 5.6 s at --lattice 5 (15,625 points), and --lattice 6 (46,656 points)
+# would take about 17 s.
+CURVATURE_LATTICE_CAP = 20_000
 
 # forms prints every one of the C(dim, degree) components, zeros included.
 # Padding alone took 0.23 s for C(60, 3) = 34,220 components, 1.3 s for
@@ -174,25 +175,10 @@ def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> 
     return report
 
 
-def _curvature_sweep(frame: FrameField, points_per_axis: int) -> dict[str, float]:
-    """Lattice maxima; r_full pairs each point with its mirror in the lattice order."""
-    from . import geometry
-
-    lattice = frame.chart.lattice(points_per_axis)
-    sup = geometry.sup_norm
-    return {
-        "r1_max": sup(geometry.r1(frame, lattice).tensor),
-        "r2_max": sup(geometry.r2(frame, lattice).tensor),
-        "torsion_max": sup(geometry.torsion(geometry.gamma(frame, lattice))),
-        "w_max": sup(geometry.w_form(frame, lattice)),
-        "r_full_max": sup(geometry.r_full(frame, lattice, lattice[::-1]).tensor),
-        "r_full_diagonal_max": sup(geometry.r_full(frame, lattice, lattice).tensor),
-        "dw_tr_r2_residual": sup(geometry.dw_tr_r2_residual(frame, lattice)),
-    }
-
-
 def _cmd_curvature(args: argparse.Namespace) -> int:
-    from . import geometry
+    # from the submodule: `from . import geometry` would go through the
+    # package's lazy hook, which loads (and compiles) verify as well
+    from .geometry import FrameField, curvature_sweep
 
     frame = _catalog_entry(args.frame, "frame").payload
     if args.lattice < 2:
@@ -204,12 +190,12 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
         raise CliError("--h must be positive")
     try:
         if args.h is not None:
-            frame = geometry.FrameField(chart=frame.chart.with_step(args.h), matrix=frame.matrix)
-        halved = geometry.FrameField(chart=frame.chart.with_step(frame.chart.h / 2), matrix=frame.matrix)
+            frame = FrameField(chart=frame.chart.with_step(args.h), matrix=frame.matrix)
+        halved = FrameField(chart=frame.chart.with_step(frame.chart.h / 2), matrix=frame.matrix)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    coarse = _curvature_sweep(frame, args.lattice)
-    fine = _curvature_sweep(halved, args.lattice)
+    coarse = curvature_sweep(frame, args.lattice)
+    fine = curvature_sweep(halved, args.lattice)
     ratios = {}
     for key in ("r1_max", "dw_tr_r2_residual", "r_full_diagonal_max"):
         # a ratio only means something when the coarse residual is signal,
@@ -246,9 +232,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             "upper": list(chart.upper),
             "h": chart.h,
         }
-        from . import geometry
+        from .geometry import LocalGroupMultiplication
 
-        if isinstance(payload, geometry.LocalGroupMultiplication):
+        if isinstance(payload, LocalGroupMultiplication):
             report["identity"] = [float(v) for v in payload.identity]
     _emit(report, args.format)
     return EXIT_OK

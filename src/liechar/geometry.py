@@ -23,6 +23,17 @@ arrays, a multiplication maps broadcastable (..., n) pairs to (..., n),
 and the point functions below take one point or a stack of points (such
 as Chart.lattice()) and put the same leading axes on every result,
 per-point magnitudes and residuals included.
+
+Every derivative of the frame is a central difference read from one
+stencil: A is evaluated once at x, at x +- h e_k and at (x +- h e_r) +- h e_k,
+and inverted only at x and x +- h e_r. Gamma, its derivative, r1, r2,
+torsion, w, dw, the r2 trace, r_full and the structure functions are all
+read from those arrays; gamma_from_splitting stays an independent route
+through jets.jacobian. curvature_sweep covers the chart lattice in blocks
+of SWEEP_BLOCK_POINTS points, takes each maximum as soon as its tensor
+exists, and reduces the maxima across blocks. Its r_full pairs block i
+with the mirror of block i (the same positions of the reversed lattice),
+whose stencil needs A only at its points and at their first neighbours.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -57,6 +68,13 @@ DENOMINATOR_CAP = 64
 
 # |det Ad_e - 1| up to this counts as det Ad_e = 1.
 AUTOMORPHY_TOL = 1e-6
+
+# A curvature sweep builds the stencil of at most this many lattice points
+# at a time, so its memory follows the block, not the lattice. The time per
+# point is flat from 128-point blocks up (identity(6) at --lattice 4), and
+# 625 keeps the default dimension-4 lattice (5**4 points) one block;
+# identity(6) peaks at 66 MB at --lattice 4 and at --lattice 5 alike.
+SWEEP_BLOCK_POINTS = 625
 
 
 def sup_norm(arr: np.ndarray) -> float:
@@ -163,17 +181,97 @@ class CurvatureSample:
         return point_sup(self.tensor, self.tensor.ndim - self.point.ndim + 1)
 
 
-def _gamma_tensor(frame: FrameField, x: np.ndarray) -> np.ndarray:
-    """gamma[..., k, j, i] without the interiority check (stencil helpers)."""
+def _central(pairs, h: float, axis: int) -> np.ndarray:
+    """Central differences from pairs (f(x + h e_k), f(x - h e_k)), stacked at axis."""
+    return np.stack([(plus - minus) / (2 * h) for plus, minus in pairs], axis=axis)
+
+
+def _gamma_from(shifted_a, inverse: np.ndarray, h: float) -> np.ndarray:
+    """gamma[..., k, j, i] from A at x +- h e_k and A(x)^{-1}."""
     # m[..., k, i, j] = (d_k A . A^{-1})[i, j]
-    m = jacobian(frame.matrix, x, frame.chart.h, axis=-3) @ frame.inverse(x)[..., None, :, :]
+    m = _central(shifted_a, h, axis=-3) @ inverse[..., None, :, :]
     return m.swapaxes(-1, -2)
+
+
+def _w_from(g: np.ndarray) -> np.ndarray:
+    """w_i = Gamma_{ia}^a - Gamma_{ai}^a."""
+    return np.einsum("...iaa->...i", g) - np.einsum("...aia->...i", g)
+
+
+def _alternate(t: np.ndarray, axis: int) -> np.ndarray:
+    """t minus t with the axes (axis, axis + 1) swapped."""
+    return t - t.swapaxes(axis, axis + 1)
+
+
+class _Stencil:
+    """The frame on the central-difference stencil of a point or a point stack x.
+
+    Every value is computed on first use and then kept. A is evaluated at x
+    and at x +- h e_k and inverted at those points; Gamma at x +- h e_r
+    evaluates A at (x +- h e_r) +- h e_k and drops those values at once.
+    Those points are built from x +- h e_r, never merged with x, so every
+    value is bitwise the one jets.jacobian applied twice would give.
+    """
+
+    def __init__(self, frame: FrameField, x: np.ndarray):
+        self.frame = frame
+        self.x = x
+        self.h = frame.chart.h
+        self.steps = self.h * np.eye(x.shape[-1])  # row k is h e_k
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return self.frame.matrix(self.x)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.a)
+
+    @cached_property
+    def shifted_a(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(A(x + h e_k), A(x - h e_k)) for each k."""
+        return [(self.frame.matrix(self.x + s), self.frame.matrix(self.x - s)) for s in self.steps]
+
+    @cached_property
+    def shifted_inverse(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(np.linalg.inv(plus), np.linalg.inv(minus)) for plus, minus in self.shifted_a]
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return _gamma_from(self.shifted_a, self.inverse, self.h)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return _w_from(self.gamma)
+
+    @cached_property
+    def shifted_gamma(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(Gamma(x + h e_r), Gamma(x - h e_r)) for each r."""
+        matrix, h = self.frame.matrix, self.h
+
+        def at(y: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+            return _gamma_from([(matrix(y + s), matrix(y - s)) for s in self.steps], inverse, h)
+
+        return [
+            (at(self.x + s, plus), at(self.x - s, minus)) for s, (plus, minus) in zip(self.steps, self.shifted_inverse)
+        ]
+
+    @cached_property
+    def dgamma(self) -> np.ndarray:
+        """dg[..., r, k, j, i] = d_r Gamma_{kj}^i."""
+        return _central(self.shifted_gamma, self.h, axis=-4)
+
+    @cached_property
+    def dw(self) -> np.ndarray:
+        """dw[..., r, j] = d_r w_j - d_j w_r."""
+        d = _central([(_w_from(plus), _w_from(minus)) for plus, minus in self.shifted_gamma], self.h, axis=-2)
+        return _alternate(d, -2)
 
 
 def gamma(frame: FrameField, x: np.ndarray) -> ConnectionSample:
     """Gamma_{kj}^i(x) = (d_k A . A^{-1})^i_j by central differences."""
     frame.chart.require_interior(x)
-    return ConnectionSample(point=np.asarray(x, dtype=float), gamma=_gamma_tensor(frame, x))
+    return ConnectionSample(point=np.asarray(x, dtype=float), gamma=_Stencil(frame, x).gamma)
 
 
 def gamma_from_splitting(frame: FrameField, x: np.ndarray) -> ConnectionSample:
@@ -189,31 +287,29 @@ def gamma_from_splitting(frame: FrameField, x: np.ndarray) -> ConnectionSample:
 
 def torsion(sample: ConnectionSample) -> np.ndarray:
     """T[..., j, k, i] = Gamma_{jk}^i - Gamma_{kj}^i."""
-    return sample.gamma - sample.gamma.swapaxes(-3, -2)
+    return _alternate(sample.gamma, -3)
 
 
-def _curvature(frame: FrameField, x: np.ndarray, kind: str) -> CurvatureSample:
-    g = _gamma_tensor(frame, x)
-    dg = jacobian(lambda y: _gamma_tensor(frame, y), x, frame.chart.h, axis=-4)
-    # dg[..., r, k, j, i] = d_r Gamma_{kj}^i
+def _curvature_full(stencil: _Stencil, kind: str) -> np.ndarray:
+    """The curvature expression F[..., r, j, k, i] before alternation."""
+    g = stencil.gamma
     if kind == "r1":
         # F[r, j, k, i] = d_r Gamma_{jk}^i + Gamma_{rk}^a Gamma_{ja}^i
-        first = dg
-        second = np.einsum("...rka,...jai->...rjki", g, g)
-    elif kind == "r2":
+        return stencil.dgamma + np.einsum("...rka,...jai->...rjki", g, g)
+    if kind == "r2":
         # F[r, j, k, i] = d_r Gamma_{kj}^i + Gamma_{kr}^a Gamma_{aj}^i
-        first = dg.swapaxes(-3, -2)
-        second = np.einsum("...kra,...aji->...rjki", g, g)
-    else:
-        raise ValueError(f"unknown curvature kind {kind!r}")
-    full = first + second
-    tensor = full - full.swapaxes(-4, -3)
+        return stencil.dgamma.swapaxes(-3, -2) + np.einsum("...kra,...aji->...rjki", g, g)
+    raise ValueError(f"unknown curvature kind {kind!r}")
+
+
+def _curvature(stencil: _Stencil, kind: str) -> CurvatureSample:
+    full = _curvature_full(stencil, kind)
     # the FD error of the dG term tracks the local derivative magnitudes,
     # not the (possibly cancelling) value of the expression itself
-    local = _local_scale(point_sup(full, 4), point_sup(dg, 4), point_sup(g, 3) ** 2)
+    local = _local_scale(point_sup(full, 4), point_sup(stencil.dgamma, 4), point_sup(stencil.gamma, 3) ** 2)
     return CurvatureSample(
-        point=np.asarray(x, dtype=float),
-        tensor=tensor,
+        point=np.asarray(stencil.x, dtype=float),
+        tensor=_alternate(full, -4),
         kind=kind,
         scale=local,
     )
@@ -222,37 +318,39 @@ def _curvature(frame: FrameField, x: np.ndarray, kind: str) -> CurvatureSample:
 def r1(frame: FrameField, x: np.ndarray) -> CurvatureSample:
     """First curvature; vanishes identically for every frame splitting."""
     frame.chart.require_interior(x)
-    return _curvature(frame, x, "r1")
+    return _curvature(_Stencil(frame, x), "r1")
 
 
 def r2(frame: FrameField, x: np.ndarray) -> CurvatureSample:
     """Second curvature; zero exactly when the invariant fields close."""
     frame.chart.require_interior(x)
-    return _curvature(frame, x, "r2")
+    return _curvature(_Stencil(frame, x), "r2")
 
 
 def w_form(frame: FrameField, x: np.ndarray) -> np.ndarray:
     """Obstruction covector w_i = Gamma_{ia}^a - Gamma_{ai}^a."""
     frame.chart.require_interior(x)
-    return _w_raw(frame, x)
+    return _Stencil(frame, x).w
 
 
-def _w_raw(frame: FrameField, x: np.ndarray) -> np.ndarray:
-    g = _gamma_tensor(frame, x)
-    return np.einsum("...iaa->...i", g) - np.einsum("...aia->...i", g)
+def _trace(r2_tensor: np.ndarray) -> np.ndarray:
+    return np.einsum("...rjaa->...rj", r2_tensor)
 
 
 def tr_r2(frame: FrameField, x: np.ndarray) -> np.ndarray:
     """Trace of the second curvature: Q[..., r, j] = r2[..., r, j, a, a]."""
     frame.chart.require_interior(x)
-    return np.einsum("...rjaa->...rj", _curvature(frame, x, "r2").tensor)
+    return _trace(_alternate(_curvature_full(_Stencil(frame, x), "r2"), -4))
 
 
 def w_exterior_derivative(frame: FrameField, x: np.ndarray) -> np.ndarray:
     """dw[..., r, j] = d_r w_j - d_j w_r by central differences of w_form."""
     frame.chart.require_interior(x)
-    dw = jacobian(lambda y: _w_raw(frame, y), x, frame.chart.h, axis=-2)
-    return dw - dw.swapaxes(-1, -2)
+    return _Stencil(frame, x).dw
+
+
+def _dw_residual(dw: np.ndarray, r2_tensor: np.ndarray) -> np.ndarray:
+    return point_sup(dw - _trace(r2_tensor).swapaxes(-1, -2), 2)
 
 
 def dw_tr_r2_residual(frame: FrameField, x: np.ndarray) -> np.ndarray:
@@ -261,7 +359,21 @@ def dw_tr_r2_residual(frame: FrameField, x: np.ndarray) -> np.ndarray:
     The r2 trace pairs with dx^r ^ dx^j through its transposed leading
     pair, so the comparison is dw[r, j] against tr_r2[j, r].
     """
-    return point_sup(w_exterior_derivative(frame, x) - tr_r2(frame, x).swapaxes(-1, -2), 2)
+    frame.chart.require_interior(x)
+    stencil = _Stencil(frame, x)
+    return _dw_residual(stencil.dw, _alternate(_curvature_full(stencil, "r2"), -4))
+
+
+def _two_point(sx: _Stencil, sy: _Stencil) -> tuple[np.ndarray, ...]:
+    """(full, d_x, d_y, eps_xy) of the two-point curvature at (x, y): A and
+    A^{-1} at x and x +- h e_k, A at y and y +- h e_k."""
+    h = sx.h
+    eps_xy = sy.a @ sx.inverse
+    d_x = _central([(sy.a @ plus, sy.a @ minus) for plus, minus in sx.shifted_inverse], h, axis=-3)
+    d_y = _central([(plus @ sx.inverse, minus @ sx.inverse) for plus, minus in sy.shifted_a], h, axis=-3)
+    # full[..., k, j, i] = d eps^i_j/dx^k + (d eps^i_j/dy^a) eps^a_k
+    full = d_x.swapaxes(-1, -2) + np.einsum("...aij,...ak->...kji", d_y, eps_xy)
+    return full, d_x, d_y, eps_xy
 
 
 def r_full(frame: FrameField, x: np.ndarray, y: np.ndarray) -> CurvatureSample:
@@ -269,22 +381,44 @@ def r_full(frame: FrameField, x: np.ndarray, y: np.ndarray) -> CurvatureSample:
     two equally shaped point stacks."""
     frame.chart.require_interior(x)
     frame.chart.require_interior(y)
-    eps = Splitting(frame)
-    h = frame.chart.h
-    eps_xy = eps(x, y)
-    d_x = jacobian(lambda u: eps(u, y), x, h, axis=-3)
-    d_y = jacobian(lambda v: eps(x, v), y, h, axis=-3)
-    # full[..., k, j, i] = d eps^i_j/dx^k + (d eps^i_j/dy^a) eps^a_k
-    full = d_x.swapaxes(-1, -2) + np.einsum("...aij,...ak->...kji", d_y, eps_xy)
-    tensor = full - full.swapaxes(-3, -2)
+    full, d_x, d_y, eps_xy = _two_point(_Stencil(frame, x), _Stencil(frame, y))
     local = _local_scale(point_sup(full, 3), point_sup(d_x, 3), point_sup(d_y, 3), point_sup(eps_xy, 2) ** 2)
     return CurvatureSample(
         point=np.asarray(x, dtype=float),
         second_point=np.asarray(y, dtype=float),
-        tensor=tensor,
+        tensor=_alternate(full, -3),
         kind="r_full",
         scale=local,
     )
+
+
+def _block_maxima(frame: FrameField, x: np.ndarray, mirror: np.ndarray) -> dict[str, float]:
+    """Sweep maxima over the point block x, each tensor dropped once its
+    maximum is taken; r_full pairs x with mirror."""
+    stencil = _Stencil(frame, x)
+    maxima = {
+        "torsion_max": sup_norm(_alternate(stencil.gamma, -3)),
+        "w_max": sup_norm(stencil.w),
+        "r1_max": sup_norm(_alternate(_curvature_full(stencil, "r1"), -4)),
+    }
+    r2_tensor = _alternate(_curvature_full(stencil, "r2"), -4)
+    maxima["r2_max"] = sup_norm(r2_tensor)
+    maxima["dw_tr_r2_residual"] = sup_norm(_dw_residual(stencil.dw, r2_tensor))
+    del r2_tensor
+    maxima["r_full_diagonal_max"] = sup_norm(_alternate(_two_point(stencil, stencil)[0], -3))
+    maxima["r_full_max"] = sup_norm(_alternate(_two_point(stencil, _Stencil(frame, mirror))[0], -3))
+    return maxima
+
+
+def curvature_sweep(frame: FrameField, points_per_axis: int) -> dict[str, float]:
+    """Maxima of r1, r2, torsion, w, r_full and the dw = tr r2 residual over
+    the chart lattice, block by block; r_full pairs each point with its
+    mirror in the lattice order, and its diagonal pairs it with itself."""
+    lattice = frame.chart.lattice(points_per_axis)
+    mirror = lattice[::-1]
+    size = SWEEP_BLOCK_POINTS
+    blocks = [_block_maxima(frame, lattice[i : i + size], mirror[i : i + size]) for i in range(0, len(lattice), size)]
+    return {key: float(np.max([block[key] for block in blocks])) for key in blocks[0]}
 
 
 def invariant_field(frame: FrameField, p: np.ndarray, v: np.ndarray) -> VectorField:
@@ -302,7 +436,7 @@ def invariant_field_pde_residual(frame: FrameField, p: np.ndarray, v: np.ndarray
     frame.chart.require_interior(x)
     field = invariant_field(frame, p, v)
     jac = jacobian(field, x, frame.chart.h)
-    expected = np.einsum("...jai,...a->...ij", _gamma_tensor(frame, x), field(x))
+    expected = np.einsum("...jai,...a->...ij", _Stencil(frame, x).gamma, field(x))
     return point_sup(jac - expected, 2)
 
 
@@ -317,7 +451,7 @@ def gamma_lift(frame: FrameField, xi: VectorField, variant: str = "tilde") -> J1
     pattern = "...jai,...a->...ij" if variant == "tilde" else "...aji,...a->...ij"
 
     def matrix(x: np.ndarray) -> np.ndarray:
-        return np.einsum(pattern, _gamma_tensor(frame, x), xi(x))
+        return np.einsum(pattern, _Stencil(frame, x).gamma, xi(x))
 
     return J1TSection(chart=frame.chart, vector_part=xi, matrix_part=matrix)
 
@@ -340,7 +474,7 @@ def bracket_defect_residual(
     lifted = gamma_lift(frame, vector_field_bracket(frame.chart, xi, eta), variant)
     pairwise = spencer_bracket(gamma_lift(frame, xi, variant), gamma_lift(frame, eta, variant))
     defect = lifted.matrix_part(x) - pairwise.matrix_part(x)
-    curv = _curvature(frame, x, "r2" if variant == "tilde" else "r1")
+    curv = _curvature(_Stencil(frame, x), "r2" if variant == "tilde" else "r1")
     x_val, y_val = xi(x), eta(x)
     expected = np.einsum("...bji,...b->...ij", np.einsum("...abji,...a->...bji", curv.tensor, y_val), x_val)
     magnitude = curv.scale * _local_scale(point_sup(x_val, 1)) * _local_scale(point_sup(y_val, 1))
@@ -351,7 +485,7 @@ def trace_one_form(frame: FrameField) -> Form1J1T:
     """The jet-algebroid 1-form (Gamma_{ia}^a, -identity) of the frame."""
 
     def covector(x: np.ndarray) -> np.ndarray:
-        return np.einsum("...iaa->...i", _gamma_tensor(frame, x))
+        return np.einsum("...iaa->...i", _Stencil(frame, x).gamma)
 
     return Form1J1T(chart=frame.chart, covector_part=covector, matrix_part=constant_field(-np.eye(frame.chart.dim)))
 
@@ -362,12 +496,12 @@ def structure_functions(frame: FrameField, x: np.ndarray) -> np.ndarray:
     xi_(i) is column i of the frame; brackets by central differences.
     """
     frame.chart.require_interior(x)
-    a_x = frame.matrix(x)
+    stencil = _Stencil(frame, x)
     # jac[..., a, c, j] = d_a A^c_j; column field xi_(j)^c = A^c_j.
-    jac = jacobian(frame.matrix, x, frame.chart.h, axis=-3)
+    jac = _central(stencil.shifted_a, stencil.h, axis=-3)
     # [xi_(i), xi_(j)]^c = t[i, j, c] - t[j, i, c], t[i, j, c] = (d_a A^c_j) A^a_i
-    t = np.einsum("...acj,...ai->...ijc", jac, a_x)
-    return np.einsum("...kc,...ijc->...ijk", np.linalg.inv(a_x), t - t.swapaxes(-3, -2))
+    t = np.einsum("...acj,...ai->...ijc", jac, stencil.a)
+    return np.einsum("...kc,...ijc->...ijk", stencil.inverse, t - t.swapaxes(-3, -2))
 
 
 class LocalAlgebraError(ValueError):
@@ -476,7 +610,7 @@ def log_det_ad_primitive_check(mult: LocalGroupMultiplication, points_per_axis: 
     Returns (residual, local magnitude scale).
     """
     lattice = mult.chart.lattice(points_per_axis)
-    w = _w_raw(frame_from_multiplication(mult), lattice)
+    w = _Stencil(frame_from_multiplication(mult), lattice).w
     minus_grad = -jacobian(log_det_ad(mult), lattice, mult.chart.h)
     return sup_norm(minus_grad - w), max(1.0, sup_norm(w))
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from liechar import catalog, cohomology, forms
+from liechar import catalog, cohomology, forms, geometry
 from liechar.algebra import LieAlgebra, lie_algebra
 from liechar.cli import CURVATURE_LATTICE_CAP, FORMS_COMPONENT_CAP, run
 from liechar.jets import Chart
@@ -440,14 +440,14 @@ def test_curvature_lattice_over_cap_exits_two_before_any_evaluation(capsys, monk
     frame = SimpleNamespace(chart=entry.payload.chart, matrix=refuse)
     monkeypatch.setattr(catalog, "get", lambda name, kind=None: dataclasses.replace(entry, payload=frame))
     monkeypatch.setattr(Chart, "lattice", refuse)
-    assert 5**6 > CURVATURE_LATTICE_CAP >= 4**6
-    code, out, err = invoke(capsys, "curvature", "--frame", "identity(6)", "--lattice", "5", *extra)
+    assert 6**6 > CURVATURE_LATTICE_CAP >= 5**6
+    code, out, err = invoke(capsys, "curvature", "--frame", "identity(6)", "--lattice", "6", *extra)
     assert code == 2
     assert out == ""
     assert "over the cap" in err
-    # 4**6 points is within the cap: the sweep starts and meets the refusal
+    # 5**6 points is within the cap: the sweep starts and meets the refusal
     with pytest.raises(AssertionError, match="evaluated"):
-        run(["curvature", "--frame", "identity(6)", "--lattice", "4"])
+        run(["curvature", "--frame", "identity(6)", "--lattice", "5"])
 
 
 @pytest.mark.parametrize("h", ["1e-17", "1e-300", "2e-16"])
@@ -467,6 +467,27 @@ def test_curvature_default_step_report_is_unchanged_by_an_explicit_step(capsys) 
     assert code == 0
     assert explicit == default
     assert json.loads(explicit)["max_norms"]["r2_max"] > 0.5
+
+
+@pytest.mark.parametrize("name", [n.split(":", 1)[1] for n in catalog.list_names() if n.startswith("frame:")])
+def test_curvature_sweep_in_blocks_equals_one_block(capsys, monkeypatch, name) -> None:
+    # blocks of 7 points leave an uneven last block (one point of the
+    # 3**6-point lattice) and pair each block with a mirror block elsewhere;
+    # dimensions 5 and 6 run at --lattice 3, as one block of 5**6 points
+    # would hold about 1 GB
+    frame = catalog.get(name, kind="frame").payload
+    lattice = 5 if frame.chart.dim <= 4 else 3
+    halved = geometry.FrameField(chart=frame.chart.with_step(frame.chart.h / 2), matrix=frame.matrix)
+
+    def sweeps():
+        maxima = [geometry.curvature_sweep(f, lattice) for f in (frame, halved)]
+        return maxima, invoke(capsys, "curvature", "--frame", name, "--lattice", str(lattice))
+
+    monkeypatch.setattr(geometry, "SWEEP_BLOCK_POINTS", lattice**frame.chart.dim)
+    one_block = sweeps()
+    monkeypatch.setattr(geometry, "SWEEP_BLOCK_POINTS", 7)
+    assert sweeps() == one_block
+    assert one_block[1][0] == 0
 
 
 def test_curvature_output_is_deterministic(capsys) -> None:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from liechar import catalog
 from liechar.fileformat import serialize_algebra
 
@@ -71,3 +73,17 @@ from liechar import algebra, geometry, jets, linalg
 print(json.dumps(sorted(m for m in ("liechar.geometry", "liechar.jets", "liechar.verify") if m in sys.modules)))
 """
     assert run_fresh(script) == ["liechar.geometry", "liechar.jets", "liechar.verify"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["curvature", "--frame", "borel_frame"], ["catalog", "show", "frame:borel_frame"]]
+)
+def test_fd_commands_load_geometry_but_not_the_verify_suites(argv) -> None:
+    script = f"""
+import contextlib, io, json, sys
+import liechar.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = liechar.cli.run({argv!r})
+print(json.dumps({{"code": code, "loaded": sorted(m for m in {FD_MODULES!r} if m in sys.modules)}}))
+"""
+    assert run_fresh(script) == {"code": 0, "loaded": ["liechar.geometry", "liechar.jets", "numpy"]}
