@@ -9,28 +9,13 @@ Two computational lanes share one set of conventions:
   coefficients, torsion and curvature tensors, the obstruction 1-form,
   local adjoint maps and their log-determinant primitive.
 
-The exact lane is imported with the package; the finite-difference lane
-(geometry, jets, verify and numpy) is imported when one of its names is
-first used.
+Importing the package imports none of its modules. The first use of a
+public name loads the lane that defines it: an exact name loads the exact
+modules (algebra, catalog, cohomology, fileformat, forms) without numpy,
+and a finite-difference name loads the exact lane and then geometry, jets
+and verify with numpy. Submodules imported directly, such as
+`liechar.catalog` or `liechar.geometry`, load only what they import.
 """
-
-from .algebra import LieAlgebra, ValidationReport, lie_algebra
-from .catalog import CatalogEntry, get, list_entries, list_names
-from .cohomology import (
-    BETTI_DIM_CAP,
-    STATUS_EXACT,
-    STATUS_NONZERO_CLASS,
-    STATUS_ZERO,
-    betti,
-    betti_table,
-    class_report,
-    cochain_complex,
-    differential_matrix,
-    is_closed,
-    is_exact,
-)
-from .fileformat import AlgebraFileError, parse_algebra, serialize_algebra
-from .forms import AlternatingForm, trace_form, w1_character, w3_killing
 
 __version__ = "0.1.0"
 
@@ -95,19 +80,24 @@ __all__ = [
     "w_form",
 ]
 
-# The finite-difference lane needs numpy, so its names (every name in
-# __all__ not imported above) load on first use (PEP 562): the first one
-# asked for imports geometry, jets and verify together, and importing
-# liechar or running an exact-lane command does not.
-_FD_MODULES = ("geometry", "jets", "verify")
-_FD_NAMES = frozenset(__all__) - set(globals())
+# The PEP 562 hook loads lanes whole and in order, so a finite-difference
+# name loads the exact lane first; only the second lane needs numpy. The
+# exact module names are not hooked: `from liechar import catalog` imports
+# that submodule alone.
+_LANES = (("algebra", "catalog", "cohomology", "fileformat", "forms"), ("geometry", "jets", "verify"))
 
 
 def __getattr__(name: str):
     from importlib import import_module
 
-    if name not in _FD_NAMES and name not in _FD_MODULES:
+    if name not in __all__ and name not in _LANES[-1]:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    modules = [import_module(f"{__name__}.{module}") for module in _FD_MODULES]
-    globals().update({attr: next(getattr(m, attr) for m in modules if hasattr(m, attr)) for attr in _FD_NAMES})
-    return globals()[name]
+    namespace = globals()
+    for lane in _LANES:
+        modules = [import_module(f"{__name__}.{module}") for module in lane]
+        for attr in __all__:
+            owner = next((m for m in modules if hasattr(m, attr)), None)
+            if owner is not None and attr not in namespace:
+                namespace[attr] = getattr(owner, attr)
+        if name in namespace:
+            return namespace[name]

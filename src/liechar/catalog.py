@@ -18,17 +18,17 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import TYPE_CHECKING, Union
 
-from .algebra import LieAlgebra, lie_algebra
-
 if TYPE_CHECKING:
     import numpy as np
 
+    from .algebra import LieAlgebra
     from .geometry import FrameField, LocalGroupMultiplication
 
-# Frame and multiplication builders import numpy and the finite-difference
-# modules when they build, so that importing the catalog (and the exact
-# lane through it) does not.
-Payload = Union[LieAlgebra, "FrameField", "LocalGroupMultiplication"]
+# Each builder imports the modules of its kind when it builds: algebras the
+# exact algebra module, frames and multiplications numpy and the
+# finite-difference modules. So importing the catalog, or listing it, loads
+# neither lane.
+Payload = Union["LieAlgebra", "FrameField", "LocalGroupMultiplication"]
 
 ABELIAN_MAX_DIM = 6
 
@@ -41,6 +41,12 @@ class CatalogEntry:
     kind: str
     payload: Payload
     note: str
+
+
+def _algebra(dim: int, brackets: dict[tuple[int, int, int], int], names: tuple[str, ...] = ()) -> LieAlgebra:
+    from .algebra import lie_algebra
+
+    return lie_algebra(dim, brackets, names=names)
 
 
 def _frame(lower: tuple[float, ...], upper: tuple[float, ...], matrix: Callable) -> FrameField:
@@ -124,27 +130,27 @@ _SL2 = {(1, 2, 1): -2, (1, 3, 2): 1, (2, 3, 3): -2}
 _TABLE: dict[tuple[str, str], tuple[str, Callable[[], Payload]]] = {
     ("algebra", "heisenberg3"): (
         "nilpotent 3-dimensional algebra [p, q] = z with central z",
-        partial(lie_algebra, 3, {(1, 2, 3): 1}, names=("p", "q", "z")),
+        partial(_algebra, 3, {(1, 2, 3): 1}, names=("p", "q", "z")),
     ),
     ("algebra", "affine1"): (
         "affine transformations of the line, [t, s] = s; solvable, not unimodular",
-        partial(lie_algebra, 2, {(1, 2, 2): 1}, names=("t", "s")),
+        partial(_algebra, 2, {(1, 2, 2): 1}, names=("t", "s")),
     ),
     ("algebra", "borel_sl2"): (
         "upper-triangular traceless 2x2 matrices, basis (h, x) with [h, x] = 2x",
-        partial(lie_algebra, 2, {(1, 2, 2): 2}, names=("h", "x")),
+        partial(_algebra, 2, {(1, 2, 2): 2}, names=("h", "x")),
     ),
     ("algebra", "sl2"): (
         "traceless 2x2 matrices in the (X, H, Y) basis: [H,X]=2X, [X,Y]=H, [H,Y]=-2Y",
-        partial(lie_algebra, 3, _SL2, names=("X", "H", "Y")),
+        partial(_algebra, 3, _SL2, names=("X", "H", "Y")),
     ),
     ("algebra", "so3"): (
         "rotation algebra, orthogonal basis with [A,C] = B and [B,C] = -A",
-        partial(lie_algebra, 3, {(1, 2, 3): -1, (1, 3, 2): 1, (2, 3, 1): -1}, names=("A", "B", "C")),
+        partial(_algebra, 3, {(1, 2, 3): -1, (1, 3, 2): 1, (2, 3, 1): -1}, names=("A", "B", "C")),
     ),
     ("algebra", "sl2_plus_abelian2"): (
         "direct sum of sl2 with a 2-dimensional center; reductive, not semisimple",
-        partial(lie_algebra, 5, _SL2, names=("X", "H", "Y", "u", "v")),
+        partial(_algebra, 5, _SL2, names=("X", "H", "Y", "u", "v")),
     ),
     ("frame", "affine_halfplane"): (
         "A(x) = x1 * identity on {x1 > 0}; left-translation frame of the affine group",
@@ -170,7 +176,7 @@ _TABLE: dict[tuple[str, str], tuple[str, Callable[[], Payload]]] = {
 for _n in range(1, ABELIAN_MAX_DIM + 1):
     _TABLE["algebra", f"abelian({_n})"] = (
         f"{_n}-dimensional algebra with all brackets zero",
-        partial(lie_algebra, _n, {}),
+        partial(_algebra, _n, {}),
     )
     _TABLE["frame", f"identity({_n})"] = (
         f"constant identity frame on the unit box in dimension {_n}",

@@ -3,29 +3,32 @@
 Subcommands: analyze, forms, cohomology, curvature, catalog, verify.
 Reports go to stdout as JSON with sorted keys (or --format text);
 diagnostics go to stderr. Exit codes: 0 success, 1 mathematical
-validation failure, 2 parse/IO/usage error.
+validation failure, 2 parse/IO/usage error (a closed stdout included).
 
-The finite-difference lane is imported inside the commands that use it:
-curvature and catalog show import the geometry module (with jets and
-numpy) and verify imports the verify suites, so analyze, forms and
-cohomology load none of them and curvature does not compile the suites.
+Each command imports the modules it runs, from the submodules and never
+through the package's lazy names, so a fresh process loads only its own
+lane: analyze, forms and cohomology the exact modules they use, without
+numpy; curvature the catalog, geometry and jets (with numpy), without the
+exact lane; catalog list the catalog alone; catalog show what the entry's
+builder imports; verify everything.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from functools import partial
 from math import comb
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import catalog, cohomology, forms
-from .algebra import LieAlgebra
-from .cohomology import BETTI_DIM_CAP
-from .fileformat import AlgebraFileError, parse_algebra, serialize_algebra
-from .linalg import symmetric_signature
+from . import catalog
+
+if TYPE_CHECKING:
+    from .algebra import LieAlgebra
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -60,6 +63,8 @@ def _load_algebra(source: str) -> tuple[str, LieAlgebra]:
     if source.startswith("catalog:"):
         name = source[len("catalog:") :]
         return name, _catalog_entry(name, "algebra").payload
+    from .fileformat import AlgebraFileError, parse_algebra
+
     path = Path(source)
     try:
         text = path.read_text()
@@ -98,6 +103,8 @@ def _text_lines(tree: dict, prefix: str) -> list[str]:
 
 
 def _check_betti_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
+    from .cohomology import BETTI_DIM_CAP
+
     if alg.dim > BETTI_DIM_CAP:
         raise CliError(f"dimension {alg.dim} exceeds the Betti table cap ({BETTI_DIM_CAP})")
 
@@ -137,8 +144,11 @@ def _report_algebra(
 
 
 def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
+    from .cohomology import class_report, cochain_complex
+    from .linalg import symmetric_signature
+
     pos, neg, zero = symmetric_signature(alg.killing())
-    complex_ = cohomology.cochain_complex(alg, args.max_degree)
+    complex_ = cochain_complex(alg, args.max_degree)
     return {
         "name": name,
         "dim": alg.dim,
@@ -149,25 +159,31 @@ def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dic
         "unimodular": alg.is_unimodular(),
         "killing_signature": [pos, neg, zero],
         "betti": list(complex_.betti),
-        "classes": {str(k): status for k, status in cohomology.class_report(complex_).items()},
+        "classes": {str(k): status for k, status in class_report(complex_).items()},
     }
 
 
 def _forms_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
-    form = forms.trace_form(alg, args.degree)
+    from .cohomology import cochain_basis
+    from .forms import trace_form
+
+    form = trace_form(alg, args.degree)
     components = {_subset_key(subset): str(value) for subset, value in sorted(form.components.items())}
-    for subset in cohomology.cochain_basis(alg.dim, args.degree):
+    for subset in cochain_basis(alg.dim, args.degree):
         components.setdefault(_subset_key(subset), "0")
     return {"name": name, "dim": alg.dim, "degree": args.degree, "components": components}
 
 
 def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
+    from .cohomology import cochain_complex
+    from .forms import trace_form
+
     k = args.degree
-    complex_ = cohomology.cochain_complex(alg, k)
+    complex_ = cochain_complex(alg, k)
     report: dict = {"name": name, "dim": alg.dim, "degree": k, "betti": complex_.betti[k]}
     if k == 0:
         return report
-    status, primitive = complex_.trace_class(forms.trace_form(alg, k))
+    status, primitive = complex_.trace_class(trace_form(alg, k))
     # trace forms of a Jacobi-valid algebra are always cocycles
     report.update(w_closed=True, w_status=status, w_primitive=None)
     if primitive is not None:
@@ -177,7 +193,7 @@ def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> 
 
 def _cmd_curvature(args: argparse.Namespace) -> int:
     # from the submodule: `from . import geometry` would go through the
-    # package's lazy hook, which loads (and compiles) verify as well
+    # package's lazy hook, which loads the exact lane and verify as well
     from .geometry import FrameField, curvature_sweep
 
     frame = _catalog_entry(args.frame, "frame").payload
@@ -221,7 +237,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     entry = _catalog_entry(args.name)
     report: dict = {"name": entry.name, "kind": entry.kind, "note": entry.note}
     payload = entry.payload
-    if isinstance(payload, LieAlgebra):
+    if entry.kind == "algebra":
+        from .fileformat import serialize_algebra
+
         report["dim"] = payload.dim
         report["definition"] = serialize_algebra(payload).strip().splitlines()
     else:
@@ -232,19 +250,17 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             "upper": list(chart.upper),
             "h": chart.h,
         }
-        from .geometry import LocalGroupMultiplication
-
-        if isinstance(payload, LocalGroupMultiplication):
+        if entry.kind == "multiplication":
             report["identity"] = [float(v) for v in payload.identity]
     _emit(report, args.format)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from . import verify
+    from .verify import run_suites
 
     try:
-        results = verify.run_suites([args.suite] if args.suite else None)
+        results = run_suites([args.suite] if args.suite else None)
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from exc
     failures = 0
@@ -334,7 +350,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: an I/O failure, not a mathematical one;
+        # stdout now points at devnull so the flush at shutdown cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -40,12 +40,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import LieAlgebra
 from .jets import (
     Chart,
     Form1J1T,
@@ -56,6 +55,9 @@ from .jets import (
     spencer_bracket,
     vector_field_bracket,
 )
+
+if TYPE_CHECKING:
+    from .algebra import LieAlgebra
 
 # Frames must stay invertible: |det A| on the sample lattice.
 DET_FLOOR = 1e-6
@@ -515,6 +517,11 @@ def local_algebra(frame: FrameField, p: np.ndarray, points_per_axis: int = 5) ->
     (by more than ten times the finite-difference tolerance), or if the
     rounded constants violate the Jacobi identity.
     """
+    # the exact lane is imported here, so the rest of geometry runs without it
+    from fractions import Fraction
+
+    from .algebra import LieAlgebra
+
     c_p = structure_functions(frame, p)
     spread = sup_norm(structure_functions(frame, frame.chart.lattice(points_per_axis)) - c_p)
     scale = max(1.0, sup_norm(c_p))

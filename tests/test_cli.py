@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from functools import cached_property
@@ -573,3 +574,17 @@ def test_module_entry_point_smoke() -> None:
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["betti"] == [1, 2, 1]
+
+
+@pytest.mark.parametrize("argv", [["analyze", "catalog:sl2"], ["curvature", "--frame", "borel_frame"]])
+def test_closed_stdout_exits_two_without_a_traceback(argv) -> None:
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the child's stdout fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liechar.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ""

@@ -1,15 +1,25 @@
-"""Import boundary: the exact lane runs without numpy; FD names load on first use."""
+"""Import boundary: each command loads only its own lane; public names load on first use."""
 
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from liechar import catalog
 from liechar.fileformat import serialize_algebra
 
-FD_MODULES = ("numpy", "liechar.geometry", "liechar.jets", "liechar.verify")
+EXACT_LANE = [
+    "liechar.algebra",
+    "liechar.catalog",
+    "liechar.cohomology",
+    "liechar.fileformat",
+    "liechar.forms",
+    "liechar.linalg",
+]
+# the liechar modules and numpy (not its submodules) that a fresh interpreter has loaded
+LOADED = 'sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "liechar")'
 
 
 def run_fresh(script: str) -> dict:
@@ -32,22 +42,26 @@ def test_exact_commands_do_not_load_numpy(tmp_path) -> None:
         ["analyze", str(bad)],
         ["forms", str(bad), "--degree", "1"],
         ["analyze", "catalog:sl2", "--format", "text"],
-        ["catalog", "list"],
     ]
     script = f"""
 import contextlib, io, json, sys
 import liechar
-after_package = sorted(m for m in {FD_MODULES!r} if m in sys.modules)
+after_package = {LOADED}
 import liechar.cli
-after_cli = sorted(m for m in {FD_MODULES!r} if m in sys.modules)
+after_cli = {LOADED}
 with contextlib.redirect_stdout(io.StringIO()):
+    list_code = liechar.cli.run(["catalog", "list"])
+    after_list = {LOADED}
     codes = [liechar.cli.run(argv) for argv in {commands!r}]
-after_runs = sorted(m for m in {FD_MODULES!r} if m in sys.modules)
-print(json.dumps({{"package": after_package, "cli": after_cli, "runs": after_runs, "codes": codes}}))
+after_runs = {LOADED}
+print(json.dumps({{"package": after_package, "cli": after_cli, "list": after_list, "runs": after_runs,
+                  "codes": [list_code, *codes]}}))
 """
     result = run_fresh(script)
-    assert result["codes"] == [0] * 9 + [1, 1, 0, 0]
-    assert result["package"] == result["cli"] == result["runs"] == []
+    assert result["codes"] == [0] * 10 + [1, 1, 0]
+    assert result["package"] == ["liechar"]
+    assert result["cli"] == result["list"] == ["liechar", "liechar.catalog", "liechar.cli"]
+    assert result["runs"] == sorted(["liechar", "liechar.cli", *EXACT_LANE])
 
 
 def test_every_public_name_resolves_and_star_import_works() -> None:
@@ -79,11 +93,40 @@ print(json.dumps(sorted(m for m in ("liechar.geometry", "liechar.jets", "liechar
     "argv", [["curvature", "--frame", "borel_frame"], ["catalog", "show", "frame:borel_frame"]]
 )
 def test_fd_commands_load_geometry_but_not_the_verify_suites(argv) -> None:
+    # nor the exact lane: the catalog builds a frame without the algebra module
     script = f"""
 import contextlib, io, json, sys
 import liechar.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = liechar.cli.run({argv!r})
-print(json.dumps({{"code": code, "loaded": sorted(m for m in {FD_MODULES!r} if m in sys.modules)}}))
+print(json.dumps({{"code": code, "loaded": {LOADED}}}))
 """
-    assert run_fresh(script) == {"code": 0, "loaded": ["liechar.geometry", "liechar.jets", "numpy"]}
+    loaded = ["liechar", "liechar.catalog", "liechar.cli", "liechar.geometry", "liechar.jets", "numpy"]
+    assert run_fresh(script) == {"code": 0, "loaded": loaded}
+
+
+def test_the_bench_tracer_finds_every_module_it_wraps() -> None:
+    # bench/tracer.py imports liechar.cli and a few modules by name, then
+    # looks up every module of its SPANS table; install() raises on a missing one
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    script = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {str(bench)!r})
+import liechar.cli
+from tracer import SPANS, Tracer
+tracer = Tracer("contract")
+tracer.install()
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = liechar.cli.run(["curvature", "--frame", "borel_frame"])
+finally:
+    tracer.uninstall()
+loaded = {{m.split(".")[-1] for m in sys.modules if m.startswith("liechar.")}}
+print(json.dumps({{
+    "code": code,
+    "missing": sorted({{module for module, *_ in SPANS}} - loaded),
+    "spans": sorted({{span[0] for span in tracer.spans}}),
+    "frame_evals": tracer.counters["geometry.frame_evals"] > 0,
+}}))
+"""
+    assert run_fresh(script) == {"code": 0, "missing": [], "spans": ["catalog.get", "cli.run"], "frame_evals": True}
