@@ -10,12 +10,12 @@ this module is exact.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from numbers import Rational
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import linalg
 from .linalg import Matrix
@@ -31,15 +31,13 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of the Jacobi check; violations are (i, j, k, m) index tuples."""
 
     ok: bool
     violations: tuple[tuple[int, int, int, int], ...] = ()
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
     """Lie algebra given by structure constants on a fixed basis.
 
@@ -50,18 +48,21 @@ class LieAlgebra:
             entries are zero. Use structure_constant() for reads. Stored
             read-only (a MappingProxyType over the nonzero constants).
         names: n basis labels, decorative only.
+
+    The three attributes are read-only, and == and repr read only them, not
+    the cached properties derived from them.
     """
 
     dim: int
     c: Mapping[tuple[int, int, int], Fraction]
-    names: tuple[str, ...] = ()
+    names: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, c: Mapping[tuple[int, int, int], Fraction], names: tuple[str, ...] = ()) -> None:
+        if dim < 1:
             raise ValueError("dimension must be >= 1")
         normalized: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j, k), value in self.c.items():
-            if not (1 <= i <= self.dim and 1 <= j <= self.dim and 1 <= k <= self.dim):
+        for (i, j, k), value in c.items():
+            if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
                 raise ValueError(f"index out of range in constant ({i},{j},{k})")
             if i == j:
                 raise ValueError(f"constant ({i},{j},{k}) has repeated lower indices")
@@ -74,11 +75,26 @@ class LieAlgebra:
             if key in normalized and normalized[key] != v:
                 raise ValueError(f"conflicting values for constant {key}")
             normalized[key] = v
-        object.__setattr__(self, "c", MappingProxyType(normalized))
-        if not self.names:
-            object.__setattr__(self, "names", tuple(f"e{i}" for i in range(1, self.dim + 1)))
-        if len(self.names) != self.dim:
+        names = names or tuple(f"e{i}" for i in range(1, dim + 1))
+        if len(names) != dim:
             raise ValueError("need one basis name per dimension")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "c", MappingProxyType(normalized))
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of LieAlgebra")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of LieAlgebra")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.c, self.names) == (other.dim, other.c, other.names)
+
+    def __repr__(self) -> str:
+        return f"LieAlgebra(dim={self.dim!r}, c={self.c!r}, names={self.names!r})"
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         """c_{ij}^k, extended to all index orders by antisymmetry."""
@@ -125,7 +141,7 @@ class LieAlgebra:
     @cached_property
     def _basis_ad(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """ad(e_i) as dense matrices from sparse_ad, built once per algebra;
-        outside the dataclass fields, so == ignores it."""
+        == ignores it."""
         n = self.dim
         scale, sparse = self.sparse_ad
         ads = [linalg.zeros(n, n) for _ in range(n)]

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache, partial
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,8 +34,7 @@ ABELIAN_MAX_DIM = 6
 KINDS = ("algebra", "frame", "multiplication")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     kind: str
     payload: Payload

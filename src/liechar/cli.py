@@ -3,20 +3,22 @@
 Subcommands: analyze, forms, cohomology, curvature, catalog, verify.
 Reports go to stdout as JSON with sorted keys (or --format text);
 diagnostics go to stderr. Exit codes: 0 success, 1 mathematical
-validation failure, 2 parse/IO/usage error (a closed stdout included).
+validation failure, 2 parse/IO/usage error (an output write that fails,
+on a closed or full stdout, included).
 
 Each command imports the modules it runs, from the submodules and never
 through the package's lazy names, so a fresh process loads only its own
 lane: analyze, forms and cohomology the exact modules they use, without
 numpy; curvature the catalog, geometry and jets (with numpy), without the
 exact lane; catalog list the catalog alone; catalog show what the entry's
-builder imports; verify everything.
+builder imports; verify --suite what that suite runs (liechar.verify
+imports each suite's modules inside the suite), and verify without a suite
+both lanes. json is imported only to print a JSON report.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Callable
@@ -52,11 +54,23 @@ class CliError(Exception):
     """Usage or I/O failure; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose help and usage writes raise on failure. argparse
+    drops an OSError from them, so --help into a closed pipe would exit 0;
+    here it reaches main and exits 2. Subparsers take this class too."""
+
+    def print_usage(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_usage())
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def _catalog_entry(name: str, kind: str | None = None) -> catalog.CatalogEntry:
     try:
         return catalog.get(name, kind=kind)
     except KeyError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(exc.args[0]) from exc
 
 
 def _load_algebra(source: str) -> tuple[str, LieAlgebra]:
@@ -82,6 +96,8 @@ def _subset_key(subset: tuple[int, ...]) -> str:
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         for line in _text_lines(report, prefix=""):
@@ -262,7 +278,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         results = run_suites([args.suite] if args.suite else None)
     except KeyError as exc:
-        raise CliError(str(exc.args[0])) from exc
+        raise CliError(exc.args[0]) from exc
     failures = 0
     for result in results:
         if result.ok:
@@ -282,7 +298,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liechar",
         description="Characteristic invariants of local Lie groups: exact Lie-algebra"
         " computations and finite-difference chart geometry.",
@@ -353,10 +369,13 @@ def main() -> None:
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: an I/O failure, not a mathematical one;
+    except OSError as exc:
+        # stdout could not be written: an I/O failure, not a mathematical
+        # one. A closed pipe is the reader's doing and is not reported.
         # stdout now points at devnull so the flush at shutdown cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     sys.exit(code)
 

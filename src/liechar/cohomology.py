@@ -42,10 +42,10 @@ the full bases, as the references of verify and the tests.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import LieAlgebra
@@ -68,8 +68,7 @@ def cochain_basis(dim: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, dim + 1), k))
 
 
-@dataclass(frozen=True)
-class DifferentialMatrix:
+class DifferentialMatrix(NamedTuple):
     """Matrix of d_k: degree-k cochains to degree-(k+1) cochains.
 
     nonzeros[(r, c)] pairs row basis subset r (size k+1) with column subset
@@ -231,8 +230,7 @@ STATUS_EXACT = "exact"
 STATUS_NONZERO_CLASS = "nonzero class"
 
 
-@dataclass(frozen=True)
-class CochainComplex:
+class CochainComplex(NamedTuple):
     """The weight-zero complex of alg in degrees 0..top, top = len(betti) - 1:
     its Betti numbers and its differentials d_0, ..., d_min(top, dim - 1)."""
 

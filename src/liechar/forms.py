@@ -20,7 +20,6 @@ w_k(I) = (1/k) * sum_p (-1)^p * tr(ad e_{i_p} . A_{I minus i_p}).
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -36,33 +35,50 @@ def permutation_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
 class AlternatingForm:
     """Degree-k alternating multilinear form on a dim-n space.
 
     Components are stored on sorted index subsets (1-based, ascending);
     absent subsets are zero. Degree 0 is a single scalar stored at ().
+    The attributes degree, dim and components are read-only, and == and
+    repr read only them.
     """
 
     degree: int
     dim: int
     components: dict[tuple[int, ...], Fraction]
 
-    def __post_init__(self):
-        if not 0 <= self.degree <= self.dim:
+    def __init__(self, degree: int, dim: int, components: dict[tuple[int, ...], Fraction]) -> None:
+        if not 0 <= degree <= dim:
             raise ValueError("degree must lie in [0, dim]")
         cleaned = {}
-        for subset, value in self.components.items():
-            if len(subset) != self.degree:
-                raise ValueError(f"subset {subset} has wrong size for degree {self.degree}")
+        for subset, value in components.items():
+            if len(subset) != degree:
+                raise ValueError(f"subset {subset} has wrong size for degree {degree}")
             if list(subset) != sorted(set(subset)):
                 raise ValueError(f"subset {subset} must be strictly increasing")
-            if subset and not (1 <= subset[0] and subset[-1] <= self.dim):
+            if subset and not (1 <= subset[0] and subset[-1] <= dim):
                 raise ValueError(f"subset {subset} out of range")
             v = Fraction(value)
             if v != 0:
                 cleaned[subset] = v
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "components", cleaned)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of AlternatingForm")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of AlternatingForm")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.dim, self.components) == (other.degree, other.dim, other.components)
+
+    def __repr__(self) -> str:
+        return f"AlternatingForm(degree={self.degree!r}, dim={self.dim!r}, components={self.components!r})"
 
     def is_zero(self) -> bool:
         return not self.components

@@ -207,6 +207,24 @@ def test_structure_constants_are_read_only() -> None:
     assert g == lie_algebra(3, dict(g.c), names=g.names)
 
 
+def test_fields_are_read_only_and_equality_and_repr_read_only_them() -> None:
+    g = lie_algebra(3, {(1, 2, 3): 1}, names=("p", "q", "z"))
+    g.sparse_ad  # a cached property, outside == and repr
+    for field in ("dim", "c", "names", "sparse_ad"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, None)
+        with pytest.raises(AttributeError):
+            delattr(g, field)
+    assert g == LieAlgebra(dim=3, c={(2, 1, 3): -1}, names=("p", "q", "z"))
+    assert g != lie_algebra(3, {(1, 2, 3): 1})
+    assert g != lie_algebra(3, {(1, 2, 3): 2}, names=g.names)
+    assert g != lie_algebra(4, {(1, 2, 3): 1}, names=(*g.names, "u"))
+    assert g != (3, g.c, g.names)
+    assert repr(g) == "LieAlgebra(dim=3, c=mappingproxy({(1, 2, 3): Fraction(1, 1)}), names=('p', 'q', 'z'))"
+    with pytest.raises(TypeError):
+        hash(g)
+
+
 def test_killing_pair_matches_the_gram_form() -> None:
     for g in CATALOG_ALGEBRAS:
         kappa = g.killing()

@@ -345,3 +345,17 @@ def test_zero_form_reports_zero() -> None:
     w3 = trace_form(g, 3)
     assert w3.is_zero()
     assert isinstance(w3, AlternatingForm)
+
+
+def test_form_fields_are_read_only_and_equality_and_repr_read_only_them() -> None:
+    w = AlternatingForm(degree=2, dim=3, components={(1, 2): 1, (2, 3): 0})
+    for field in ("degree", "dim", "components"):
+        with pytest.raises(AttributeError):
+            setattr(w, field, None)
+        with pytest.raises(AttributeError):
+            delattr(w, field)
+    assert w == AlternatingForm(2, 3, {(1, 2): Fraction(1)})
+    assert w != AlternatingForm(2, 4, {(1, 2): 1})
+    assert w != AlternatingForm(2, 3, {(1, 3): 1})
+    assert w != (2, 3, w.components)
+    assert repr(w) == "AlternatingForm(degree=2, dim=3, components={(1, 2): Fraction(1, 1)})"

@@ -20,6 +20,9 @@ EXACT_LANE = [
 ]
 # the liechar modules and numpy (not its submodules) that a fresh interpreter has loaded
 LOADED = 'sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "liechar")'
+# the costlier library modules a command should load only when it runs them;
+# dataclasses imports inspect, ast, dis and tokenize
+LIBRARY = 'sorted(m for m in ("dataclasses", "fractions", "inspect", "json", "numpy.random") if m in sys.modules)'
 
 
 def run_fresh(script: str) -> dict:
@@ -43,8 +46,9 @@ def test_exact_commands_do_not_load_numpy(tmp_path) -> None:
         ["forms", str(bad), "--degree", "1"],
         ["analyze", "catalog:sl2", "--format", "text"],
     ]
+    # json only for the result, after the module sets are read
     script = f"""
-import contextlib, io, json, sys
+import contextlib, io, sys
 import liechar
 after_package = {LOADED}
 import liechar.cli
@@ -52,16 +56,62 @@ after_cli = {LOADED}
 with contextlib.redirect_stdout(io.StringIO()):
     list_code = liechar.cli.run(["catalog", "list"])
     after_list = {LOADED}
+    list_library = {LIBRARY}
     codes = [liechar.cli.run(argv) for argv in {commands!r}]
 after_runs = {LOADED}
+runs_library = {LIBRARY}
+import json
 print(json.dumps({{"package": after_package, "cli": after_cli, "list": after_list, "runs": after_runs,
-                  "codes": [list_code, *codes]}}))
+                  "list_library": list_library, "runs_library": runs_library, "codes": [list_code, *codes]}}))
 """
     result = run_fresh(script)
     assert result["codes"] == [0] * 10 + [1, 1, 0]
     assert result["package"] == ["liechar"]
     assert result["cli"] == result["list"] == ["liechar", "liechar.catalog", "liechar.cli"]
     assert result["runs"] == sorted(["liechar", "liechar.cli", *EXACT_LANE])
+    # no dataclasses (so no inspect) on the exact lane, and no json for a listing
+    assert result["list_library"] == []
+    assert result["runs_library"] == ["fractions", "json"]
+
+
+# the liechar modules (and numpy) that each verify suite loads besides liechar, cli and verify:
+# no fileformat anywhere, and no exact module for jets
+SUITE_MODULES = {
+    "algebra": ["liechar.algebra", "liechar.catalog", "liechar.linalg"],
+    "forms": ["liechar.algebra", "liechar.catalog", "liechar.forms", "liechar.linalg"],
+    "cohomology": ["liechar.algebra", "liechar.catalog", "liechar.cohomology", "liechar.forms", "liechar.linalg"],
+    "jets": ["liechar.catalog", "liechar.geometry", "liechar.jets", "numpy"],
+    "geometry": ["liechar.algebra", "liechar.catalog", "liechar.geometry", "liechar.jets", "liechar.linalg", "numpy"],
+    "catalog": ["liechar.algebra", "liechar.catalog", "liechar.geometry", "liechar.jets", "liechar.linalg", "numpy"],
+}
+
+
+@pytest.fixture(scope="module")
+def numpy_loads_random() -> bool:
+    """Whether `import numpy` imports numpy.random itself, as numpy 1.x does."""
+    return run_fresh('import json, sys, numpy; print(json.dumps("numpy.random" in sys.modules))')
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_MODULES))
+def test_each_verify_suite_loads_only_its_own_modules(suite, numpy_loads_random) -> None:
+    script = f"""
+import contextlib, io, sys
+import liechar.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = liechar.cli.run(["verify", "--suite", {suite!r}])
+loaded, library = {LOADED}, {LIBRARY}
+import json
+print(json.dumps({{"code": code, "loaded": loaded, "library": library}}))
+"""
+    result = run_fresh(script)
+    assert result["code"] == 0
+    assert result["loaded"] == sorted(["liechar", "liechar.cli", "liechar.verify", *SUITE_MODULES[suite]])
+    # the seeded draws come from the standard library, not numpy.random
+    assert ("numpy.random" in result["library"]) == ("numpy" in result["loaded"] and numpy_loads_random)
+    if suite in ("algebra", "forms", "cohomology"):
+        assert result["library"] == ["fractions"]
+    if suite == "jets":
+        assert "fractions" not in result["library"]
 
 
 def test_every_public_name_resolves_and_star_import_works() -> None:
