@@ -257,8 +257,10 @@ def cochain_complex(alg: LieAlgebra, top: int | None = None) -> CochainComplex:
     """The weight-zero complex up to degree top (default and at most dim), each
     d_k built once and ranked as the module docstring sets out. A dimension
     over BETTI_DIM_CAP or a bracket that fails Jacobi (named by its first
-    violation) raises ValueError."""
+    violation), or a negative top, raises ValueError."""
     n = alg.dim
+    if top is not None and top < 0:
+        raise ValueError(f"top degree {top} is negative")
     _check_betti_size(alg)
     violations = alg.validate().violations
     if violations:

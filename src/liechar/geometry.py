@@ -29,11 +29,17 @@ stencil: A is evaluated once at x, at x +- h e_k and at (x +- h e_r) +- h e_k,
 and inverted only at x and x +- h e_r. Gamma, its derivative, r1, r2,
 torsion, w, dw, the r2 trace, r_full and the structure functions are all
 read from those arrays; gamma_from_splitting stays an independent route
-through jets.jacobian. curvature_sweep covers the chart lattice in blocks
-of SWEEP_BLOCK_POINTS points, takes each maximum as soon as its tensor
-exists, and reduces the maxima across blocks. Its r_full pairs block i
-with the mirror of block i (the same positions of the reversed lattice),
-whose stencil needs A only at its points and at their first neighbours.
+through jets.jacobian. Each curvature expression is written once, as a
+stencil method: r1_full() and r2_full() give r1 and r2 before alternation,
+two_point(other) gives r_full's expression at (x, other.x) with its terms,
+and curvature(full) turns r1_full() or r2_full() into the scaled
+CurvatureSample. The point functions, bracket_defect_residual and
+curvature_sweep all call these. curvature_sweep covers the chart lattice in
+blocks of SWEEP_BLOCK_POINTS points, takes each maximum as soon as its
+tensor exists, unscaled, and reduces the maxima across blocks. Its r_full
+pairs block i with the mirror of block i (the same positions of the
+reversed lattice), whose stencil needs A only at its points and at their
+first neighbours.
 """
 
 from __future__ import annotations
@@ -153,7 +159,6 @@ class ConnectionSample:
     """Connection coefficients at a point or a point stack;
     gamma[..., k, j, i] = Gamma_{kj}^i."""
 
-    point: np.ndarray
     gamma: np.ndarray
 
     @property
@@ -164,23 +169,20 @@ class ConnectionSample:
 
 @dataclass(frozen=True)
 class CurvatureSample:
-    """A curvature tensor at a point (or point pair, for kind 'r_full'),
-    or at each point of a stack.
+    """A curvature tensor at a point (or point pair, for r_full), or at each
+    point of a stack.
 
     scale is the per-point sup norm of the expression before alternation,
     the natural local magnitude for an is-this-zero tolerance.
     """
 
-    point: np.ndarray
     tensor: np.ndarray
-    kind: str
     scale: np.ndarray
-    second_point: np.ndarray | None = None
 
     @property
     def max_abs(self) -> np.ndarray:
         """Sup norm of the tensor per point."""
-        return point_sup(self.tensor, self.tensor.ndim - self.point.ndim + 1)
+        return point_sup(self.tensor, self.tensor.ndim - np.ndim(self.scale))
 
 
 def _central(pairs, h: float, axis: int) -> np.ndarray:
@@ -269,11 +271,45 @@ class _Stencil:
         d = _central([(_w_from(plus), _w_from(minus)) for plus, minus in self.shifted_gamma], self.h, axis=-2)
         return _alternate(d, -2)
 
+    def r1_full(self) -> np.ndarray:
+        """F[..., r, j, k, i] = d_r Gamma_{jk}^i + Gamma_{rk}^a Gamma_{ja}^i, r1 before alternation."""
+        g = self.gamma
+        return self.dgamma + np.einsum("...rka,...jai->...rjki", g, g)
+
+    def r2_full(self) -> np.ndarray:
+        """F[..., r, j, k, i] = d_r Gamma_{kj}^i + Gamma_{kr}^a Gamma_{aj}^i, r2 before alternation."""
+        g = self.gamma
+        return self.dgamma.swapaxes(-3, -2) + np.einsum("...kra,...aji->...rjki", g, g)
+
+    def curvature(self, full: np.ndarray) -> CurvatureSample:
+        """The scaled sample of r1_full() or r2_full()."""
+        # the FD error of the dG term tracks the local derivative magnitudes,
+        # not the (possibly cancelling) value of the expression itself
+        scale = _local_scale(point_sup(full, 4), point_sup(self.dgamma, 4), point_sup(self.gamma, 3) ** 2)
+        return CurvatureSample(tensor=_alternate(full, -4), scale=scale)
+
+    def two_point(self, other: _Stencil) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The two-point curvature at (x, y) = (self.x, other.x) before
+        alternation, with its terms (d_x, d_y, eps_xy): A and A^{-1} at x and
+        x +- h e_k, A at y and y +- h e_k."""
+        a_y, inverse, h = other.a, self.inverse, self.h
+        eps_xy = a_y @ inverse
+        d_x = _central([(a_y @ plus, a_y @ minus) for plus, minus in self.shifted_inverse], h, axis=-3)
+        d_y = _central([(plus @ inverse, minus @ inverse) for plus, minus in other.shifted_a], h, axis=-3)
+        # full[..., k, j, i] = d eps^i_j/dx^k + (d eps^i_j/dy^a) eps^a_k
+        full = d_x.swapaxes(-1, -2) + np.einsum("...aij,...ak->...kji", d_y, eps_xy)
+        return full, (d_x, d_y, eps_xy)
+
+
+def _stencil(frame: FrameField, x: np.ndarray) -> _Stencil:
+    """The stencil of x, refused when a point lies within 2h of the boundary."""
+    frame.chart.require_interior(x)
+    return _Stencil(frame, x)
+
 
 def gamma(frame: FrameField, x: np.ndarray) -> ConnectionSample:
     """Gamma_{kj}^i(x) = (d_k A . A^{-1})^i_j by central differences."""
-    frame.chart.require_interior(x)
-    return ConnectionSample(point=np.asarray(x, dtype=float), gamma=_Stencil(frame, x).gamma)
+    return ConnectionSample(gamma=_stencil(frame, x).gamma)
 
 
 def gamma_from_splitting(frame: FrameField, x: np.ndarray) -> ConnectionSample:
@@ -284,7 +320,7 @@ def gamma_from_splitting(frame: FrameField, x: np.ndarray) -> ConnectionSample:
     frame.chart.require_interior(x)
     eps = Splitting(frame)
     d = jacobian(lambda y: eps(x, y), x, frame.chart.h, axis=-3)  # d[..., k, i, j]
-    return ConnectionSample(point=np.asarray(x, dtype=float), gamma=d.swapaxes(-1, -2))
+    return ConnectionSample(gamma=d.swapaxes(-1, -2))
 
 
 def torsion(sample: ConnectionSample) -> np.ndarray:
@@ -292,47 +328,21 @@ def torsion(sample: ConnectionSample) -> np.ndarray:
     return _alternate(sample.gamma, -3)
 
 
-def _curvature_full(stencil: _Stencil, kind: str) -> np.ndarray:
-    """The curvature expression F[..., r, j, k, i] before alternation."""
-    g = stencil.gamma
-    if kind == "r1":
-        # F[r, j, k, i] = d_r Gamma_{jk}^i + Gamma_{rk}^a Gamma_{ja}^i
-        return stencil.dgamma + np.einsum("...rka,...jai->...rjki", g, g)
-    if kind == "r2":
-        # F[r, j, k, i] = d_r Gamma_{kj}^i + Gamma_{kr}^a Gamma_{aj}^i
-        return stencil.dgamma.swapaxes(-3, -2) + np.einsum("...kra,...aji->...rjki", g, g)
-    raise ValueError(f"unknown curvature kind {kind!r}")
-
-
-def _curvature(stencil: _Stencil, kind: str) -> CurvatureSample:
-    full = _curvature_full(stencil, kind)
-    # the FD error of the dG term tracks the local derivative magnitudes,
-    # not the (possibly cancelling) value of the expression itself
-    local = _local_scale(point_sup(full, 4), point_sup(stencil.dgamma, 4), point_sup(stencil.gamma, 3) ** 2)
-    return CurvatureSample(
-        point=np.asarray(stencil.x, dtype=float),
-        tensor=_alternate(full, -4),
-        kind=kind,
-        scale=local,
-    )
-
-
 def r1(frame: FrameField, x: np.ndarray) -> CurvatureSample:
     """First curvature; vanishes identically for every frame splitting."""
-    frame.chart.require_interior(x)
-    return _curvature(_Stencil(frame, x), "r1")
+    stencil = _stencil(frame, x)
+    return stencil.curvature(stencil.r1_full())
 
 
 def r2(frame: FrameField, x: np.ndarray) -> CurvatureSample:
     """Second curvature; zero exactly when the invariant fields close."""
-    frame.chart.require_interior(x)
-    return _curvature(_Stencil(frame, x), "r2")
+    stencil = _stencil(frame, x)
+    return stencil.curvature(stencil.r2_full())
 
 
 def w_form(frame: FrameField, x: np.ndarray) -> np.ndarray:
     """Obstruction covector w_i = Gamma_{ia}^a - Gamma_{ai}^a."""
-    frame.chart.require_interior(x)
-    return _Stencil(frame, x).w
+    return _stencil(frame, x).w
 
 
 def _trace(r2_tensor: np.ndarray) -> np.ndarray:
@@ -341,14 +351,12 @@ def _trace(r2_tensor: np.ndarray) -> np.ndarray:
 
 def tr_r2(frame: FrameField, x: np.ndarray) -> np.ndarray:
     """Trace of the second curvature: Q[..., r, j] = r2[..., r, j, a, a]."""
-    frame.chart.require_interior(x)
-    return _trace(_alternate(_curvature_full(_Stencil(frame, x), "r2"), -4))
+    return _trace(_alternate(_stencil(frame, x).r2_full(), -4))
 
 
 def w_exterior_derivative(frame: FrameField, x: np.ndarray) -> np.ndarray:
     """dw[..., r, j] = d_r w_j - d_j w_r by central differences of w_form."""
-    frame.chart.require_interior(x)
-    return _Stencil(frame, x).dw
+    return _stencil(frame, x).dw
 
 
 def _dw_residual(dw: np.ndarray, r2_tensor: np.ndarray) -> np.ndarray:
@@ -361,54 +369,33 @@ def dw_tr_r2_residual(frame: FrameField, x: np.ndarray) -> np.ndarray:
     The r2 trace pairs with dx^r ^ dx^j through its transposed leading
     pair, so the comparison is dw[r, j] against tr_r2[j, r].
     """
-    frame.chart.require_interior(x)
-    stencil = _Stencil(frame, x)
-    return _dw_residual(stencil.dw, _alternate(_curvature_full(stencil, "r2"), -4))
-
-
-def _two_point(sx: _Stencil, sy: _Stencil) -> tuple[np.ndarray, ...]:
-    """(full, d_x, d_y, eps_xy) of the two-point curvature at (x, y): A and
-    A^{-1} at x and x +- h e_k, A at y and y +- h e_k."""
-    h = sx.h
-    eps_xy = sy.a @ sx.inverse
-    d_x = _central([(sy.a @ plus, sy.a @ minus) for plus, minus in sx.shifted_inverse], h, axis=-3)
-    d_y = _central([(plus @ sx.inverse, minus @ sx.inverse) for plus, minus in sy.shifted_a], h, axis=-3)
-    # full[..., k, j, i] = d eps^i_j/dx^k + (d eps^i_j/dy^a) eps^a_k
-    full = d_x.swapaxes(-1, -2) + np.einsum("...aij,...ak->...kji", d_y, eps_xy)
-    return full, d_x, d_y, eps_xy
+    stencil = _stencil(frame, x)
+    return _dw_residual(stencil.dw, _alternate(stencil.r2_full(), -4))
 
 
 def r_full(frame: FrameField, x: np.ndarray, y: np.ndarray) -> CurvatureSample:
     """Two-point curvature of the splitting at (x, y), or at each pair of
     two equally shaped point stacks."""
-    frame.chart.require_interior(x)
-    frame.chart.require_interior(y)
-    full, d_x, d_y, eps_xy = _two_point(_Stencil(frame, x), _Stencil(frame, y))
-    local = _local_scale(point_sup(full, 3), point_sup(d_x, 3), point_sup(d_y, 3), point_sup(eps_xy, 2) ** 2)
-    return CurvatureSample(
-        point=np.asarray(x, dtype=float),
-        second_point=np.asarray(y, dtype=float),
-        tensor=_alternate(full, -3),
-        kind="r_full",
-        scale=local,
-    )
+    full, (d_x, d_y, eps_xy) = _stencil(frame, x).two_point(_stencil(frame, y))
+    scale = _local_scale(point_sup(full, 3), point_sup(d_x, 3), point_sup(d_y, 3), point_sup(eps_xy, 2) ** 2)
+    return CurvatureSample(tensor=_alternate(full, -3), scale=scale)
 
 
 def _block_maxima(frame: FrameField, x: np.ndarray, mirror: np.ndarray) -> dict[str, float]:
     """Sweep maxima over the point block x, each tensor dropped once its
-    maximum is taken; r_full pairs x with mirror."""
+    maximum is taken and none scaled; r_full pairs x with mirror."""
     stencil = _Stencil(frame, x)
     maxima = {
         "torsion_max": sup_norm(_alternate(stencil.gamma, -3)),
         "w_max": sup_norm(stencil.w),
-        "r1_max": sup_norm(_alternate(_curvature_full(stencil, "r1"), -4)),
+        "r1_max": sup_norm(_alternate(stencil.r1_full(), -4)),
     }
-    r2_tensor = _alternate(_curvature_full(stencil, "r2"), -4)
+    r2_tensor = _alternate(stencil.r2_full(), -4)
     maxima["r2_max"] = sup_norm(r2_tensor)
     maxima["dw_tr_r2_residual"] = sup_norm(_dw_residual(stencil.dw, r2_tensor))
     del r2_tensor
-    maxima["r_full_diagonal_max"] = sup_norm(_alternate(_two_point(stencil, stencil)[0], -3))
-    maxima["r_full_max"] = sup_norm(_alternate(_two_point(stencil, _Stencil(frame, mirror))[0], -3))
+    maxima["r_full_diagonal_max"] = sup_norm(_alternate(stencil.two_point(stencil)[0], -3))
+    maxima["r_full_max"] = sup_norm(_alternate(stencil.two_point(_Stencil(frame, mirror))[0], -3))
     return maxima
 
 
@@ -435,10 +422,10 @@ def invariant_field(frame: FrameField, p: np.ndarray, v: np.ndarray) -> VectorFi
 
 def invariant_field_pde_residual(frame: FrameField, p: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Max residual, per point, of d_j X^i = Gamma_{ja}^i X^a at x."""
-    frame.chart.require_interior(x)
+    stencil = _stencil(frame, x)
     field = invariant_field(frame, p, v)
     jac = jacobian(field, x, frame.chart.h)
-    expected = np.einsum("...jai,...a->...ij", _Stencil(frame, x).gamma, field(x))
+    expected = np.einsum("...jai,...a->...ij", stencil.gamma, field(x))
     return point_sup(jac - expected, 2)
 
 
@@ -472,11 +459,11 @@ def bracket_defect_residual(
     for the hat lift the same contraction of r1, which vanishes. Returns
     (residual, local magnitude scale), each per point.
     """
-    frame.chart.require_interior(x)
+    stencil = _stencil(frame, x)
     lifted = gamma_lift(frame, vector_field_bracket(frame.chart, xi, eta), variant)
     pairwise = spencer_bracket(gamma_lift(frame, xi, variant), gamma_lift(frame, eta, variant))
     defect = lifted.matrix_part(x) - pairwise.matrix_part(x)
-    curv = _curvature(_Stencil(frame, x), "r2" if variant == "tilde" else "r1")
+    curv = stencil.curvature(stencil.r2_full() if variant == "tilde" else stencil.r1_full())
     x_val, y_val = xi(x), eta(x)
     expected = np.einsum("...bji,...b->...ij", np.einsum("...abji,...a->...bji", curv.tensor, y_val), x_val)
     magnitude = curv.scale * _local_scale(point_sup(x_val, 1)) * _local_scale(point_sup(y_val, 1))
@@ -497,8 +484,7 @@ def structure_functions(frame: FrameField, x: np.ndarray) -> np.ndarray:
 
     xi_(i) is column i of the frame; brackets by central differences.
     """
-    frame.chart.require_interior(x)
-    stencil = _Stencil(frame, x)
+    stencil = _stencil(frame, x)
     # jac[..., a, c, j] = d_a A^c_j; column field xi_(j)^c = A^c_j.
     jac = _central(stencil.shifted_a, stencil.h, axis=-3)
     # [xi_(i), xi_(j)]^c = t[i, j, c] - t[j, i, c], t[i, j, c] = (d_a A^c_j) A^a_i
@@ -561,18 +547,14 @@ class LocalGroupMultiplication:
         object.__setattr__(self, "identity", e)
         if not self.chart.contains(e, margin=2 * self.chart.h):
             raise ValueError("identity must be interior to the chart")
-        lattice = self.chart.lattice()
-        worst = max(
-            sup_norm(_batched(self.multiply, lattice.shape, "multiply", *pair) - lattice)
-            for pair in ((e, lattice), (lattice, e))
-        )
+        worst = self.identity_residual(self.chart.lattice())
         if worst > EXACT_TOL:
             raise ValueError(f"identity laws fail by {worst:.3e} on the chart lattice")
 
     def identity_residual(self, x: np.ndarray) -> float:
         e = self.identity
         x = np.asarray(x, dtype=float)
-        return max(sup_norm(self.multiply(e, x) - x), sup_norm(self.multiply(x, e) - x))
+        return max(sup_norm(_batched(self.multiply, x.shape, "multiply", *pair) - x) for pair in ((e, x), (x, e)))
 
     def associativity_residual(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
         m = self.multiply

@@ -83,6 +83,8 @@ class Chart:
     def lattice(self, points_per_axis: int = 5) -> np.ndarray:
         """Interior sample lattice as one (points_per_axis**n, n) array, last
         axis varying fastest; excludes a boundary margin of 2h."""
+        if points_per_axis < 2:
+            raise ValueError(f"a lattice needs at least 2 points per axis, got {points_per_axis}")
         margin = 2 * self.h
         axes = [
             np.linspace(lo + margin, hi - margin, points_per_axis)

@@ -257,6 +257,13 @@ def test_betti_table_refuses_a_bracket_that_fails_jacobi() -> None:
         betti_table(bad)
 
 
+def test_a_negative_top_degree_is_refused() -> None:
+    sl2 = catalog.get("sl2", kind="algebra").payload
+    for build in (betti_table, cochain_complex):
+        with pytest.raises(ValueError, match="top degree -1 is negative"):
+            build(sl2, -1)
+
+
 def test_dimension_cap_enforced() -> None:
     g = lie_algebra(BETTI_DIM_CAP + 1, {})
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from liechar.geometry import (
     ad_e,
     automorphy_check,
     bracket_defect_residual,
+    curvature_sweep,
     dw_tr_r2_residual,
     fd_tolerance,
     frame_from_multiplication,
@@ -487,6 +488,33 @@ def test_batched_frame_functions_equal_stacked_point_calls(name: str) -> None:
     mirrored = pts[::-1]
     batched = _parts(r_full(frame, pts, mirrored))
     _assert_equal_parts(batched, _stacked(lambda x, y: _parts(r_full(frame, x, y)), pts, mirrored), "r_full")
+
+
+@pytest.mark.parametrize("name", _names("frame"))
+def test_curvature_sweep_equals_the_point_function_maxima(name: str) -> None:
+    frame = frame_of(name)
+    pts = frame.chart.lattice(3)
+    expected = {
+        "torsion_max": sup_norm(torsion(gamma(frame, pts))),
+        "w_max": sup_norm(w_form(frame, pts)),
+        "r1_max": sup_norm(r1(frame, pts).tensor),
+        "r2_max": sup_norm(r2(frame, pts).tensor),
+        "dw_tr_r2_residual": sup_norm(dw_tr_r2_residual(frame, pts)),
+        "r_full_diagonal_max": sup_norm(r_full(frame, pts, pts).tensor),
+        "r_full_max": sup_norm(r_full(frame, pts, pts[::-1]).tensor),
+    }
+    assert curvature_sweep(frame, 3) == expected
+
+
+def test_empty_lattices_are_refused() -> None:
+    # an empty lattice would let these pass vacuously or fail deep inside
+    empty = "at least 2 points per axis, got 0"
+    with pytest.raises(ValueError, match=empty):
+        local_algebra(frame_of("unipotent_sin"), np.array([0.7, 0.6]), points_per_axis=0)
+    with pytest.raises(ValueError, match=empty):
+        log_det_ad_primitive_check(mult_of("borel_sl2_group"), points_per_axis=0)
+    with pytest.raises(ValueError, match=empty):
+        curvature_sweep(frame_of("identity(2)"), 0)
 
 
 @pytest.mark.parametrize("name", _names("multiplication"))

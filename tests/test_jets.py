@@ -47,6 +47,12 @@ def test_lattice_stays_interior() -> None:
         chart.require_interior(p)
 
 
+@pytest.mark.parametrize("points_per_axis", [1, 0])
+def test_lattice_needs_two_points_per_axis(points_per_axis: int) -> None:
+    with pytest.raises(ValueError, match=f"at least 2 points per axis, got {points_per_axis}"):
+        square_chart().lattice(points_per_axis)
+
+
 def test_with_step() -> None:
     chart = square_chart(h=1e-3)
     finer = chart.with_step(5e-4)

@@ -1,6 +1,10 @@
 """The built-in check suites report structured, all-green results."""
 
-from liechar.verify import SUITES, CheckResult, run_suites
+import numpy as np
+import pytest
+
+from liechar import catalog
+from liechar.verify import SUITES, CheckResult, _assert_fd_zero, _check, _each, run_suites
 
 
 def test_suite_registry_names() -> None:
@@ -33,18 +37,40 @@ def test_every_suite_passes() -> None:
 
 def test_failures_are_reported_not_raised() -> None:
     # a deliberately broken check must come back as a failed result
-    from liechar.verify import _check
-
-    results: list[CheckResult] = []
-
     def boom() -> None:
         raise AssertionError("expected mismatch")
 
     def crash() -> None:
         raise RuntimeError("unrelated breakage")
 
-    _check(results, "demo", "assertion", boom)
-    _check(results, "demo", "crash", crash)
+    results = [_check("demo", "assertion", boom), _check("demo", "crash", crash)]
     assert [r.ok for r in results] == [False, False]
     assert "expected mismatch" in results[0].detail
     assert "RuntimeError" in results[1].detail
+
+
+def test_each_names_the_failing_entry_first_and_stops_there() -> None:
+    names = [qualified.split(":", 1)[1] for qualified in catalog.list_names() if qualified.startswith("frame:")]
+    seen = []
+
+    def second_fails(frame) -> None:
+        seen.append(frame)
+        if len(seen) == 2:
+            raise AssertionError("second entry fails")
+
+    result = _check("demo", "each", _each("frame", second_fails))
+    assert (result.ok, result.detail) == (False, f"{names[1]}: second entry fails")
+    assert [id(frame) for frame in seen] == [id(catalog.get(name, kind="frame").payload) for name in names[:2]]
+
+    def crash(frame) -> None:
+        raise RuntimeError("unrelated breakage")
+
+    result = _check("demo", "each", _each("frame", crash))
+    assert result.detail == f"{names[0]}: RuntimeError: unrelated breakage"
+
+
+def test_fd_zero_failure_names_the_quantity_and_its_worst_ratio() -> None:
+    # h = 0.5 puts the tolerance 10 h^2 max(1, scale) at 2.5 max(1, scale), exactly
+    _assert_fd_zero("residual", np.array([1.0, 5.0]), 0.5, np.array([1.0, 2.0]))
+    with pytest.raises(AssertionError, match=r"^residual reaches 3\.00x its tol$"):
+        _assert_fd_zero("residual", np.array([1.0, 7.5]), 0.5, np.array([1.0, 1.0]))
