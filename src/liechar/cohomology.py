@@ -21,19 +21,37 @@ lambda * id = d i_h + i_h d, so that space is acyclic (Hochschild-Serre
 1953), and b_k = |C^k_0| - rank d_k|_0 - rank d_{k-1}|_0. Each nonzero
 cell of d_k joins two subsets of equal weight, so only the weight-zero
 rows and columns are ever built. A basis with no toral vector, such as
-so3's or any dense one, has every cochain at weight zero and is ranked
-whole. Inside the subcomplex, d_0, d_1, ... are ranked in order and each
+so3's or any dense one, has every cochain at weight zero. There
+cochain_complex ranks the quotient by the split centre instead (below).
+Inside the subcomplex, d_0, d_1, ... are ranked in order and each
 d_k only on the columns that are not kept (pivot) rows of d_{k-1}: those
 rows are independent, so the other coordinate vectors and im d_{k-1} span
 C^k_0, and d_k vanishes on im d_{k-1}. Both steps need d o d = 0, that is
 Jacobi. cochain_complex checks it once and builds each d_k once.
 
-The trace-form classes (CochainComplex.trace_class) are solved on the
-same weight-zero d_k and d_{k-1}, with the full bases' results: trace forms
-are ad-invariant, so of weight zero; the full d_{k-1} is block-diagonal by
-weight, its weight-zero columns in the subcomplex's order; and the
-reduced-echelon solution of linalg.sparse_solve (free columns at 0) is 0
-off weight zero and the subcomplex solve on it. _solve refuses a form with
+The split centre (central_split): let z_1, ..., z_c be central vectors
+independent modulo [g, g]. A complement V of span(z) that contains
+[g, g] is an ideal, since [g, V] lies in [g, g], and g = V + span(z) as
+Lie algebras, since z is central. So g is q + F^c with q = g / span(z)
+isomorphic to V, and by the Kunneth formula b(g) = b(q) (1 + t)^c, exactly.
+When the basis has no toral vector, cochain_complex reads the centre and
+[g, g] off the scaled adjoints, puts the chosen z in reduced row echelon
+form, drops the basis index that leads each z (that e_m is minus the rest
+of its z modulo span(z)), and ranks q's complex. c is as large as it can
+be, so q's centre lies in [q, q] and nothing is left to split. An
+abelian g leaves q of dimension 0, with the table (1 + t)^dim. A centre
+inside [g, g], as in a nilpotent Heisenberg algebra, or none, as in a
+semisimple one, splits nothing. With toral vectors the weight-zero
+subcomplex is already small, and the search is skipped.
+
+The trace-form classes (CochainComplex.trace_class) are solved on g's own
+weight-zero d_k and d_{k-1}: the ranked ones, or, when the table came from
+a quotient, those two built for the class's degree. They give the full
+bases' results: trace forms are ad-invariant, so of weight zero; the full
+d_{k-1} is block-diagonal by weight, its weight-zero columns in the
+subcomplex's order; and the reduced-echelon solution of
+linalg.sparse_solve (free columns at 0) is 0 off weight zero and the
+subcomplex solve on it. _solve refuses a form with
 a component outside the rows of d_{k-1}, so a trace form that is not a
 weight-zero cocycle raises ValueError. betti, is_closed and is_exact keep
 the full bases, as the references of verify and the tests.
@@ -56,10 +74,15 @@ from .forms import AlternatingForm, trace_forms
 # b4+C^4 (dim 14) 11 ms (best of 3); above the cap, measured in a copy
 # with the cap raised, sl4 (dim 15) 0.11 s, b5 (dim 15) 0.02 s, gl4
 # (dim 16, middle degree 426 of 12,870 cochains) 0.24 s (one run each).
-# A unipotent basis change leaves no toral vector, so the whole complex is
-# ranked and its middle differential grows as C(n, n/2), dense: b4+C
-# (dim 11) 1.5-2.1 s, b4+C^2 (dim 12) 8.5 s, b4+C^3 (dim 13) 26 s. So the
-# cap stays where dense inputs still finish within tens of seconds.
+# A unipotent basis change leaves no toral vector. With a centre outside
+# [g, g] the quotient by it is ranked (central_split): dense b4+C^3 (dim 13)
+# 0.11-0.21 s and b4+C^4 (dim 14) 0.08-0.17 s, against 26 s for b4+C^3
+# ranked whole. Without one the whole complex is ranked, and its middle
+# differential grows as C(n, n/2), dense: in bases with integer entries
+# sl3+aff1^2 (dim 12) 11 s and sl3+sl2+aff1 (dim 13) 59 s, with
+# half-integer ones 17 s and 273 s (one run each). Those inputs set the
+# cap: it stays at 14, where the matrix-unit and split inputs above take
+# under a second, and they already take a minute or more at dimension 13.
 BETTI_DIM_CAP = 14
 
 
@@ -231,41 +254,95 @@ STATUS_NONZERO_CLASS = "nonzero class"
 
 
 class CochainComplex(NamedTuple):
-    """The weight-zero complex of alg in degrees 0..top, top = len(betti) - 1:
-    its Betti numbers and its differentials d_0, ..., d_min(top, dim - 1)."""
+    """The complex of alg in degrees 0..top, top = len(betti) - 1: its Betti
+    numbers, the differentials d_0, d_1, ... of the weight-zero complex that
+    was ranked, and the number split of central vectors split off. With split
+    0 the ranked complex is alg's own, up to d_min(top, dim - 1); otherwise
+    it is that of q = alg / span(z) (central_split), and betti is q's table
+    times (1 + t)^split."""
 
     alg: LieAlgebra
     betti: tuple[int, ...]
-    differentials: tuple[DifferentialMatrix, ...]
+    ranked: tuple[DifferentialMatrix, ...]
+    split: int = 0
+
+    def differential(self, k: int) -> DifferentialMatrix:
+        """alg's weight-zero d_k, 0 <= k <= min(top, dim - 1): the ranked one,
+        or built afresh on each call when the table came from a quotient."""
+        if not self.split:
+            return self.ranked[k]
+        return subcomplex_differential(
+            self.alg, k, weight_zero_cochains(self.alg, k + 1), weight_zero_cochains(self.alg, k)
+        )
+
+    @property
+    def differentials(self) -> tuple[DifferentialMatrix, ...]:
+        """alg's weight-zero d_0, ..., d_min(top, dim - 1), by differential()."""
+        return tuple(map(self.differential, range(min(len(self.betti), self.alg.dim))))
 
     def trace_class(self, form: AlternatingForm) -> tuple[str, AlternatingForm | None]:
         """Status of a trace form's class, with a primitive when exact (else
-        None), closed on d_k and solved on d_{k-1}. A form above the top
-        degree, or one that is not a weight-zero cocycle, raises ValueError."""
+        None), closed on alg's d_k and solved on its d_{k-1}. A form above the
+        top degree, or one that is not a weight-zero cocycle, raises ValueError."""
         k = form.degree
         if k >= len(self.betti):
             raise ValueError(f"degree {k} above the top degree {len(self.betti) - 1} of the complex")
         if form.is_zero():
             return STATUS_ZERO, None
-        if k < len(self.differentials) and any(self.differentials[k].apply(form)):
+        if k < self.alg.dim and any(self.differential(k).apply(form)):
             raise ValueError("exactness asked for a non-closed form")
-        exact, primitive = _solve(self.differentials[k - 1] if k else None, form)
+        exact, primitive = _solve(self.differential(k - 1) if k else None, form)
         return (STATUS_EXACT if exact else STATUS_NONZERO_CLASS), primitive
 
 
-def cochain_complex(alg: LieAlgebra, top: int | None = None) -> CochainComplex:
-    """The weight-zero complex up to degree top (default and at most dim), each
-    d_k built once and ranked as the module docstring sets out. A dimension
-    over BETTI_DIM_CAP or a bracket that fails Jacobi (named by its first
-    violation), or a negative top, raises ValueError."""
+def central_split(alg: LieAlgebra) -> tuple[LieAlgebra | None, int]:
+    """(q, c) for c central vectors z_1, ..., z_c independent modulo [g, g],
+    as many as there are: q = g / span(z), in the images of the basis vectors
+    that lead no row of the reduced z, or None when c = dim. (alg, 0) when the
+    centre lies in [g, g]. The centre and [g, g] are read from the scaled
+    adjoints by linalg.echelon."""
     n = alg.dim
-    if top is not None and top < 0:
-        raise ValueError(f"top degree {top} is negative")
-    _check_betti_size(alg)
-    violations = alg.validate().violations
-    if violations:
-        raise ValueError(f"Jacobi identity fails at (i, j, k, m) = {violations[0]}: no cochain complex")
-    top = n if top is None else min(top, n)
+    # x = s * [e_i, e_(t+1)]^(r+1): row (r, t) of the equations of the
+    # centre, at column i - 1, and for i < t + 1 row (i, t) of the brackets
+    # that span [g, g], at column r
+    equations: dict[tuple[int, int], int] = {}
+    brackets: dict[tuple[int, int], int] = {}
+    for i, rows in alg.sparse_ad[1].items():
+        for r, row in rows.items():
+            for t, x in row:
+                equations[r * n + t, i - 1] = x
+                if i <= t:
+                    brackets[(i - 1) * n + t, r] = x
+    derived = [row for _, row in linalg.echelon(brackets).values()]
+    if len(derived) == n:
+        return alg, 0
+    centre = linalg.kernel(equations, n)
+    # the pivot columns after [g, g]'s are the central vectors independent of
+    # [g, g] and of the central vectors before them
+    columns = [[Fraction(row.get(m, 0)) for row in derived] + [z[m] for z in centre] for m in range(n)]
+    chosen = [centre[p - len(derived)] for p in linalg.row_reduce(columns)[1] if p >= len(derived)]
+    if not chosen:
+        return alg, 0
+    reduced, leads = linalg.row_reduce(chosen)
+    if len(leads) == n:
+        return None, n
+    index = {m + 1: pos for pos, m in enumerate(sorted(set(range(n)) - set(leads)), 1)}
+    # modulo span(z), e_lead is minus the components of its z at the kept indices
+    rewrite = {lead + 1: [(index[t], -z[t - 1]) for t in index if z[t - 1]] for z, lead in zip(reduced, leads)}
+    constants: dict[tuple[int, int, int], Fraction] = {}
+    for (i, j, k), value in alg.c.items():
+        if i in index and j in index:
+            for m, coeff in rewrite[k] if k in rewrite else ((index[k], 1),):
+                key = (index[i], index[j], m)
+                constants[key] = constants.get(key, 0) + value * coeff
+    return LieAlgebra(dim=len(index), c=constants), len(leads)
+
+
+def _ranked(alg: LieAlgebra, top: int) -> tuple[tuple[int, ...], tuple[DifferentialMatrix, ...]]:
+    """alg's Betti numbers in degrees 0..top (at most dim) and its weight-zero
+    d_0, ..., d_min(top, dim - 1), each built once and ranked on the columns
+    that are not pivot rows of the one before it."""
+    n = alg.dim
     cochains = weight_zero_cochains(alg, 0)
     sizes = [len(cochains)]
     ranks = []
@@ -282,7 +359,28 @@ def cochain_complex(alg: LieAlgebra, top: int | None = None) -> CochainComplex:
         cochains = rows
     ranks.append(0)  # d_n maps to nothing
     table = tuple(sizes[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1))
-    return CochainComplex(alg, table, tuple(differentials))
+    return table, tuple(differentials)
+
+
+def cochain_complex(alg: LieAlgebra, top: int | None = None) -> CochainComplex:
+    """The complex up to degree top (default and at most dim), ranked as the
+    module docstring sets out: a basis with no toral vector ranks the quotient
+    by its split centre. A dimension over BETTI_DIM_CAP or a bracket that
+    fails Jacobi (named by its first violation), or a negative top, raises
+    ValueError."""
+    n = alg.dim
+    if top is not None and top < 0:
+        raise ValueError(f"top degree {top} is negative")
+    _check_betti_size(alg)
+    violations = alg.validate().violations
+    if violations:
+        raise ValueError(f"Jacobi identity fails at (i, j, k, m) = {violations[0]}: no cochain complex")
+    top = n if top is None else min(top, n)
+    quotient, split = (alg, 0) if alg.toral_weights else central_split(alg)
+    table, ranked = _ranked(quotient, min(top, quotient.dim)) if quotient else ((1,), ())
+    # Kunneth: g = q + F^split, so b(g) = b(q) * (1 + t)^split
+    table = tuple(sum(comb(split, k - i) * b for i, b in enumerate(table[: k + 1])) for k in range(top + 1))
+    return CochainComplex(alg, table, ranked, split)
 
 
 def betti_table(alg: LieAlgebra, max_degree: int | None = None) -> list[int]:

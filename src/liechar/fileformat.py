@@ -19,6 +19,9 @@ from fractions import Fraction
 from .algebra import LieAlgebra
 
 _TOKEN = re.compile(r"\S+")
+# an integer or p/q, in ASCII digits: Fraction() alone would also take
+# decimals and exponents, and expand 1e10000000 digit by digit
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class AlgebraFileError(ValueError):
@@ -41,10 +44,14 @@ def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
 
 
 def _parse_fraction(token: str, lineno: int, column: int) -> Fraction:
+    """The value of an integer or p/q token; the interpreter's limit on
+    integer strings bounds the length of p and q."""
     try:
-        return Fraction(token)
+        if _RATIONAL.fullmatch(token):
+            return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise AlgebraFileError(lineno, column, f"expected an integer or fraction p/q, got {token!r}") from None
+        pass
+    raise AlgebraFileError(lineno, column, f"expected an integer or fraction p/q, got {token!r}")
 
 
 def parse_algebra(text: str) -> LieAlgebra:

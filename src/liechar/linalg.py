@@ -211,6 +211,22 @@ def sparse_solve(nonzeros: SparseMatrix, cols: int, b: list[Fraction]) -> list[F
     return x
 
 
+def kernel(nonzeros: SparseMatrix, cols: int) -> list[list[Fraction]]:
+    """Null space of a sparse matrix with cols columns, one vector per column
+    f that leads no echelon row: x_f = 1, the other such columns 0, and the
+    leading columns back-substituted as in sparse_solve."""
+    kept = echelon(nonzeros)
+    basis = []
+    for free in (c for c in range(cols) if c not in kept):
+        x = [Fraction(0)] * cols
+        x[free] = Fraction(1)
+        for lead in sorted(kept, reverse=True):
+            row = kept[lead][1]
+            x[lead] = -sum((value * x[c] for c, value in row.items() if c > lead), Fraction(0)) / row[lead]
+        basis.append(x)
+    return basis
+
+
 def determinant(a: Matrix) -> Fraction:
     n = len(a)
     assert all(len(row) == n for row in a)

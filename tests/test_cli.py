@@ -160,6 +160,17 @@ def test_oversized_input_exits_two_before_jacobi(capsys, monkeypatch, tmp_path, 
     assert message in err
 
 
+@pytest.mark.parametrize("token", ["1e10000000", "0.5"])
+def test_a_decimal_or_exponent_constant_exits_two_at_once(capsys, tmp_path, token) -> None:
+    # Fraction() would expand 1e10000000 to ten million digits and go on
+    path = tmp_path / "exponent.lie"
+    path.write_text(f"dim 2\n1 2 2 {token}\n")
+    code, out, err = invoke(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 2, column 7: expected an integer or fraction p/q" in err
+
+
 def test_forms_checks_jacobi_on_a_sparse_sixty_dimensional_file(capsys, tmp_path) -> None:
     # forms caps its output, not the dimension; Jacobi visits only the triples
     # through nonzero brackets

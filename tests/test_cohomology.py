@@ -19,6 +19,7 @@ from liechar.cohomology import (
     STATUS_ZERO,
     betti,
     betti_table,
+    central_split,
     class_report,
     cochain_basis,
     cochain_complex,
@@ -532,6 +533,105 @@ def test_betti_table_of_b4_plus_abelian4_at_the_cap() -> None:
     g = direct_sum(bench_input("b4"), CATALOG_ALGEBRAS["abelian(4)"])
     assert g.dim == BETTI_DIM_CAP
     assert betti_table(g) == [math.comb(8, k) for k in range(9)] + [0] * 6
+
+
+def binomial_row(c: int) -> list[int]:
+    return [math.comb(c, k) for k in range(c + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_algebras(4), st.integers(1, 3), st.integers(0, 2**16))
+def test_betti_table_of_a_dense_sum_with_an_abelian_part_is_kunneth_product(h, c, seed) -> None:
+    # the abelian summand is central and outside [g, g], so a dense basis of
+    # h + C^c splits at least c central vectors off before ranking
+    g = change_basis(direct_sum(h, CATALOG_ALGEBRAS[f"abelian({c})"]), seeded_unipotent(h.dim + c, seed))
+    assert g.toral_weights or cochain_complex(g).split >= c
+    assert betti_table(g) == full_rank_table(g) == poincare_product(betti_table(h), binomial_row(c))
+
+
+@pytest.mark.parametrize(
+    "name, table",
+    [
+        # the centre of heisenberg3 lies in [g, g], and sl2 + sl2 has none
+        ("heisenberg3", [1, 2, 2, 1]),
+        ("sl2_sl2", [1, 0, 0, 2, 0, 0, 1]),
+    ],
+)
+def test_dense_bases_whose_centre_lies_in_the_derived_algebra_split_nothing(name, table) -> None:
+    g = CATALOG_ALGEBRAS.get(name) or bench_input(name)
+    for seed in range(3):
+        dense = change_basis(g, seeded_unipotent(g.dim, seed))
+        assert not dense.toral_weights
+        assert central_split(dense) == (dense, 0)
+        complex_ = cochain_complex(dense)
+        assert complex_.split == 0 and len(complex_.ranked) == g.dim
+        assert list(complex_.betti) == table == full_rank_table(dense)
+
+
+def test_central_split_of_abelian_and_reductive_dense_bases() -> None:
+    # an abelian algebra leaves nothing to rank; gl3 splits its identity off
+    # and leaves a basis of sl3
+    for n in (1, 3):
+        dense = change_basis(CATALOG_ALGEBRAS[f"abelian({n})"], seeded_unipotent(n, 1))
+        assert central_split(dense) == (None, n)
+        assert cochain_complex(dense) == (dense, tuple(binomial_row(n)), (), n)
+    gl3 = change_basis(bench_input("gl3"), seeded_unipotent(9, 0))
+    quotient, split = central_split(gl3)
+    assert (quotient.dim, split) == (8, 1)
+    assert quotient.validate().ok and quotient.is_semisimple()
+    assert betti_table(quotient) == betti_table(bench_input("sl3"))
+
+
+def test_dense_betti_table_of_b4_plus_abelian3_equals_its_poincare_table() -> None:
+    # the split centre is b4's identity and C^3, so 4 of the 13 dimensions
+    g = bench_input("b4_C3")
+    dense = change_basis(g, seeded_unipotent(g.dim, 0))
+    assert not dense.toral_weights
+    complex_ = cochain_complex(dense)
+    assert complex_.split == 4
+    assert list(complex_.betti) == poincare_product(betti_table(bench_input("b4")), binomial_row(3))
+
+
+def test_dense_betti_table_ranks_only_the_quotient_by_the_split_centre(monkeypatch) -> None:
+    # dense gl3 splits off its identity: only sl3's 2^8 cochains are ranked,
+    # and no differential of gl3 itself is built
+    g = change_basis(bench_input("gl3"), seeded_unipotent(9, 0))
+    assert not g.toral_weights
+    built = []
+
+    def recording(alg, k, row_basis, col_basis):
+        built.append((alg.dim, k, len(col_basis)))
+        return subcomplex_differential(alg, k, row_basis, col_basis)
+
+    monkeypatch.setattr("liechar.cohomology.subcomplex_differential", recording)
+    monkeypatch.setattr("liechar.cohomology.differential_matrix", None)
+    assert betti_table(g) == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
+    assert built == [(8, k, math.comb(8, k)) for k in range(8)]
+
+
+@pytest.mark.parametrize("name", ["gl2", "b3"])
+def test_trace_classes_of_a_split_complex_solve_on_the_algebras_own_differentials(monkeypatch, name) -> None:
+    # the classes are closed on g's d_k and solved on its d_(k-1), built for
+    # that degree alone, with the statuses and primitives of the full route:
+    # w3 of gl2 and w1 of b3 are nonzero classes
+    g = change_basis(bench_input(name), seeded_unipotent(bench_input(name).dim, 3))
+    complex_ = cochain_complex(g)
+    assert complex_.split == 1
+    assert set(class_report(complex_).values()) == {STATUS_ZERO, STATUS_NONZERO_CLASS}
+    built = []
+
+    def recording(alg, k, row_basis, col_basis):
+        built.append((alg.dim, k))
+        return subcomplex_differential(alg, k, row_basis, col_basis)
+
+    monkeypatch.setattr("liechar.cohomology.subcomplex_differential", recording)
+    for k in range(1, g.dim + 1):
+        expected = full_route_class(g, k)
+        built.clear()
+        status, primitive = complex_.trace_class(trace_form(g, k))
+        assert (status, primitive and primitive.components) == expected, k
+        closing = [] if k == g.dim else [(g.dim, k)]
+        assert built == ([] if status == STATUS_ZERO else closing + [(g.dim, k - 1)]), k
 
 
 MATRIX_UNIT_ALGEBRAS = [bench_input(name) for name in ("sl2", "gl2", "b3")]

@@ -123,3 +123,21 @@ def test_error_message_carries_position() -> None:
         assert "line 2" in str(exc)
     else:
         pytest.fail("zero denominator must be rejected")
+
+
+@pytest.mark.parametrize("token", ["1e10000000", "1e100000000", "0.5", "1.", "-.5", "1_000", "inf", "1/-2", "1/2/3"])
+def test_constant_must_be_an_integer_or_p_over_q(token) -> None:
+    # Fraction() would take the decimals and exponents, and expand 1e10000000
+    with pytest.raises(AlgebraFileError, match="expected an integer or fraction p/q") as exc:
+        parse_algebra(f"dim 2\n1 2 2 {token}\n")
+    assert (exc.value.line, exc.value.column) == (2, 7)
+
+
+@pytest.mark.parametrize("token, value", [("3", 3), ("-3", -3), ("+3", 3), ("-6/4", Fraction(-3, 2)), ("0/5", 0)])
+def test_integer_and_p_over_q_constants(token, value) -> None:
+    assert parse_algebra(f"dim 2\n1 2 2 {token}\n").structure_constant(1, 2, 2) == value
+
+
+def test_an_integer_over_the_interpreter_digit_limit_is_refused() -> None:
+    with pytest.raises(AlgebraFileError, match="expected an integer or fraction p/q"):
+        parse_algebra("dim 2\n1 2 2 1/" + "7" * 5000 + "\n")

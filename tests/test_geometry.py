@@ -6,7 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from liechar import catalog, geometry, verify
+from liechar import catalog, geometry, linalg, verify
 from liechar.geometry import (
     FrameField,
     LocalAlgebraError,
@@ -27,6 +27,7 @@ from liechar.geometry import (
     local_algebra,
     log_det_ad_primitive_check,
     one_parameter_curve,
+    point_sup,
     r1,
     r2,
     r_full,
@@ -268,6 +269,32 @@ def test_local_algebra_recovers_catalog_algebras() -> None:
 
     flat = local_algebra(frame_of("identity(2)"), np.zeros(2))
     assert flat.c == {}
+
+
+def test_a_constant_right_frame_change_moves_only_the_local_algebra() -> None:
+    # A -> A P leaves the splitting A(y) A(x)^-1 unchanged, and with it Gamma,
+    # w, r1, r2 and r_full; the local algebra moves by the basis change
+    # f_j = P^i_j e_i
+    frame = frame_of("borel_frame")
+    p = np.array([[1.0, 2.0], [0.0, 1.0]])
+    changed = FrameField(chart=frame.chart, matrix=lambda x: frame.matrix(x) @ p)
+    h = frame.chart.h
+    x = frame.chart.lattice(5)
+    y = x[::-1]
+    before, after = gamma(frame, x), gamma(changed, x)
+    assert np.all(point_sup(after.gamma - before.gamma, 3) <= fd_tolerance(h, before.scale))
+    assert np.all(point_sup(w_form(changed, x) - w_form(frame, x), 1) <= fd_tolerance(h, before.scale))
+    pairs = [(r1(frame, x), r1(changed, x)), (r2(frame, x), r2(changed, x))]
+    pairs.append((r_full(frame, x, y), r_full(changed, x, y)))
+    for old, new in pairs:
+        assert np.all(point_sup(new.tensor - old.tensor, new.tensor.ndim - 1) <= fd_tolerance(h, old.scale))
+    point = np.array([1.5, 0.0])
+    base = local_algebra(frame, point)
+    assert base.c == {(1, 2, 2): Fraction(2)}
+    columns = [[Fraction(int(p[i, j])) for i in range(2)] for j in range(2)]
+    moved = linalg.solve([list(row) for row in zip(*columns)], base.bracket(*columns))
+    assert moved == [Fraction(-4), Fraction(2)]
+    assert local_algebra(changed, point).c == {(1, 2, 1): Fraction(-4), (1, 2, 2): Fraction(2)}
 
 
 def test_local_algebra_rejects_varying_structure_functions() -> None:

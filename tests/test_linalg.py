@@ -190,3 +190,31 @@ def test_sparse_solve_known_systems() -> None:
     # x0 + x1 = 1, x1 = 2 needs back-substitution from the last pivot
     assert linalg.sparse_solve({(0, 0): F(1), (0, 1): F(1), (1, 1): F(1)}, 2, [F(1), F(2)]) == [F(-1), F(2)]
     assert linalg.sparse_solve({}, 2, [F(0)]) == [F(0), F(0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+@example((3, 4, {}))  # all zero: the unit vectors
+@example((4, 5, {(1, 3): F(1), (3, 0): F(2)}))  # empty rows and columns, two blocks
+def test_kernel_is_a_basis_of_the_null_space(matrix) -> None:
+    rows, cols, nonzeros = matrix
+    dense = _dense(rows, cols, nonzeros)
+    basis = linalg.kernel(nonzeros, cols)
+    assert len(basis) == cols - linalg.rank(dense)
+    for x in basis:
+        image = [F(0)] * rows
+        for (r, c), value in nonzeros.items():
+            image[r] += value * x[c]
+        assert not any(image)
+    assert linalg.rank(basis) == len(basis)
+    # one unit entry at a column that leads no echelon row, zeros at the others
+    free = [c for c in range(cols) if c not in linalg.echelon(nonzeros)]
+    assert [[x[c] for c in free] for x in basis] == linalg.identity(len(free))
+
+
+def test_kernel_known_values() -> None:
+    # x0 + 2 x1 = 0 and x2 = 0 in three columns, with a dependent row
+    nonzeros = {(0, 0): F(1), (0, 1): F(2), (1, 2): F(3), (2, 0): F(2), (2, 1): F(4)}
+    assert linalg.kernel(nonzeros, 3) == [[F(-2), F(1), F(0)]]
+    assert linalg.kernel({}, 2) == linalg.identity(2)
+    assert linalg.kernel({(0, 0): F(5)}, 1) == []
