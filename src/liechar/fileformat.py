@@ -19,8 +19,10 @@ from fractions import Fraction
 from .algebra import LieAlgebra
 
 _TOKEN = re.compile(r"\S+")
-# an integer or p/q, in ASCII digits: Fraction() alone would also take
-# decimals and exponents, and expand 1e10000000 digit by digit
+# an integer, or p/q, in ASCII digits: int() alone would also take
+# underscores and non-ASCII digits, and Fraction() decimals and exponents,
+# expanding 1e10000000 digit by digit
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
@@ -38,9 +40,11 @@ def _tokens(raw_line: str) -> list[tuple[int, str]]:
 
 def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
     try:
-        return int(token)
+        if _INTEGER.fullmatch(token):
+            return int(token)
     except ValueError:
-        raise AlgebraFileError(lineno, column, f"expected an integer {what}, got {token!r}") from None
+        pass
+    raise AlgebraFileError(lineno, column, f"expected an integer {what}, got {token!r}")
 
 
 def _parse_fraction(token: str, lineno: int, column: int) -> Fraction:

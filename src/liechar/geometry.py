@@ -39,7 +39,8 @@ blocks of SWEEP_BLOCK_POINTS points, takes each maximum as soon as its
 tensor exists, unscaled, and reduces the maxima across blocks. Its r_full
 pairs block i with the mirror of block i (the same positions of the
 reversed lattice), whose stencil needs A only at its points and at their
-first neighbours.
+first neighbours. log_det_ad_primitive_check takes the left-translation
+Jacobian at x +- h e_k for its log-determinants from the stencil of its w.
 """
 
 from __future__ import annotations
@@ -485,11 +486,12 @@ def structure_functions(frame: FrameField, x: np.ndarray) -> np.ndarray:
     xi_(i) is column i of the frame; brackets by central differences.
     """
     stencil = _stencil(frame, x)
+    a, n = stencil.a, x.shape[-1]
     # jac[..., a, c, j] = d_a A^c_j; column field xi_(j)^c = A^c_j.
     jac = _central(stencil.shifted_a, stencil.h, axis=-3)
     # [xi_(i), xi_(j)]^c = t[i, j, c] - t[j, i, c], t[i, j, c] = (d_a A^c_j) A^a_i
-    t = np.einsum("...acj,...ai->...ijc", jac, stencil.a)
-    return np.einsum("...kc,...ijc->...ijk", stencil.inverse, t - t.swapaxes(-3, -2))
+    t = (a.swapaxes(-1, -2) @ jac.reshape(jac.shape[:-3] + (n, n * n))).reshape(jac.shape).swapaxes(-1, -2)
+    return (t - t.swapaxes(-3, -2)) @ stencil.inverse.swapaxes(-1, -2)[..., None, :, :]
 
 
 class LocalAlgebraError(ValueError):
@@ -499,17 +501,21 @@ class LocalAlgebraError(ValueError):
 def local_algebra(frame: FrameField, p: np.ndarray, points_per_axis: int = 5) -> LieAlgebra:
     """Round the structure functions at p to a validated rational algebra.
 
-    Fails if the functions vary over the chart lattice or miss their rounding
-    (by more than ten times the finite-difference tolerance), or if the
-    rounded constants violate the Jacobi identity.
+    One stencil: structure_functions is evaluated once, on p stacked in
+    front of the chart lattice. Fails if the functions vary over the
+    lattice or miss their rounding (by more than ten times the
+    finite-difference tolerance), or if the rounded constants violate the
+    Jacobi identity.
     """
     # the exact lane is imported here, so the rest of geometry runs without it
     from fractions import Fraction
 
     from .algebra import LieAlgebra
 
-    c_p = structure_functions(frame, p)
-    spread = sup_norm(structure_functions(frame, frame.chart.lattice(points_per_axis)) - c_p)
+    lattice = frame.chart.lattice(points_per_axis)
+    c = structure_functions(frame, np.concatenate([np.asarray(p, dtype=float)[None], lattice]))
+    c_p = c[0]
+    spread = sup_norm(c[1:] - c_p)
     scale = max(1.0, sup_norm(c_p))
     tol = 10.0 * fd_tolerance(frame.chart.h, scale)
     if spread > tol:
@@ -574,33 +580,51 @@ def frame_from_multiplication(mult: LocalGroupMultiplication) -> FrameField:
     return FrameField(chart=mult.chart, matrix=mult.left_jacobian)
 
 
-def ad_e(mult: LocalGroupMultiplication, a: np.ndarray) -> np.ndarray:
-    """Local adjoint matrix (left Jacobian)^{-1} . (right Jacobian) at a."""
-    lj = mult.left_jacobian(a)
-    det = np.linalg.det(lj)
+def _left_det(left: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """det of the left-translation Jacobian left at a, refused when singular."""
+    det = np.linalg.det(left)
     singular = np.abs(det) < DET_FLOOR
     if np.any(singular):
         raise ValueError(
             f"left-translation Jacobian is singular at {np.asarray(a)[singular][0]} (det {det[singular][0]:.3e})"
         )
+    return det
+
+
+def ad_e(mult: LocalGroupMultiplication, a: np.ndarray) -> np.ndarray:
+    """Local adjoint matrix (left Jacobian)^{-1} . (right Jacobian) at a."""
+    lj = mult.left_jacobian(a)
+    _left_det(lj, a)
     return np.linalg.inv(lj) @ mult.right_jacobian(a)
 
 
-def log_det_ad(mult: LocalGroupMultiplication) -> Callable[[np.ndarray], np.ndarray]:
-    def value(x: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(np.linalg.det(ad_e(mult, x))))
-
-    return value
-
-
 def log_det_ad_primitive_check(mult: LocalGroupMultiplication, points_per_axis: int = 5) -> tuple[float, float]:
-    """Max lattice deviation of -grad log det Ad_e from the frame's w.
+    """Max lattice deviation of -grad log |det Ad_e| from the frame's w.
 
-    Returns (residual, local magnitude scale).
+    Two independent routes on one stencil of the frame A = L, the
+    left-translation Jacobian: w from Gamma, which inverts L at the lattice
+    points only, and central differences of
+    -log |det Ad_e| = log |det L| - log |det R| with Ad_e = L^{-1} R, which
+    read L at x +- h e_k from the same stencil and invert nothing. Refuses
+    a lattice point or neighbour where L is singular. Returns (residual,
+    local magnitude scale).
     """
     lattice = mult.chart.lattice(points_per_axis)
-    w = _Stencil(frame_from_multiplication(mult), lattice).w
-    minus_grad = -jacobian(log_det_ad(mult), lattice, mult.chart.h)
+    stencil = _Stencil(frame_from_multiplication(mult), lattice)
+    _left_det(stencil.a, lattice)
+
+    def minus_log_det_ad(y: np.ndarray, left: np.ndarray) -> np.ndarray:
+        return np.log(np.abs(_left_det(left, y))) - np.log(np.abs(np.linalg.det(mult.right_jacobian(y))))
+
+    minus_grad = _central(
+        [
+            (minus_log_det_ad(lattice + s, plus), minus_log_det_ad(lattice - s, minus))
+            for s, (plus, minus) in zip(stencil.steps, stencil.shifted_a)
+        ],
+        stencil.h,
+        axis=-1,
+    )
+    w = stencil.w
     return sup_norm(minus_grad - w), max(1.0, sup_norm(w))
 
 

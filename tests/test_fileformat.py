@@ -141,3 +141,26 @@ def test_integer_and_p_over_q_constants(token, value) -> None:
 def test_an_integer_over_the_interpreter_digit_limit_is_refused() -> None:
     with pytest.raises(AlgebraFileError, match="expected an integer or fraction p/q"):
         parse_algebra("dim 2\n1 2 2 1/" + "7" * 5000 + "\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "٣", "３", "2.0", "0x3"])
+def test_dimension_must_be_an_ascii_integer(token) -> None:
+    # int() would read 1_0 as 10 and the Arabic-Indic or fullwidth 3 as 3
+    with pytest.raises(AlgebraFileError, match="expected an integer dimension") as exc:
+        parse_algebra(f"dim {token}\n")
+    assert (exc.value.line, exc.value.column) == (1, 5)
+
+
+@pytest.mark.parametrize("field", [0, 1, 2])
+@pytest.mark.parametrize("token", ["٢", "0_2", "2.0"])
+def test_index_must_be_an_ascii_integer(token, field) -> None:
+    fields = ["1", "2", "2"]
+    fields[field] = token
+    with pytest.raises(AlgebraFileError, match="expected an integer index") as exc:
+        parse_algebra("dim 3\n" + " ".join(fields) + " 1\n")
+    assert (exc.value.line, exc.value.column) == (2, 1 + 2 * field)
+
+
+@pytest.mark.parametrize("text, dim", [("dim +3\n", 3), ("dim 03\n", 3), ("dim 3\n+1 +2 03 1\n", 3)])
+def test_signed_and_zero_padded_ascii_integers(text, dim) -> None:
+    assert parse_algebra(text).dim == dim

@@ -39,7 +39,7 @@ from liechar.geometry import (
     w_exterior_derivative,
     w_form,
 )
-from liechar.jets import Chart, delta_one_form, prolong
+from liechar.jets import Chart, delta_one_form, jacobian, prolong
 
 
 def frame_of(name: str) -> FrameField:
@@ -260,6 +260,20 @@ def test_structure_functions_affine() -> None:
     assert np.abs(c[0, 1] + c[1, 0]).max() == 0.0
 
 
+@pytest.mark.parametrize("name", [entry.name for entry in catalog.list_entries() if entry.kind == "frame"])
+def test_structure_functions_equal_the_einsum_contractions(name: str) -> None:
+    # the reference: both contractions as einsum on the frame's jets.jacobian;
+    # the batched @ products may sum in another order, so a few ulps of slack
+    frame = frame_of(name)
+    x = frame.chart.lattice(3)
+    a = frame.matrix(x)
+    jac = jacobian(frame.matrix, x, frame.chart.h, axis=-3)  # [..., a, c, j] = d_a A^c_j
+    t = np.einsum("...acj,...ai->...ijc", jac, a)
+    reference = np.einsum("...kc,...ijc->...ijk", np.linalg.inv(a), t - t.swapaxes(-3, -2))
+    atol = 64 * np.finfo(float).eps * max(1.0, sup_norm(jac)) * max(1.0, sup_norm(a)) * max(1.0, sup_norm(np.linalg.inv(a)))
+    np.testing.assert_allclose(structure_functions(frame, x), reference, rtol=0, atol=atol)
+
+
 def test_local_algebra_recovers_catalog_algebras() -> None:
     affine = local_algebra(frame_of("affine_halfplane"), np.array([1.5, 0.0]))
     assert affine.c == {(1, 2, 2): Fraction(1)}
@@ -427,10 +441,39 @@ def test_frame_from_multiplication_matches_catalog_frame() -> None:
 
 
 def test_log_det_ad_primitive() -> None:
-    for name in ("affine_group", "borel_sl2_group"):
+    names = [entry.name for entry in catalog.list_entries() if entry.kind == "multiplication"]
+    # every catalog multiplication at 3 points per axis, and at the bench's 9
+    # while the lattice stays at most 9**4 points (abelian(5) would take
+    # 59,049 points and seconds, abelian(6) ten times that)
+    cases = [(name, 3) for name in names] + [(name, 9) for name in names if mult_of(name).chart.dim <= 4]
+    for name, points_per_axis in cases:
         mult = mult_of(name)
-        residual, scale = log_det_ad_primitive_check(mult, points_per_axis=3)
-        assert residual <= fd_tolerance(mult.chart.h, scale), name
+        residual, scale = log_det_ad_primitive_check(mult, points_per_axis=points_per_axis)
+        assert residual <= fd_tolerance(mult.chart.h, scale), (name, points_per_axis)
+        # the reference route: central differences of log |det Ad_e|, with Ad_e = L^{-1} R at each shifted point
+        lattice = mult.chart.lattice(points_per_axis)
+        w = w_form(frame_from_multiplication(mult), lattice)
+        reference = -jacobian(lambda x: np.log(np.abs(np.linalg.det(ad_e(mult, x)))), lattice, mult.chart.h)
+        assert abs(residual - sup_norm(reference - w)) <= 1e-10, (name, points_per_axis)
+        assert scale == max(1.0, sup_norm(w)), (name, points_per_axis)
+
+
+def _singular_at(root: float) -> LocalGroupMultiplication:
+    """m(a, b) = a + b + k a b on [-1, 1] with e = 0: L = 1 + k a vanishes at a = root."""
+    k = -1.0 / root
+    return LocalGroupMultiplication(
+        chart=Chart(lower=(-1.0,), upper=(1.0,)), multiply=lambda a, b: a + b + k * a * b, identity=np.zeros(1)
+    )
+
+
+def test_log_det_ad_primitive_refuses_a_singular_left_jacobian() -> None:
+    chart = Chart(lower=(-1.0,), upper=(1.0,))
+    point = chart.lattice(9)[1, 0]
+    # off the 5-point lattice, where the frame's own determinant check looks
+    assert not np.any(chart.lattice(5) == point)
+    for root in (point, point + chart.h, point - chart.h):
+        with pytest.raises(ValueError, match=r"left-translation Jacobian is singular at \[-0\.74"):
+            log_det_ad_primitive_check(_singular_at(root), points_per_axis=9)
 
 
 def test_automorphy_check() -> None:
