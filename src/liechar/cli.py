@@ -36,14 +36,6 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 
-# A curvature sweep runs in blocks of geometry.SWEEP_BLOCK_POINTS, so its
-# memory does not grow with the lattice and the cap is a time limit: about
-# 10 s for a run. identity(6), the costliest catalog frame per point, takes
-# 0.36 ms a point for the two sweeps on a 2-vCPU host: 1.5 s at --lattice 4,
-# 5.6 s at --lattice 5 (15,625 points), and --lattice 6 (46,656 points)
-# would take about 17 s.
-CURVATURE_LATTICE_CAP = 20_000
-
 # forms prints every one of the C(dim, degree) components, zeros included.
 # Padding alone took 0.23 s for C(60, 3) = 34,220 components, 1.3 s for
 # 499,500, 5.4 s for 1,999,000 and 6.5 s for 10^6 in dimension 10^6.
@@ -210,7 +202,7 @@ def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> 
 def _cmd_curvature(args: argparse.Namespace) -> int:
     # from the submodule: `from . import geometry` would go through the
     # package's lazy hook, which loads the exact lane and verify as well
-    from .geometry import FrameField, curvature_sweep
+    from .geometry import CURVATURE_LATTICE_CAP, FrameField, curvature_sweep
 
     frame = _catalog_entry(args.frame, "frame").payload
     if args.lattice < 2:

@@ -44,17 +44,31 @@ inside [g, g], as in a nilpotent Heisenberg algebra, or none, as in a
 semisimple one, splits nothing. With toral vectors the weight-zero
 subcomplex is already small, and the search is skipped.
 
+Poincare duality (Koszul, Bull. SMF 78, 1950; Hazewinkel, "A duality
+theorem for the cohomology of Lie algebras", Math. USSR-Sb. 12, 1970): when
+the ranked algebra is unimodular, tr ad x = 0 for every x, d_(n-1) is 0, and
+as d is a derivation, d(a ^ b) = 0 for a in C^k and b in C^(n-1-k) makes
+d_(n-1-k) the transpose of d_k, up to sign, under the nondegenerate pairing
+C^k x C^(n-k) -> C^n, which matches each k-subset with its complement. So
+rank d_k = rank d_(n-1-k), and cochain_complex builds and ranks only d_0,
+..., d_m, m = min(top, (n - 1) // 2), and reads the ranks above m and the
+counts |C^k_0| = |C^(n-k)_0| off the mirror. The pairing keeps weight zero:
+a toral h has total weight tr ad h = 0, so the complement of a weight-zero
+subset has weight zero. And it holds for the split, whose q is unimodular
+exactly when g is, g being q + F^c as Lie algebras. A non-unimodular algebra
+has rank d_(n-1) = 1 against rank d_0 = 0, and its whole chain is ranked.
+
 The trace-form classes (CochainComplex.trace_class) are solved on g's own
-weight-zero d_k and d_{k-1}: the ranked ones, or, when the table came from
-a quotient, those two built for the class's degree. They give the full
-bases' results: trace forms are ad-invariant, so of weight zero; the full
-d_{k-1} is block-diagonal by weight, its weight-zero columns in the
-subcomplex's order; and the reduced-echelon solution of
+weight-zero d_k and d_{k-1}: the ranked ones, or, past them or when the
+table came from a quotient, those two built for the class's degree. They
+give the full bases' results: trace forms are ad-invariant, so of weight
+zero; the full d_{k-1} is block-diagonal by weight, its weight-zero
+columns in the subcomplex's order; and the reduced-echelon solution of
 linalg.sparse_solve (free columns at 0) is 0 off weight zero and the
-subcomplex solve on it. _solve refuses a form with
-a component outside the rows of d_{k-1}, so a trace form that is not a
-weight-zero cocycle raises ValueError. betti, is_closed and is_exact keep
-the full bases, as the references of verify and the tests.
+subcomplex solve on it. _solve refuses a form with a component outside
+the rows of d_{k-1}, so a trace form that is not a weight-zero cocycle
+raises ValueError. betti, is_closed and is_exact keep the full bases, as
+the references of verify and the tests.
 """
 
 from __future__ import annotations
@@ -83,6 +97,12 @@ from .forms import AlternatingForm, trace_forms
 # half-integer ones 17 s and 273 s (one run each). Those inputs set the
 # cap: it stays at 14, where the matrix-unit and split inputs above take
 # under a second, and they already take a minute or more at dimension 13.
+# Poincare duality spares a unimodular algebra the upper half of its chain,
+# but not the middle degree, which dominates: in half-integer bases dense
+# sl3+sl2 (dim 11) went 1.70 -> 1.06 s and dense gl3+sl2 (dim 12, ranked as
+# its quotient sl3+sl2) 6.55 -> 5.18 s (medians of three pairs), and in the
+# latter the echelons of d_4 and d_5 take 3.5 of 4.2 s, on integer rows of
+# up to 239 bits.
 BETTI_DIM_CAP = 14
 
 
@@ -255,11 +275,12 @@ STATUS_NONZERO_CLASS = "nonzero class"
 
 class CochainComplex(NamedTuple):
     """The complex of alg in degrees 0..top, top = len(betti) - 1: its Betti
-    numbers, the differentials d_0, d_1, ... of the weight-zero complex that
-    was ranked, and the number split of central vectors split off. With split
-    0 the ranked complex is alg's own, up to d_min(top, dim - 1); otherwise
-    it is that of q = alg / span(z) (central_split), and betti is q's table
-    times (1 + t)^split."""
+    numbers, the differentials d_0, ..., d_m of the weight-zero complex that
+    was ranked, and the number split of central vectors split off. m is
+    min(top, dim - 1), or min(top, (dim - 1) // 2) when the ranked algebra is
+    unimodular (Poincare duality gives the ranks above). With split 0 the
+    ranked complex is alg's own; otherwise it is that of q = alg / span(z)
+    (central_split), and betti is q's table times (1 + t)^split."""
 
     alg: LieAlgebra
     betti: tuple[int, ...]
@@ -268,8 +289,9 @@ class CochainComplex(NamedTuple):
 
     def differential(self, k: int) -> DifferentialMatrix:
         """alg's weight-zero d_k, 0 <= k <= min(top, dim - 1): the ranked one,
-        or built afresh on each call when the table came from a quotient."""
-        if not self.split:
+        or built afresh on each call past the ranked ones or when the table
+        came from a quotient."""
+        if not self.split and k < len(self.ranked):
             return self.ranked[k]
         return subcomplex_differential(
             self.alg, k, weight_zero_cochains(self.alg, k + 1), weight_zero_cochains(self.alg, k)
@@ -340,15 +362,19 @@ def central_split(alg: LieAlgebra) -> tuple[LieAlgebra | None, int]:
 
 def _ranked(alg: LieAlgebra, top: int) -> tuple[tuple[int, ...], tuple[DifferentialMatrix, ...]]:
     """alg's Betti numbers in degrees 0..top (at most dim) and its weight-zero
-    d_0, ..., d_min(top, dim - 1), each built once and ranked on the columns
-    that are not pivot rows of the one before it."""
+    d_0, ..., d_m, each built once and ranked on the columns that are not
+    pivot rows of the one before it: m = min(top, dim - 1), or, when alg is
+    unimodular, min(top, (dim - 1) // 2), with the ranks and cochain counts
+    above m read off by Poincare duality."""
     n = alg.dim
+    dual = alg.is_unimodular()
+    last = min(top, (n - 1) // 2 if dual else n - 1)
     cochains = weight_zero_cochains(alg, 0)
     sizes = [len(cochains)]
     ranks = []
     differentials = []
     pivots: set[int] = set()
-    for k in range(min(top + 1, n)):
+    for k in range(last + 1):
         rows = weight_zero_cochains(alg, k + 1)
         d_k = subcomplex_differential(alg, k, rows, cochains)
         kept = {cell: value for cell, value in d_k.nonzeros.items() if cell[1] not in pivots}
@@ -357,6 +383,10 @@ def _ranked(alg: LieAlgebra, top: int) -> tuple[tuple[int, ...], tuple[Different
         sizes.append(len(rows))
         differentials.append(d_k)
         cochains = rows
+    if dual:
+        # rank d_k = rank d_(n-1-k) and |C^k_0| = |C^(n-k)_0| (module docstring)
+        ranks += [ranks[n - 1 - k] for k in range(last + 1, min(top + 1, n))]
+        sizes += [sizes[n - k] for k in range(last + 2, top + 1)]
     ranks.append(0)  # d_n maps to nothing
     table = tuple(sizes[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1))
     return table, tuple(differentials)
@@ -365,9 +395,9 @@ def _ranked(alg: LieAlgebra, top: int) -> tuple[tuple[int, ...], tuple[Different
 def cochain_complex(alg: LieAlgebra, top: int | None = None) -> CochainComplex:
     """The complex up to degree top (default and at most dim), ranked as the
     module docstring sets out: a basis with no toral vector ranks the quotient
-    by its split centre. A dimension over BETTI_DIM_CAP or a bracket that
-    fails Jacobi (named by its first violation), or a negative top, raises
-    ValueError."""
+    by its split centre, and a unimodular algebra only the lower half of its
+    chain. A dimension over BETTI_DIM_CAP or a bracket that fails Jacobi
+    (named by its first violation), or a negative top, raises ValueError."""
     n = alg.dim
     if top is not None and top < 0:
         raise ValueError(f"top degree {top} is negative")

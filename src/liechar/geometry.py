@@ -85,6 +85,18 @@ AUTOMORPHY_TOL = 1e-6
 # identity(6) peaks at 66 MB at --lattice 4 and at --lattice 5 alike.
 SWEEP_BLOCK_POINTS = 625
 
+# The most lattice points that curvature_sweep, local_algebra and
+# log_det_ad_primitive_check take, checked before any lattice is built.
+# A sweep runs in blocks, so for it the cap is a time limit: about 10 s for
+# the two sweeps of a curvature run. identity(6), the costliest catalog
+# frame per point, takes 0.36 ms a point for them on a 2-vCPU host: 1.5 s
+# at 4 points per axis, 5.6 s at 5 (15,625 points), and 6 (46,656 points)
+# would take about 17 s. local_algebra and log_det_ad_primitive_check read
+# one stencil of the whole lattice, so for them it bounds memory as well:
+# log_det_ad_primitive_check on abelian(5) at 9 points per axis (59,049
+# points) took 1.82 s and peaked at 302 MB in-process.
+CURVATURE_LATTICE_CAP = 20_000
+
 
 def sup_norm(arr: np.ndarray) -> float:
     a = np.asarray(arr, dtype=float)
@@ -382,6 +394,18 @@ def r_full(frame: FrameField, x: np.ndarray, y: np.ndarray) -> CurvatureSample:
     return CurvatureSample(tensor=_alternate(full, -3), scale=scale)
 
 
+def _capped_lattice(chart: Chart, points_per_axis: int) -> np.ndarray:
+    """chart.lattice(points_per_axis), refused before it is built when it
+    would hold more than CURVATURE_LATTICE_CAP points."""
+    points = points_per_axis**chart.dim
+    if points > CURVATURE_LATTICE_CAP:
+        raise ValueError(
+            f"{points_per_axis} points per axis give {points} lattice points,"
+            f" over the cap CURVATURE_LATTICE_CAP = {CURVATURE_LATTICE_CAP}"
+        )
+    return chart.lattice(points_per_axis)
+
+
 def _block_maxima(frame: FrameField, x: np.ndarray, mirror: np.ndarray) -> dict[str, float]:
     """Sweep maxima over the point block x, each tensor dropped once its
     maximum is taken and none scaled; r_full pairs x with mirror."""
@@ -404,7 +428,7 @@ def curvature_sweep(frame: FrameField, points_per_axis: int) -> dict[str, float]
     """Maxima of r1, r2, torsion, w, r_full and the dw = tr r2 residual over
     the chart lattice, block by block; r_full pairs each point with its
     mirror in the lattice order, and its diagonal pairs it with itself."""
-    lattice = frame.chart.lattice(points_per_axis)
+    lattice = _capped_lattice(frame.chart, points_per_axis)
     mirror = lattice[::-1]
     size = SWEEP_BLOCK_POINTS
     blocks = [_block_maxima(frame, lattice[i : i + size], mirror[i : i + size]) for i in range(0, len(lattice), size)]
@@ -512,7 +536,7 @@ def local_algebra(frame: FrameField, p: np.ndarray, points_per_axis: int = 5) ->
 
     from .algebra import LieAlgebra
 
-    lattice = frame.chart.lattice(points_per_axis)
+    lattice = _capped_lattice(frame.chart, points_per_axis)
     c = structure_functions(frame, np.concatenate([np.asarray(p, dtype=float)[None], lattice]))
     c_p = c[0]
     spread = sup_norm(c[1:] - c_p)
@@ -609,7 +633,7 @@ def log_det_ad_primitive_check(mult: LocalGroupMultiplication, points_per_axis: 
     a lattice point or neighbour where L is singular. Returns (residual,
     local magnitude scale).
     """
-    lattice = mult.chart.lattice(points_per_axis)
+    lattice = _capped_lattice(mult.chart, points_per_axis)
     stencil = _Stencil(frame_from_multiplication(mult), lattice)
     _left_det(stencil.a, lattice)
 

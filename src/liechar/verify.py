@@ -235,12 +235,20 @@ def suite_cohomology() -> _Checks:
             routes = (d_k.rank(), rank_fraction_free(d_k.entries), rank(d_k.entries))
             assert len(set(routes)) == 1, f"rank routes disagree at degree {k}: {routes}"
 
+    def ranks_dual(alg):
+        # rank d_k = rank d_(n-1-k), which betti_table reads off for a
+        # unimodular algebra, on the full bases
+        ranks = [differential_matrix(alg, k).rank() for k in range(alg.dim)]
+        unimodular = alg.is_unimodular()
+        assert (ranks == ranks[::-1]) == unimodular, f"ranks {ranks} of d_0, d_1, ... with unimodular {unimodular}"
+
     return [
         ("differential_squares_to_zero", _each("algebra", d_squared)),
         ("trace_forms_closed", _each("algebra", closed_trace_forms)),
         ("betti_normalization_and_euler", _each("algebra", betti_basics)),
         ("whitehead_vanishing", _each("algebra", whitehead)),
         ("fraction_free_rank_matches_gauss", _each("algebra", rank_dual_route)),
+        ("ranks_dual_exactly_when_unimodular", _each("algebra", ranks_dual)),
     ]
 
 

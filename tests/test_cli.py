@@ -13,7 +13,8 @@ import pytest
 
 from liechar import catalog, cohomology, forms, geometry
 from liechar.algebra import LieAlgebra, lie_algebra
-from liechar.cli import CURVATURE_LATTICE_CAP, FORMS_COMPONENT_CAP, run
+from liechar.cli import FORMS_COMPONENT_CAP, run
+from liechar.geometry import CURVATURE_LATTICE_CAP
 from liechar.jets import Chart
 from liechar.fileformat import parse_algebra, serialize_algebra
 
@@ -371,13 +372,23 @@ def test_cohomology_builds_each_differential_once(capsys, monkeypatch) -> None:
     assert code == 0
     assert json.loads(out)["w_status"] == "nonzero class"
     assert built == [0, 1, 2, 3]
+    # sl3 is unimodular, so no degree ranks past d_3 = d_((8 - 1) // 2): the
+    # ranks above it are mirrored, and w3 is sl3's only nonzero trace form,
+    # so no class builds a d_k of its own
     sl3_betti = [1, 0, 0, 1, 0, 1, 0, 0, 1]
     for k in range(9):
         built.clear()
         code, out, _ = invoke(capsys, "cohomology", str(BENCH_INPUTS / "sl3.txt"), "--degree", str(k))
         assert code == 0
         assert json.loads(out)["betti"] == sl3_betti[k], k
-        assert built == list(range(min(k, 7) + 1)), k
+        assert built == list(range(min(k, 3) + 1)), k
+    # gl2 ranks d_0 and d_1; the nonzero class of w3 is closed on d_3 and
+    # solved on d_2, each built once on demand
+    built.clear()
+    code, out, _ = invoke(capsys, "cohomology", str(BENCH_INPUTS / "gl2.txt"), "--degree", "3")
+    assert code == 0
+    assert (json.loads(out)["betti"], json.loads(out)["w_status"]) == (1, "nonzero class")
+    assert built == [0, 1, 3, 2]
 
 
 def test_analyze_builds_each_differential_once_and_checks_jacobi_once(capsys, monkeypatch, tmp_path) -> None:

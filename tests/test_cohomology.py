@@ -224,6 +224,10 @@ def test_betti_ranks_certified_by_both_elimination_routes() -> None:
             ranks.append(d_k.rank())
         for k in range(n + 1):
             assert betti(g, k) == math.comb(n, k) - ranks[k] - (ranks[k - 1] if k else 0), (name, k)
+        # rank d_k = rank d_(n-1-k) exactly when g is unimodular: otherwise
+        # rank d_(n-1) = 1 (d of an (n-1)-form is its character) against rank d_0 = 0
+        assert (ranks[:n] == ranks[n - 1 :: -1]) == g.is_unimodular(), name
+        assert ranks[n - 1] == (0 if g.is_unimodular() else 1), name
 
 
 def full_rank_table(g: LieAlgebra) -> list[int]:
@@ -438,18 +442,50 @@ def assert_poincare_duality(g: LieAlgebra, table: list[int]) -> None:
         assert table == table[::-1]
 
 
+def assert_duality_shortcut_equals_the_full_route(g: LieAlgebra) -> None:
+    """betti_table, which mirrors the upper ranks of a unimodular algebra,
+    equals the per-degree full ranks, which use no duality, and those obey
+    Poincare duality."""
+    full = full_rank_table(g)
+    assert_poincare_duality(g, full)
+    assert betti_table(g) == full
+
+
 def test_poincare_duality_of_catalog_algebras_and_bench_inputs() -> None:
     algebras = [*CATALOG_ALGEBRAS.values(), *(parse_algebra(path.read_text()) for path in BENCH_INPUTS)]
     assert any(g.is_unimodular() for g in algebras) and not all(g.is_unimodular() for g in algebras)
     for g in algebras:
-        assert_poincare_duality(g, betti_table(g))
+        assert_duality_shortcut_equals_the_full_route(g)
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_algebras(6), small_algebras(6))
 def test_poincare_duality_of_direct_sums(a, b) -> None:
-    total = direct_sum(a, b)
-    assert_poincare_duality(total, betti_table(total))
+    assert_duality_shortcut_equals_the_full_route(direct_sum(a, b))
+
+
+@pytest.mark.parametrize("name", ["gl3", "sl2_sl2", "heisenberg3"])
+def test_poincare_duality_of_unimodular_dense_bases(name) -> None:
+    # no toral vector: gl3 mirrors the ranks of its quotient sl3, sl2 + sl2
+    # and heisenberg3 those of their own whole complexes
+    g = CATALOG_ALGEBRAS.get(name) or bench_input(name)
+    assert g.is_unimodular()
+    for seed in range(3):
+        dense = change_basis(g, seeded_unipotent(g.dim, seed))
+        assert not dense.toral_weights
+        assert_duality_shortcut_equals_the_full_route(dense)
+
+
+def test_upper_differentials_are_built_on_demand() -> None:
+    # past the ranked d_0, ..., d_((n - 1) // 2) of a unimodular algebra,
+    # differential(k) builds the weight-zero d_k afresh
+    g = bench_input("gl3")
+    complex_ = cochain_complex(g)
+    assert len(complex_.ranked) == 5
+    for k in range(g.dim):
+        expected = subcomplex_differential(g, k, weight_zero_cochains(g, k + 1), weight_zero_cochains(g, k))
+        assert complex_.differential(k) == expected, k
+    assert complex_.differential(3) is complex_.ranked[3]
 
 
 def bench_input(name: str) -> LieAlgebra:
@@ -486,23 +522,32 @@ def test_toral_basis_vectors_of_weight_and_changed_bases() -> None:
     assert CATALOG_ALGEBRAS["abelian(3)"].toral_weights == {}
 
 
-def test_betti_table_ranks_only_the_weight_zero_subcomplex(monkeypatch) -> None:
-    # gl3's joint weight-zero cochains under E11, E22, E33 are 80 of 2^9 = 512,
-    # and betti_table builds and ranks nothing else
-    g = bench_input("gl3")
-    assert sum(len(weight_zero_cochains(g, k)) for k in range(g.dim + 1)) == 80
+def record_builds(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """(dimension of the algebra, k, rows, columns) of each weight-zero d_k
+    built from here on, with the full-basis differential_matrix unset, so
+    that nothing reaches it."""
     built = []
 
     def recording(alg, k, row_basis, col_basis):
-        built.append((k, len(row_basis), len(col_basis)))
+        built.append((alg.dim, k, len(row_basis), len(col_basis)))
         return subcomplex_differential(alg, k, row_basis, col_basis)
 
     monkeypatch.setattr("liechar.cohomology.subcomplex_differential", recording)
     monkeypatch.setattr("liechar.cohomology.differential_matrix", None)
+    return built
+
+
+def test_betti_table_ranks_only_the_weight_zero_subcomplex(monkeypatch) -> None:
+    # gl3's joint weight-zero cochains under E11, E22, E33 are 80 of 2^9 = 512;
+    # gl3 is unimodular, so betti_table builds and ranks d_0, ..., d_4 on the
+    # 58 of them in degrees 0..5, and complements give the counts above
+    g = bench_input("gl3")
+    sizes = [len(weight_zero_cochains(g, k)) for k in range(g.dim + 1)]
+    assert sum(sizes) == 80 and sizes == sizes[::-1]
+    built = record_builds(monkeypatch)
     assert betti_table(g) == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
-    assert [k for k, _, _ in built] == list(range(g.dim))
-    assert sum(cols for _, _, cols in built) + built[-1][1] == 80
-    assert all(rows == cols_next for (_, rows, _), (_, _, cols_next) in zip(built, built[1:]))
+    assert built == [(9, k, sizes[k + 1], sizes[k]) for k in range(5)]
+    assert sum(sizes[:6]) == 58
 
 
 def test_weight_zero_cochains_without_toral_vectors_are_all_cochains() -> None:
@@ -557,15 +602,21 @@ def test_betti_table_of_a_dense_sum_with_an_abelian_part_is_kunneth_product(h, c
         ("sl2_sl2", [1, 0, 0, 2, 0, 0, 1]),
     ],
 )
-def test_dense_bases_whose_centre_lies_in_the_derived_algebra_split_nothing(name, table) -> None:
+def test_dense_bases_whose_centre_lies_in_the_derived_algebra_split_nothing(monkeypatch, name, table) -> None:
+    # both are unimodular, so each ranks only d_0, ..., d_((n - 1) // 2) of its own complex
     g = CATALOG_ALGEBRAS.get(name) or bench_input(name)
-    for seed in range(3):
-        dense = change_basis(g, seeded_unipotent(g.dim, seed))
+    dense_bases = [change_basis(g, seeded_unipotent(g.dim, seed)) for seed in range(3)]
+    assert [full_rank_table(dense) for dense in dense_bases] == [table] * 3
+    built = record_builds(monkeypatch)
+    for dense in dense_bases:
         assert not dense.toral_weights
         assert central_split(dense) == (dense, 0)
+        built.clear()
         complex_ = cochain_complex(dense)
-        assert complex_.split == 0 and len(complex_.ranked) == g.dim
-        assert list(complex_.betti) == table == full_rank_table(dense)
+        ranked = range((g.dim - 1) // 2 + 1)
+        assert complex_.split == 0 and [d.degree for d in complex_.ranked] == list(ranked)
+        assert built == [(g.dim, k, math.comb(g.dim, k + 1), math.comb(g.dim, k)) for k in ranked]
+        assert list(complex_.betti) == table
 
 
 def test_central_split_of_abelian_and_reductive_dense_bases() -> None:
@@ -593,20 +644,14 @@ def test_dense_betti_table_of_b4_plus_abelian3_equals_its_poincare_table() -> No
 
 
 def test_dense_betti_table_ranks_only_the_quotient_by_the_split_centre(monkeypatch) -> None:
-    # dense gl3 splits off its identity: only sl3's 2^8 cochains are ranked,
-    # and no differential of gl3 itself is built
+    # dense gl3 splits off its identity: only sl3's complex is ranked, and as
+    # sl3 is unimodular only its d_0, ..., d_3; no differential of gl3 itself
+    # is built
     g = change_basis(bench_input("gl3"), seeded_unipotent(9, 0))
     assert not g.toral_weights
-    built = []
-
-    def recording(alg, k, row_basis, col_basis):
-        built.append((alg.dim, k, len(col_basis)))
-        return subcomplex_differential(alg, k, row_basis, col_basis)
-
-    monkeypatch.setattr("liechar.cohomology.subcomplex_differential", recording)
-    monkeypatch.setattr("liechar.cohomology.differential_matrix", None)
+    built = record_builds(monkeypatch)
     assert betti_table(g) == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
-    assert built == [(8, k, math.comb(8, k)) for k in range(8)]
+    assert built == [(8, k, math.comb(8, k + 1), math.comb(8, k)) for k in range(4)]
 
 
 @pytest.mark.parametrize("name", ["gl2", "b3"])

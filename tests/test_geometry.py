@@ -1,5 +1,6 @@
 """Connections, curvatures, and local group data from frame fields."""
 
+import time
 from fractions import Fraction
 from random import Random
 
@@ -8,6 +9,7 @@ import pytest
 
 from liechar import catalog, geometry, linalg, verify
 from liechar.geometry import (
+    CURVATURE_LATTICE_CAP,
     FrameField,
     LocalAlgebraError,
     LocalGroupMultiplication,
@@ -444,7 +446,7 @@ def test_log_det_ad_primitive() -> None:
     names = [entry.name for entry in catalog.list_entries() if entry.kind == "multiplication"]
     # every catalog multiplication at 3 points per axis, and at the bench's 9
     # while the lattice stays at most 9**4 points (abelian(5) would take
-    # 59,049 points and seconds, abelian(6) ten times that)
+    # 59,049 points, over CURVATURE_LATTICE_CAP)
     cases = [(name, 3) for name in names] + [(name, 9) for name in names if mult_of(name).chart.dim <= 4]
     for name, points_per_axis in cases:
         mult = mult_of(name)
@@ -585,6 +587,33 @@ def test_empty_lattices_are_refused() -> None:
         log_det_ad_primitive_check(mult_of("borel_sl2_group"), points_per_axis=0)
     with pytest.raises(ValueError, match=empty):
         curvature_sweep(frame_of("identity(2)"), 0)
+
+
+def test_lattices_over_the_cap_are_refused_before_they_are_built(monkeypatch) -> None:
+    # abelian(5) at 9 points per axis is 59,049 points: refused at once, where
+    # log_det_ad_primitive_check took 1.82 s and 302 MB without the cap
+    assert 9**5 > CURVATURE_LATTICE_CAP >= 7**5
+    mult, frame = mult_of("abelian(5)"), frame_of("identity(5)")
+    message = "9 points per axis give 59049 lattice points, over the cap CURVATURE_LATTICE_CAP = 20000"
+    start = time.perf_counter()
+    for refused in (
+        lambda: log_det_ad_primitive_check(mult, points_per_axis=9),
+        lambda: local_algebra(frame, np.zeros(5), points_per_axis=9),
+        lambda: curvature_sweep(frame, 9),
+    ):
+        with pytest.raises(ValueError, match=message):
+            refused()
+    assert time.perf_counter() - start < 1.0
+
+    def unbuilt(*args):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(Chart, "lattice", unbuilt)
+    with pytest.raises(ValueError, match="over the cap"):
+        local_algebra(frame_of("identity(6)"), np.zeros(6), points_per_axis=6)
+    # 7**5 points is within the cap: the check passes and the lattice is built
+    with pytest.raises(AssertionError, match="built"):
+        log_det_ad_primitive_check(mult, points_per_axis=7)
 
 
 @pytest.mark.parametrize("name", _names("multiplication"))

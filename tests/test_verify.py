@@ -29,7 +29,7 @@ def test_selected_suites_pass_and_tag_results() -> None:
 
 def test_every_suite_passes() -> None:
     results = run_suites()
-    assert len(results) == 27
+    assert len(results) == 28
     assert {r.suite for r in results} == set(SUITES)
     failed = [f"{r.suite}.{r.name}: {r.detail}" for r in results if not r.ok]
     assert not failed, failed
