@@ -202,17 +202,15 @@ def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> 
 def _cmd_curvature(args: argparse.Namespace) -> int:
     # from the submodule: `from . import geometry` would go through the
     # package's lazy hook, which loads the exact lane and verify as well
-    from .geometry import CURVATURE_LATTICE_CAP, FrameField, curvature_sweep
+    from .geometry import FrameField, curvature_sweep, lattice_size
 
     frame = _catalog_entry(args.frame, "frame").payload
     if args.lattice < 2:
         raise CliError("--lattice must be at least 2")
-    points = args.lattice**frame.chart.dim
-    if points > CURVATURE_LATTICE_CAP:
-        raise CliError(f"--lattice {args.lattice} gives {points} points, over the cap of {CURVATURE_LATTICE_CAP}")
     if args.h is not None and args.h <= 0:
         raise CliError("--h must be positive")
     try:
+        points = lattice_size(frame.chart, args.lattice)
         if args.h is not None:
             frame = FrameField(chart=frame.chart.with_step(args.h), matrix=frame.matrix)
         halved = FrameField(chart=frame.chart.with_step(frame.chart.h / 2), matrix=frame.matrix)

@@ -34,20 +34,20 @@ stencil method: r1_full() and r2_full() give r1 and r2 before alternation,
 two_point(other) gives r_full's expression at (x, other.x) with its terms,
 and curvature(full) turns r1_full() or r2_full() into the scaled
 CurvatureSample. The point functions, bracket_defect_residual and
-curvature_sweep all call these. curvature_sweep covers the chart lattice in
-blocks of SWEEP_BLOCK_POINTS points, takes each maximum as soon as its
-tensor exists, unscaled, and reduces the maxima across blocks. Its r_full
-pairs block i with the mirror of block i (the same positions of the
-reversed lattice), whose stencil needs A only at its points and at their
-first neighbours. log_det_ad_primitive_check takes the left-translation
-Jacobian at x +- h e_k for its log-determinants from the stencil of its w.
+curvature_sweep all call these. One driver, _lattice_maxima, covers the
+lattice for the sweep, local_algebra and log_det_ad_primitive_check: it
+hands blocks of SWEEP_BLOCK_POINTS points and their mirrors (the same
+positions of the reversed lattice) to a function that returns the block's
+maxima. The sweep's r_full pairs a block with its mirror, whose stencil
+needs A only at its points and their first neighbours. The log-det check
+reads L at x +- h e_k for its log-determinants from the stencil of its w.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -78,7 +78,7 @@ DENOMINATOR_CAP = 64
 # |det Ad_e - 1| up to this counts as det Ad_e = 1.
 AUTOMORPHY_TOL = 1e-6
 
-# A curvature sweep builds the stencil of at most this many lattice points
+# Every lattice computation builds the stencil of at most this many points
 # at a time, so its memory follows the block, not the lattice. The time per
 # point is flat from 128-point blocks up (identity(6) at --lattice 4), and
 # 625 keeps the default dimension-4 lattice (5**4 points) one block;
@@ -86,15 +86,11 @@ AUTOMORPHY_TOL = 1e-6
 SWEEP_BLOCK_POINTS = 625
 
 # The most lattice points that curvature_sweep, local_algebra and
-# log_det_ad_primitive_check take, checked before any lattice is built.
-# A sweep runs in blocks, so for it the cap is a time limit: about 10 s for
-# the two sweeps of a curvature run. identity(6), the costliest catalog
-# frame per point, takes 0.36 ms a point for them on a 2-vCPU host: 1.5 s
-# at 4 points per axis, 5.6 s at 5 (15,625 points), and 6 (46,656 points)
-# would take about 17 s. local_algebra and log_det_ad_primitive_check read
-# one stencil of the whole lattice, so for them it bounds memory as well:
-# log_det_ad_primitive_check on abelian(5) at 9 points per axis (59,049
-# points) took 1.82 s and peaked at 302 MB in-process.
+# log_det_ad_primitive_check take, checked before any lattice is built; they
+# run in blocks, so it is a time limit. identity(6), the costliest catalog
+# frame per point, takes 0.36 ms a point for the two sweeps of a curvature
+# run on a 2-vCPU host: 1.5 s at 4 points per axis, 5.6 s at 5 (15,625
+# points), and 6 (46,656 points) would take about 17 s.
 CURVATURE_LATTICE_CAP = 20_000
 
 
@@ -143,6 +139,8 @@ class FrameField:
         lattice = self.chart.lattice()
         n = self.chart.dim
         values = _batched(self.matrix, (len(lattice), n, n), "frame matrix", lattice)
+        if not np.isfinite(values).all():
+            raise ValueError("frame matrix is not finite on the chart lattice")
         worst = np.min(np.abs(np.linalg.det(values)))
         if worst < DET_FLOOR:
             raise ValueError(f"frame determinant falls to {worst:.3e} on the chart lattice")
@@ -230,15 +228,15 @@ class _Stencil:
     value is bitwise the one jets.jacobian applied twice would give.
     """
 
-    def __init__(self, frame: FrameField, x: np.ndarray):
-        self.frame = frame
+    def __init__(self, matrix: Callable[[np.ndarray], np.ndarray], h: float, x: np.ndarray):
+        self.matrix = matrix
         self.x = x
-        self.h = frame.chart.h
-        self.steps = self.h * np.eye(x.shape[-1])  # row k is h e_k
+        self.h = h
+        self.steps = h * np.eye(x.shape[-1])  # row k is h e_k
 
     @cached_property
     def a(self) -> np.ndarray:
-        return self.frame.matrix(self.x)
+        return self.matrix(self.x)
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -247,7 +245,7 @@ class _Stencil:
     @cached_property
     def shifted_a(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(A(x + h e_k), A(x - h e_k)) for each k."""
-        return [(self.frame.matrix(self.x + s), self.frame.matrix(self.x - s)) for s in self.steps]
+        return [(self.matrix(self.x + s), self.matrix(self.x - s)) for s in self.steps]
 
     @cached_property
     def shifted_inverse(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -264,7 +262,7 @@ class _Stencil:
     @cached_property
     def shifted_gamma(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(Gamma(x + h e_r), Gamma(x - h e_r)) for each r."""
-        matrix, h = self.frame.matrix, self.h
+        matrix, h = self.matrix, self.h
 
         def at(y: np.ndarray, inverse: np.ndarray) -> np.ndarray:
             return _gamma_from([(matrix(y + s), matrix(y - s)) for s in self.steps], inverse, h)
@@ -317,7 +315,7 @@ class _Stencil:
 def _stencil(frame: FrameField, x: np.ndarray) -> _Stencil:
     """The stencil of x, refused when a point lies within 2h of the boundary."""
     frame.chart.require_interior(x)
-    return _Stencil(frame, x)
+    return _Stencil(frame.matrix, frame.chart.h, x)
 
 
 def gamma(frame: FrameField, x: np.ndarray) -> ConnectionSample:
@@ -394,22 +392,31 @@ def r_full(frame: FrameField, x: np.ndarray, y: np.ndarray) -> CurvatureSample:
     return CurvatureSample(tensor=_alternate(full, -3), scale=scale)
 
 
-def _capped_lattice(chart: Chart, points_per_axis: int) -> np.ndarray:
-    """chart.lattice(points_per_axis), refused before it is built when it
-    would hold more than CURVATURE_LATTICE_CAP points."""
+def lattice_size(chart: Chart, points_per_axis: int) -> int:
+    """Points in chart.lattice(points_per_axis), refused over CURVATURE_LATTICE_CAP."""
     points = points_per_axis**chart.dim
     if points > CURVATURE_LATTICE_CAP:
         raise ValueError(
             f"{points_per_axis} points per axis give {points} lattice points,"
             f" over the cap CURVATURE_LATTICE_CAP = {CURVATURE_LATTICE_CAP}"
         )
-    return chart.lattice(points_per_axis)
+    return points
+
+
+def _lattice_maxima(chart: Chart, points_per_axis: int, block_maxima: Callable) -> dict[str, float]:
+    """Maxima of block_maxima(block, mirror) over blocks of at most
+    SWEEP_BLOCK_POINTS lattice points and their mirrors; a NaN stays NaN."""
+    lattice_size(chart, points_per_axis)
+    lattice = chart.lattice(points_per_axis)
+    size = SWEEP_BLOCK_POINTS
+    blocks = [block_maxima(lattice[i : i + size], lattice[::-1][i : i + size]) for i in range(0, len(lattice), size)]
+    return {key: float(np.max([block[key] for block in blocks])) for key in blocks[0]}
 
 
 def _block_maxima(frame: FrameField, x: np.ndarray, mirror: np.ndarray) -> dict[str, float]:
     """Sweep maxima over the point block x, each tensor dropped once its
     maximum is taken and none scaled; r_full pairs x with mirror."""
-    stencil = _Stencil(frame, x)
+    stencil = _Stencil(frame.matrix, frame.chart.h, x)
     maxima = {
         "torsion_max": sup_norm(_alternate(stencil.gamma, -3)),
         "w_max": sup_norm(stencil.w),
@@ -420,7 +427,7 @@ def _block_maxima(frame: FrameField, x: np.ndarray, mirror: np.ndarray) -> dict[
     maxima["dw_tr_r2_residual"] = sup_norm(_dw_residual(stencil.dw, r2_tensor))
     del r2_tensor
     maxima["r_full_diagonal_max"] = sup_norm(_alternate(stencil.two_point(stencil)[0], -3))
-    maxima["r_full_max"] = sup_norm(_alternate(stencil.two_point(_Stencil(frame, mirror))[0], -3))
+    maxima["r_full_max"] = sup_norm(_alternate(stencil.two_point(_Stencil(frame.matrix, stencil.h, mirror))[0], -3))
     return maxima
 
 
@@ -428,11 +435,7 @@ def curvature_sweep(frame: FrameField, points_per_axis: int) -> dict[str, float]
     """Maxima of r1, r2, torsion, w, r_full and the dw = tr r2 residual over
     the chart lattice, block by block; r_full pairs each point with its
     mirror in the lattice order, and its diagonal pairs it with itself."""
-    lattice = _capped_lattice(frame.chart, points_per_axis)
-    mirror = lattice[::-1]
-    size = SWEEP_BLOCK_POINTS
-    blocks = [_block_maxima(frame, lattice[i : i + size], mirror[i : i + size]) for i in range(0, len(lattice), size)]
-    return {key: float(np.max([block[key] for block in blocks])) for key in blocks[0]}
+    return _lattice_maxima(frame.chart, points_per_axis, partial(_block_maxima, frame))
 
 
 def invariant_field(frame: FrameField, p: np.ndarray, v: np.ndarray) -> VectorField:
@@ -465,7 +468,7 @@ def gamma_lift(frame: FrameField, xi: VectorField, variant: str = "tilde") -> J1
     pattern = "...jai,...a->...ij" if variant == "tilde" else "...aji,...a->...ij"
 
     def matrix(x: np.ndarray) -> np.ndarray:
-        return np.einsum(pattern, _Stencil(frame, x).gamma, xi(x))
+        return np.einsum(pattern, _Stencil(frame.matrix, frame.chart.h, x).gamma, xi(x))
 
     return J1TSection(chart=frame.chart, vector_part=xi, matrix_part=matrix)
 
@@ -499,7 +502,7 @@ def trace_one_form(frame: FrameField) -> Form1J1T:
     """The jet-algebroid 1-form (Gamma_{ia}^a, -identity) of the frame."""
 
     def covector(x: np.ndarray) -> np.ndarray:
-        return np.einsum("...iaa->...i", _Stencil(frame, x).gamma)
+        return np.einsum("...iaa->...i", _Stencil(frame.matrix, frame.chart.h, x).gamma)
 
     return Form1J1T(chart=frame.chart, covector_part=covector, matrix_part=constant_field(-np.eye(frame.chart.dim)))
 
@@ -525,24 +528,22 @@ class LocalAlgebraError(ValueError):
 def local_algebra(frame: FrameField, p: np.ndarray, points_per_axis: int = 5) -> LieAlgebra:
     """Round the structure functions at p to a validated rational algebra.
 
-    One stencil: structure_functions is evaluated once, on p stacked in
-    front of the chart lattice. Fails if the functions vary over the
-    lattice or miss their rounding (by more than ten times the
-    finite-difference tolerance), or if the rounded constants violate the
-    Jacobi identity.
+    Fails if the functions vary over the chart lattice or miss their
+    rounding (by more than ten times the finite-difference tolerance, or by
+    NaN), or if the rounded constants violate the Jacobi identity.
     """
     # the exact lane is imported here, so the rest of geometry runs without it
     from fractions import Fraction
 
     from .algebra import LieAlgebra
 
-    lattice = _capped_lattice(frame.chart, points_per_axis)
-    c = structure_functions(frame, np.concatenate([np.asarray(p, dtype=float)[None], lattice]))
-    c_p = c[0]
-    spread = sup_norm(c[1:] - c_p)
+    c_p = structure_functions(frame, np.asarray(p, dtype=float)[None])[0]
+    spread = _lattice_maxima(
+        frame.chart, points_per_axis, lambda x, _mirror: {"spread": sup_norm(structure_functions(frame, x) - c_p)}
+    )["spread"]
     scale = max(1.0, sup_norm(c_p))
     tol = 10.0 * fd_tolerance(frame.chart.h, scale)
-    if spread > tol:
+    if not spread <= tol:
         raise LocalAlgebraError(f"structure functions vary by {spread:.3e} over the lattice (tol {tol:.3e})")
     n = frame.chart.dim
     constants: dict[tuple[int, int, int], Fraction] = {}
@@ -551,7 +552,7 @@ def local_algebra(frame: FrameField, p: np.ndarray, points_per_axis: int = 5) ->
             for k in range(n):
                 value = Fraction(float(c_p[i, j, k])).limit_denominator(DENOMINATOR_CAP)
                 miss = abs(float(c_p[i, j, k]) - float(value))
-                if miss > tol:
+                if not miss <= tol:
                     raise LocalAlgebraError(f"c[{i + 1},{j + 1},{k + 1}] misses {value} by {miss:.3e} (tol {tol:.3e})")
                 if value != 0:
                     constants[(i + 1, j + 1, k + 1)] = value
@@ -578,13 +579,15 @@ class LocalGroupMultiplication:
         if not self.chart.contains(e, margin=2 * self.chart.h):
             raise ValueError("identity must be interior to the chart")
         worst = self.identity_residual(self.chart.lattice())
+        if not np.isfinite(worst):
+            raise ValueError("multiply is not finite on the chart lattice")
         if worst > EXACT_TOL:
             raise ValueError(f"identity laws fail by {worst:.3e} on the chart lattice")
 
     def identity_residual(self, x: np.ndarray) -> float:
         e = self.identity
         x = np.asarray(x, dtype=float)
-        return max(sup_norm(_batched(self.multiply, x.shape, "multiply", *pair) - x) for pair in ((e, x), (x, e)))
+        return float(np.max([sup_norm(_batched(self.multiply, x.shape, "multiply", *p) - x) for p in ((e, x), (x, e))]))
 
     def associativity_residual(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
         m = self.multiply
@@ -625,31 +628,29 @@ def ad_e(mult: LocalGroupMultiplication, a: np.ndarray) -> np.ndarray:
 def log_det_ad_primitive_check(mult: LocalGroupMultiplication, points_per_axis: int = 5) -> tuple[float, float]:
     """Max lattice deviation of -grad log |det Ad_e| from the frame's w.
 
-    Two independent routes on one stencil of the frame A = L, the
-    left-translation Jacobian: w from Gamma, which inverts L at the lattice
-    points only, and central differences of
-    -log |det Ad_e| = log |det L| - log |det R| with Ad_e = L^{-1} R, which
-    read L at x +- h e_k from the same stencil and invert nothing. Refuses
-    a lattice point or neighbour where L is singular. Returns (residual,
-    local magnitude scale).
+    Two independent routes on each block's stencil of A = L, the
+    left-translation Jacobian, read from mult.left_jacobian and not checked
+    as a FrameField (that would evaluate the whole default lattice at once):
+    w from Gamma, which inverts L at the lattice points only, and central
+    differences of -log |det Ad_e| = log |det L| - log |det R| with
+    Ad_e = L^{-1} R, which read L at x +- h e_k from the same stencil and
+    invert nothing. Refuses a lattice point or neighbour where L is
+    singular. Returns (residual, local magnitude scale).
     """
-    lattice = _capped_lattice(mult.chart, points_per_axis)
-    stencil = _Stencil(frame_from_multiplication(mult), lattice)
-    _left_det(stencil.a, lattice)
 
     def minus_log_det_ad(y: np.ndarray, left: np.ndarray) -> np.ndarray:
         return np.log(np.abs(_left_det(left, y))) - np.log(np.abs(np.linalg.det(mult.right_jacobian(y))))
 
-    minus_grad = _central(
-        [
-            (minus_log_det_ad(lattice + s, plus), minus_log_det_ad(lattice - s, minus))
-            for s, (plus, minus) in zip(stencil.steps, stencil.shifted_a)
-        ],
-        stencil.h,
-        axis=-1,
-    )
-    w = stencil.w
-    return sup_norm(minus_grad - w), max(1.0, sup_norm(w))
+    def block_maxima(x: np.ndarray, _mirror: np.ndarray) -> dict[str, float]:
+        stencil = _Stencil(mult.left_jacobian, mult.chart.h, x)
+        _left_det(stencil.a, x)
+        shifted = zip(stencil.steps, stencil.shifted_a)
+        pairs = [(minus_log_det_ad(x + s, plus), minus_log_det_ad(x - s, minus)) for s, (plus, minus) in shifted]
+        minus_grad = _central(pairs, stencil.h, axis=-1)
+        return {"residual": sup_norm(minus_grad - stencil.w), "w": sup_norm(stencil.w)}
+
+    maxima = _lattice_maxima(mult.chart, points_per_axis, block_maxima)
+    return maxima["residual"], max(1.0, maxima["w"])
 
 
 def automorphy_check(mult: LocalGroupMultiplication, elements: Sequence[np.ndarray]) -> list[bool]:

@@ -491,25 +491,46 @@ def test_curvature_default_step_report_is_unchanged_by_an_explicit_step(capsys) 
     assert json.loads(explicit)["max_norms"]["r2_max"] > 0.5
 
 
-@pytest.mark.parametrize("name", [n.split(":", 1)[1] for n in catalog.list_names() if n.startswith("frame:")])
-def test_curvature_sweep_in_blocks_equals_one_block(capsys, monkeypatch, name) -> None:
+@pytest.mark.parametrize(
+    ("kind", "name"),
+    [
+        pytest.param(kind, name, id=name)
+        for kind, name in (n.split(":", 1) for n in catalog.list_names())
+        if kind != "algebra"
+    ],
+)
+def test_curvature_sweep_in_blocks_equals_one_block(capsys, monkeypatch, kind, name) -> None:
     # blocks of 7 points leave an uneven last block (one point of the
     # 3**6-point lattice) and pair each block with a mirror block elsewhere;
     # dimensions 5 and 6 run at --lattice 3, as one block of 5**6 points
-    # would hold about 1 GB
-    frame = catalog.get(name, kind="frame").payload
-    lattice = 5 if frame.chart.dim <= 4 else 3
-    halved = geometry.FrameField(chart=frame.chart.with_step(frame.chart.h / 2), matrix=frame.matrix)
+    # would hold about 1 GB. Frames run both sweeps, the CLI and
+    # local_algebra; multiplications the log-det check and local_algebra
+    # of their left-translation frame.
+    entry = catalog.get(name, kind=kind)
+    chart = entry.payload.chart
+    lattice = 5 if chart.dim <= 4 else 3
+    centre = tuple((lo + hi) / 2 for lo, hi in zip(chart.lower, chart.upper))
+    frame = entry.payload if kind == "frame" else geometry.frame_from_multiplication(entry.payload)
 
-    def sweeps():
+    def local_algebra():
+        try:
+            return geometry.local_algebra(frame, centre, lattice).c
+        except geometry.LocalAlgebraError as exc:
+            return str(exc)
+
+    def results():
+        if kind == "multiplication":
+            return geometry.log_det_ad_primitive_check(entry.payload, lattice), local_algebra()
+        halved = geometry.FrameField(chart=chart.with_step(chart.h / 2), matrix=frame.matrix)
         maxima = [geometry.curvature_sweep(f, lattice) for f in (frame, halved)]
-        return maxima, invoke(capsys, "curvature", "--frame", name, "--lattice", str(lattice))
+        return maxima, invoke(capsys, "curvature", "--frame", name, "--lattice", str(lattice)), local_algebra()
 
-    monkeypatch.setattr(geometry, "SWEEP_BLOCK_POINTS", lattice**frame.chart.dim)
-    one_block = sweeps()
+    monkeypatch.setattr(geometry, "SWEEP_BLOCK_POINTS", lattice**chart.dim)
+    one_block = results()
     monkeypatch.setattr(geometry, "SWEEP_BLOCK_POINTS", 7)
-    assert sweeps() == one_block
-    assert one_block[1][0] == 0
+    assert results() == one_block
+    if kind == "frame":
+        assert one_block[1][0] == 0
 
 
 def test_curvature_output_is_deterministic(capsys) -> None:

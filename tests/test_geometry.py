@@ -74,6 +74,45 @@ def test_frame_rejects_singular_matrix() -> None:
         FrameField(chart=chart, matrix=matrix)
 
 
+def test_frame_rejects_a_matrix_that_is_nan_on_part_of_the_lattice() -> None:
+    # det A = (2 + sqrt(x1))**2 is NaN for x1 < 0, and NaN < DET_FLOOR is False
+    def matrix(x: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            return (2.0 + np.sqrt(x[..., 0]))[..., None, None] * np.eye(2)
+
+    with pytest.raises(ValueError, match="frame matrix is not finite on the chart lattice"):
+        FrameField(chart=Chart(lower=(-0.5, -1.0), upper=(1.5, 1.0)), matrix=matrix)
+
+
+def test_multiplication_that_is_nan_on_part_of_the_lattice_is_refused() -> None:
+    # m(x, e) is NaN for x < -0.5, while m(e, x) = x holds exactly everywhere
+    def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b + np.where(a < -0.5, np.nan, 0.0)
+
+    e = np.zeros(1)
+    with pytest.raises(ValueError, match="multiply is not finite on the chart lattice"):
+        LocalGroupMultiplication(chart=Chart(lower=(-1.0,), upper=(1.0,)), multiply=multiply, identity=e)
+    mult = LocalGroupMultiplication(chart=Chart(lower=(-0.4,), upper=(1.0,)), multiply=multiply, identity=e)
+    assert mult.identity_residual(np.array([[0.5]])) == 0.0
+    assert np.isnan(mult.identity_residual(np.array([[0.5], [-0.8]])))
+
+
+def test_local_algebra_refuses_structure_functions_that_are_nan() -> None:
+    # the identity frame, NaN on the band |x1 - 1/3| < 0.05: the band misses
+    # the 5-point lattice that FrameField checks, but holds a point of the
+    # 4-point lattice
+    def matrix(x: np.ndarray) -> np.ndarray:
+        return np.where(np.abs(x[..., 0] - 1 / 3) < 0.05, np.nan, 1.0)[..., None, None] * np.eye(2)
+
+    frame = FrameField(chart=Chart(lower=(0.0, 0.0), upper=(1.0, 1.0)), matrix=matrix)
+    assert local_algebra(frame, np.array([0.7, 0.5]), points_per_axis=5).c == {}
+    with pytest.raises(LocalAlgebraError, match="vary by nan"):
+        local_algebra(frame, np.array([0.7, 0.5]), points_per_axis=4)
+    with pytest.raises(LocalAlgebraError, match="vary by nan"):
+        local_algebra(frame, np.array([1 / 3, 0.5]), points_per_axis=5)
+    assert all(np.isnan(value) for value in curvature_sweep(frame, 4).values())
+
+
 def test_point_only_callables_are_rejected_with_the_batched_shape() -> None:
     chart = Chart(lower=(-1.0, -1.0), upper=(1.0, 1.0))
     frame_shape = r"must map \(P, n\) point stacks to \(P, n, n\) arrays"
@@ -614,6 +653,28 @@ def test_lattices_over_the_cap_are_refused_before_they_are_built(monkeypatch) ->
     # 7**5 points is within the cap: the check passes and the lattice is built
     with pytest.raises(AssertionError, match="built"):
         log_det_ad_primitive_check(mult, points_per_axis=7)
+
+
+def test_lattice_computations_evaluate_at_most_one_block_at_a_time() -> None:
+    # 15,625 points at 5 points per axis: within the cap, but no evaluation
+    # may see more than one block of them
+    sizes: list[int] = []
+
+    def recorded(fn):
+        def wrapped(*args):
+            sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(a) for a in args))[:-1])))
+            return fn(*args)
+
+        return wrapped
+
+    frame = FrameField(chart=frame_of("identity(6)").chart, matrix=recorded(frame_of("identity(6)").matrix))
+    abelian = mult_of("abelian(6)")
+    mult = LocalGroupMultiplication(chart=abelian.chart, multiply=recorded(abelian.multiply), identity=abelian.identity)
+    for check in (lambda: local_algebra(frame, np.zeros(6), 5), lambda: log_det_ad_primitive_check(mult, 5)):
+        sizes.clear()  # construction validated on the whole default lattice
+        check()
+        assert max(sizes) == geometry.SWEEP_BLOCK_POINTS
+        assert sum(sizes) >= 5**6
 
 
 @pytest.mark.parametrize("name", _names("multiplication"))
