@@ -217,12 +217,12 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     coarse = curvature_sweep(frame, args.lattice)
-    fine = curvature_sweep(halved, args.lattice)
-    ratios = {}
-    for key in ("r1_max", "dw_tr_r2_residual", "r_full_diagonal_max"):
-        # a ratio only means something when the coarse residual is signal,
-        # not float noise
-        ratios[key] = round(coarse[key] / fine[key], 3) if coarse[key] > 1e-10 and fine[key] > 0 else None
+    # a ratio only means something when the coarse residual is signal, not
+    # float noise; with no signal at all, the halved sweep would go unread
+    keys = ("r1_max", "dw_tr_r2_residual", "r_full_diagonal_max")
+    signal = [key for key in keys if coarse[key] > 1e-10]
+    fine = curvature_sweep(halved, args.lattice) if signal else {}
+    ratios = {key: round(coarse[key] / fine[key], 3) if key in signal and fine[key] > 0 else None for key in keys}
     report = {
         "frame": args.frame,
         "h": frame.chart.h,

@@ -41,14 +41,18 @@ positions of the reversed lattice) to a function that returns the block's
 maxima. The sweep's r_full pairs a block with its mirror, whose stencil
 needs A only at its points and their first neighbours. The log-det check
 reads L at x +- h e_k for its log-determinants from the stencil of its w.
+
+FrameField and LocalGroupMultiplication are jets._Record classes: __init__
+stores the fields and calls __post_init__, which validates the callable on
+the default lattice in the same blocks, with no lattice cap. The other
+records are typing.NamedTuples, so geometry does not import dataclasses.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property, partial, reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -57,6 +61,7 @@ from .jets import (
     Form1J1T,
     J1TSection,
     VectorField,
+    _Record,
     constant_field,
     jacobian,
     spencer_bracket,
@@ -88,9 +93,11 @@ SWEEP_BLOCK_POINTS = 625
 # The most lattice points that curvature_sweep, local_algebra and
 # log_det_ad_primitive_check take, checked before any lattice is built; they
 # run in blocks, so it is a time limit. identity(6), the costliest catalog
-# frame per point, takes 0.36 ms a point for the two sweeps of a curvature
-# run on a 2-vCPU host: 1.5 s at 4 points per axis, 5.6 s at 5 (15,625
-# points), and 6 (46,656 points) would take about 17 s.
+# frame per point, takes 0.16 ms a point for the one sweep of a curvature
+# run on a 2-vCPU host (its residuals are exact, so the h/2 sweep is
+# skipped): 0.95 s at 4 points per axis, 2.7 s at 5 (15,625 points), and 6
+# (46,656 points) would take about 8 s, twice that for a 6-dimensional
+# frame whose residuals need the second sweep.
 CURVATURE_LATTICE_CAP = 20_000
 
 
@@ -127,21 +134,34 @@ def _batched(fn: Callable, shape: tuple[int, ...], label: str, *args: np.ndarray
     return out
 
 
-@dataclass(frozen=True)
-class FrameField:
+def _blocks(points: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive slices of at most SWEEP_BLOCK_POINTS points."""
+    size = SWEEP_BLOCK_POINTS
+    return (points[i : i + size] for i in range(0, len(points), size))
+
+
+class FrameField(_Record):
     """Invertible-matrix-valued map A on a chart, batched: matrix maps
     (..., n) points to (..., n, n) float arrays."""
 
     chart: Chart
     matrix: Callable[[np.ndarray], np.ndarray]
 
-    def __post_init__(self):
-        lattice = self.chart.lattice()
+    def __init__(self, chart: Chart, matrix: Callable[[np.ndarray], np.ndarray]) -> None:
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "matrix", matrix)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Refuse A unless it is batched, finite and |det A| >= DET_FLOOR on
+        the default lattice, evaluated a block at a time."""
         n = self.chart.dim
-        values = _batched(self.matrix, (len(lattice), n, n), "frame matrix", lattice)
-        if not np.isfinite(values).all():
-            raise ValueError("frame matrix is not finite on the chart lattice")
-        worst = np.min(np.abs(np.linalg.det(values)))
+        worst = np.inf
+        for block in _blocks(self.chart.lattice()):
+            values = _batched(self.matrix, (len(block), n, n), "frame matrix", block)
+            if not np.isfinite(values).all():
+                raise ValueError("frame matrix is not finite on the chart lattice")
+            worst = min(worst, np.abs(np.linalg.det(values)).min())
         if worst < DET_FLOOR:
             raise ValueError(f"frame determinant falls to {worst:.3e} on the chart lattice")
 
@@ -149,8 +169,7 @@ class FrameField:
         return np.linalg.inv(self.matrix(x))
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(NamedTuple):
     """Two-point matrix eps(x, y) = A(y) A(x)^{-1} generated by a frame."""
 
     frame: FrameField
@@ -165,8 +184,7 @@ class Splitting:
         return sup_norm(self(x, x) - np.eye(self.frame.chart.dim))
 
 
-@dataclass(frozen=True)
-class ConnectionSample:
+class ConnectionSample(NamedTuple):
     """Connection coefficients at a point or a point stack;
     gamma[..., k, j, i] = Gamma_{kj}^i."""
 
@@ -178,8 +196,7 @@ class ConnectionSample:
         return _local_scale(point_sup(self.gamma, 3))
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
+class CurvatureSample(NamedTuple):
     """A curvature tensor at a point (or point pair, for r_full), or at each
     point of a stack.
 
@@ -408,8 +425,7 @@ def _lattice_maxima(chart: Chart, points_per_axis: int, block_maxima: Callable) 
     SWEEP_BLOCK_POINTS lattice points and their mirrors; a NaN stays NaN."""
     lattice_size(chart, points_per_axis)
     lattice = chart.lattice(points_per_axis)
-    size = SWEEP_BLOCK_POINTS
-    blocks = [block_maxima(lattice[i : i + size], lattice[::-1][i : i + size]) for i in range(0, len(lattice), size)]
+    blocks = [block_maxima(x, mirror) for x, mirror in zip(_blocks(lattice), _blocks(lattice[::-1]))]
     return {key: float(np.max([block[key] for block in blocks])) for key in blocks[0]}
 
 
@@ -563,8 +579,7 @@ def local_algebra(frame: FrameField, p: np.ndarray, points_per_axis: int = 5) ->
     return algebra
 
 
-@dataclass(frozen=True)
-class LocalGroupMultiplication:
+class LocalGroupMultiplication(_Record):
     """Local multiplication m on a chart with two-sided identity e, batched:
     multiply maps broadcastable (..., n) pairs to (..., n) float arrays."""
 
@@ -572,15 +587,28 @@ class LocalGroupMultiplication:
     multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     identity: np.ndarray
 
-    def __post_init__(self):
+    def __init__(
+        self, chart: Chart, multiply: Callable[[np.ndarray, np.ndarray], np.ndarray], identity: np.ndarray
+    ) -> None:
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "multiply", multiply)
+        object.__setattr__(self, "identity", identity)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Keep a read-only copy of e and refuse m unless e is interior and
+        the identity laws hold on the default lattice, a block at a time."""
         e = np.array(self.identity, dtype=float)  # a copy, so freezing it leaves the caller's array writable
         e.flags.writeable = False
         object.__setattr__(self, "identity", e)
         if not self.chart.contains(e, margin=2 * self.chart.h):
             raise ValueError("identity must be interior to the chart")
-        worst = self.identity_residual(self.chart.lattice())
-        if not np.isfinite(worst):
-            raise ValueError("multiply is not finite on the chart lattice")
+        worst = 0.0
+        for block in _blocks(self.chart.lattice()):
+            residual = self.identity_residual(block)
+            if not np.isfinite(residual):
+                raise ValueError("multiply is not finite on the chart lattice")
+            worst = max(worst, residual)
         if worst > EXACT_TOL:
             raise ValueError(f"identity laws fail by {worst:.3e} on the chart lattice")
 
@@ -672,8 +700,7 @@ def automorphy_check(mult: LocalGroupMultiplication, elements: Sequence[np.ndarr
     return results
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     """Sampled solution of dx/dt = eps(e, x) v; exited marks early abort."""
 
     times: np.ndarray

@@ -14,12 +14,19 @@ Index conventions, used consistently below and in geometry:
     matrix_part(x)[..., i, j] = X^i_j
     covector_part(x)[..., i]  = w_i      (for 1-forms of the jet algebroid)
     form matrix[..., i, j] pairs with X^i_j in the pairing
+
+No record is a dataclass, so the FD lane does not import dataclasses (and
+with it inspect, ast, dis and tokenize). A record that validates its fields
+(Chart here, FrameField and LocalGroupMultiplication in geometry) derives
+from _Record, which makes its fields read-only and gives ==, hash and repr
+over them; its __init__ stores the fields and calls __post_init__. The
+others are typing.NamedTuples.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +35,30 @@ MatrixField = Callable[[np.ndarray], np.ndarray]
 ScalarField = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class Chart:
+class _Record:
+    """Read-only fields: the attributes that __init__ stores, in that order.
+    == (same class only), hash and repr read them."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+
+class Chart(_Record):
     """Axis-aligned coordinate box with a finite-difference step.
 
     Attributes:
@@ -41,9 +70,15 @@ class Chart:
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    h: float = 1e-3
+    h: float
 
-    def __post_init__(self):
+    def __init__(self, lower: tuple[float, ...], upper: tuple[float, ...], h: float = 1e-3) -> None:
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "h", h)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
         if len(self.lower) != len(self.upper):
             raise ValueError("corner dimensions differ")
         sides = [hi - lo for lo, hi in zip(self.lower, self.upper)]
@@ -116,8 +151,7 @@ def _apply(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return np.sum(matrix * vector[..., None, :], axis=-1)
 
 
-@dataclass(frozen=True)
-class J1TSection:
+class J1TSection(NamedTuple):
     """Section of the first jet bundle of the tangent bundle over a chart."""
 
     chart: Chart
@@ -125,8 +159,7 @@ class J1TSection:
     matrix_part: MatrixField
 
 
-@dataclass(frozen=True)
-class Form1J1T:
+class Form1J1T(NamedTuple):
     """1-form of the jet algebroid: a covector part and a matrix part."""
 
     chart: Chart

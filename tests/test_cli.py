@@ -533,6 +533,30 @@ def test_curvature_sweep_in_blocks_equals_one_block(capsys, monkeypatch, kind, n
         assert one_block[1][0] == 0
 
 
+@pytest.mark.parametrize("name", [n.split(":", 1)[1] for n in catalog.list_names() if n.startswith("frame:")])
+def test_curvature_runs_the_halved_sweep_only_when_a_ratio_reads_it(capsys, monkeypatch, name) -> None:
+    frame = catalog.get(name, kind="frame").payload
+    chart = frame.chart
+    lattice = 5 if chart.dim <= 4 else 3
+    halved = geometry.FrameField(chart=chart.with_step(chart.h / 2), matrix=frame.matrix)
+    coarse, fine = (geometry.curvature_sweep(f, lattice) for f in (frame, halved))
+    expected = {
+        key: round(coarse[key] / fine[key], 3) if coarse[key] > 1e-10 and fine[key] > 0 else None
+        for key in ("r1_max", "dw_tr_r2_residual", "r_full_diagonal_max")
+    }
+    steps = []
+    sweep = geometry.curvature_sweep
+    monkeypatch.setattr(geometry, "curvature_sweep", lambda f, n: steps.append(f.chart.h) or sweep(f, n))
+    code, out, _ = invoke(capsys, "curvature", "--frame", name, "--lattice", str(lattice))
+    assert code == 0
+    assert json.loads(out)["halved_h_ratios"] == expected
+    # identity frames and unipotent_sin have no residual above the noise
+    # floor, so no ratio would read a halved sweep
+    exact = name.startswith("identity(") or name == "unipotent_sin"
+    assert steps == ([chart.h] if exact else [chart.h, chart.h / 2])
+    assert (set(expected.values()) == {None}) == exact
+
+
 def test_curvature_output_is_deterministic(capsys) -> None:
     _, first, _ = invoke(capsys, "curvature", "--frame", "affine_halfplane", "--lattice", "3")
     _, second, _ = invoke(capsys, "curvature", "--frame", "affine_halfplane", "--lattice", "3")

@@ -62,6 +62,42 @@ def test_fd_tolerance_model() -> None:
     assert fd_tolerance(1e-3, 0.2, 0.4) == pytest.approx(1e-5)
 
 
+def test_records_are_read_only_and_compare_by_value() -> None:
+    chart = Chart(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+    frame = FrameField(chart, frame_of("identity(2)").matrix)
+    mult = mult_of("affine_group")
+    sample = gamma(frame, np.zeros(2))
+    records = [
+        (chart, "h"),
+        (frame, "matrix"),
+        (mult, "identity"),
+        (Splitting(frame), "frame"),
+        (sample, "gamma"),
+        (r1(frame, np.zeros(2)), "scale"),
+        (one_parameter_curve(frame, np.zeros(2), np.ones(2), 0.1, 2), "exited"),
+        (trace_one_form(frame), "chart"),
+        (prolong(chart, lambda x: x), "vector_part"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError, match="cannot delete field 'chart' of FrameField"):
+        del frame.chart
+    # a second chart with equal fields is equal and hashes alike, which the
+    # jet operations' same-chart check relies on
+    twin = Chart((-1.0, -1.0), (1.0, 1.0), 1e-3)
+    assert twin == chart and hash(twin) == hash(chart) and twin is not chart
+    assert twin != chart.with_step(5e-4) and chart != (chart.lower, chart.upper, chart.h)
+    assert repr(chart) == "Chart(lower=(-1.0, -1.0), upper=(1.0, 1.0), h=0.001)"
+    assert FrameField(chart=twin, matrix=frame.matrix) == frame
+    assert hash(FrameField(twin, frame.matrix)) == hash(frame)
+    assert repr(frame) == f"FrameField(chart={chart!r}, matrix={frame.matrix!r})"
+    assert repr(mult).startswith("LocalGroupMultiplication(chart=Chart(") and "identity=array([" in repr(mult)
+    assert repr(sample).startswith("ConnectionSample(gamma=array(")
+    with pytest.raises(TypeError):
+        Chart((0.0,), (1.0,), 0.01, 0.02)
+
+
 def test_frame_rejects_singular_matrix() -> None:
     def matrix(x: np.ndarray) -> np.ndarray:
         a = np.zeros(x.shape[:-1] + (2, 2))
@@ -670,11 +706,48 @@ def test_lattice_computations_evaluate_at_most_one_block_at_a_time() -> None:
     frame = FrameField(chart=frame_of("identity(6)").chart, matrix=recorded(frame_of("identity(6)").matrix))
     abelian = mult_of("abelian(6)")
     mult = LocalGroupMultiplication(chart=abelian.chart, multiply=recorded(abelian.multiply), identity=abelian.identity)
+    # construction validates on the default lattice: the frame once, the
+    # multiplication once per identity law
+    assert max(sizes) == geometry.SWEEP_BLOCK_POINTS
+    assert sum(sizes) == 3 * 5**6
     for check in (lambda: local_algebra(frame, np.zeros(6), 5), lambda: log_det_ad_primitive_check(mult, 5)):
-        sizes.clear()  # construction validated on the whole default lattice
+        start = len(sizes)
         check()
-        assert max(sizes) == geometry.SWEEP_BLOCK_POINTS
-        assert sum(sizes) >= 5**6
+        assert max(sizes[start:]) == geometry.SWEEP_BLOCK_POINTS
+        assert sum(sizes[start:]) >= 5**6
+
+
+def test_a_dimension_7_chart_constructs_over_the_lattice_cap() -> None:
+    # construction validates 5**7 points, over CURVATURE_LATTICE_CAP, in blocks
+    chart = Chart(lower=(-1.0,) * 7, upper=(1.0,) * 7)
+    assert 5**7 > CURVATURE_LATTICE_CAP
+    sizes: list[int] = []
+
+    def matrix(x: np.ndarray) -> np.ndarray:
+        sizes.append(len(x))
+        return np.broadcast_to(np.eye(7), x.shape[:-1] + (7, 7))
+
+    FrameField(chart=chart, matrix=matrix)
+    LocalGroupMultiplication(chart=chart, multiply=lambda a, b: a + b, identity=np.zeros(7))
+    assert sum(sizes) == 5**7 and max(sizes) == geometry.SWEEP_BLOCK_POINTS
+
+
+def test_validation_in_blocks_finds_a_fault_in_the_last_block() -> None:
+    # the default identity(6) lattice is 25 blocks; x1 is largest in the last
+    chart = frame_of("identity(6)").chart
+    top = chart.lattice()[-1, 0]
+
+    def matrix(x: np.ndarray) -> np.ndarray:
+        return np.where(x[..., 0] < top, 1.0, 0.0)[..., None, None] * np.eye(6)
+
+    with pytest.raises(ValueError, match="frame determinant falls to 0.000e"):
+        FrameField(chart=chart, matrix=matrix)
+
+    def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b + np.where(a[..., :1] < top, 0.0, np.nan)
+
+    with pytest.raises(ValueError, match="multiply is not finite on the chart lattice"):
+        LocalGroupMultiplication(chart=chart, multiply=multiply, identity=np.zeros(6))
 
 
 @pytest.mark.parametrize("name", _names("multiplication"))
