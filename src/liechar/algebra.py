@@ -13,7 +13,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from numbers import Rational
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -24,10 +23,10 @@ Vector = list[Fraction]
 
 
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:  # immutable, so shared as it is
+        return value
     if isinstance(value, float):
         raise TypeError(f"structure constants must be exact rationals, got float {value!r}")
-    if isinstance(value, Rational):
-        return Fraction(value)
     return Fraction(value)
 
 
@@ -155,10 +154,10 @@ class LieAlgebra:
     def sparse_ad(self) -> tuple[int, dict[int, dict[int, tuple[tuple[int, int], ...]]]]:
         """(s, {i: {r: ((t, s * ad(e_i)[r][t]), ...)}}): the nonzero adjoints as
         integer sparse rows scaled by the lcm s of the constants' denominators,
-        with 1-based basis index i, 0-based row r and column t, read from the
-        bracket rows as ad(e_i)[k][j] = c_ij^k. Built once per algebra and
+        with 1-based basis index i, 0-based row r and column t, read from
+        scaled_brackets as ad(e_i)[k][j] = c_ij^k. Built once per algebra and
         shared, so callers must not change it; == and repr ignore it."""
-        scale, brackets = self._scaled_bracket_rows()
+        scale, brackets = self.scaled_brackets
         ads: dict[int, dict[int, list[tuple[int, int]]]] = {}
         for (i, j), row in brackets.items():
             for k, x in row:
@@ -183,22 +182,61 @@ class LieAlgebra:
                 weights[i] = tuple(diagonal)
         return weights
 
-    def bracket_rows(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
-        """Nonzero brackets as rows (i, j) -> [(k, c_ij^k), ...], i < j, ascending."""
-        rows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-        for (i, j, k), value in sorted(self.c.items()):
-            rows.setdefault((i, j), []).append((k, value))
-        return rows
+    @cached_property
+    def weight_zero_parts(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+        """(zero, balanced): the basis indices j with lambda_j = 0 for the
+        weights lambda of every toral vector (toral_weights), and balanced[m]
+        the ascending m-subsets of the other indices whose weights sum to 0
+        under every toral vector. The subsets of joint weight zero are those
+        of zero joined with those of balanced (cohomology.weight_zero_cochains).
+        Built once per algebra and shared, so callers must not change it; ==
+        ignores it.
 
-    def _scaled_bracket_rows(self) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
-        """(s, {(i, j): [(k, s * c_ij^k), ...]}): bracket_rows() in integers,
-        scaled by the lcm s of the constants' denominators."""
+        Each index gets one integer key, its toral weights as the digits of a
+        balanced base-(2M+1) number, M the sum of |weights| of that toral
+        vector: the digits of a subset's keys never carry, so the keys sum to
+        0 exactly when each of its weight sums does. The balanced subsets are
+        found depth first, a prefix extended only by an index after which the
+        later keys can still bring its sum back to 0, so every prefix visited
+        starts a balanced subset."""
+        keys = [0] * self.dim
+        place = 1
+        for weights in self.toral_weights.values():
+            for j, x in enumerate(weights):
+                keys[j] += x * place
+            place *= 2 * sum(map(abs, weights)) + 1
+        zero = tuple(j for j, key in enumerate(keys, 1) if not key)
+        moving = [(j, key) for j, key in enumerate(keys, 1) if key]
+        # reach[t]: the key sums of the subsets of moving[t:]
+        reach = [{0}]
+        for _, key in reversed(moving):
+            reach.append(reach[-1] | {x + key for x in reach[-1]})
+        reach.reverse()
+        balanced: list[list[tuple[int, ...]]] = [[] for _ in range(len(moving) + 1)]
+
+        def extend(start: int, prefix: tuple[int, ...], total: int) -> None:
+            if not total:
+                balanced[len(prefix)].append(prefix)
+            for t in range(start, len(moving)):
+                j, key = moving[t]
+                if -(total + key) in reach[t + 1]:
+                    extend(t + 1, prefix + (j,), total + key)
+
+        extend(0, (), 0)
+        return zero, tuple(map(tuple, balanced))
+
+    @cached_property
+    def scaled_brackets(self) -> tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]:
+        """(s, {(i, j): ((k, s * c_ij^k), ...)}): the nonzero brackets as
+        integer rows, i < j and k ascending, scaled by the lcm s of the
+        constants' denominators. Built once per algebra and shared by
+        validate, sparse_ad and the cochain differentials, so callers must
+        not change it; == and repr ignore it."""
         scale = lcm(*(value.denominator for value in self.c.values()))
-        rows = {
-            pair: [(k, value.numerator * (scale // value.denominator)) for k, value in row]
-            for pair, row in self.bracket_rows().items()
-        }
-        return scale, rows
+        rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (i, j, k), value in sorted(self.c.items()):
+            rows.setdefault((i, j), []).append((k, value.numerator * (scale // value.denominator)))
+        return scale, {pair: tuple(row) for pair, row in rows.items()}
 
     def validate(self) -> ValidationReport:
         """Check every Jacobi identity (antisymmetry holds by construction) on
@@ -212,7 +250,7 @@ class LieAlgebra:
     @cached_property
     def _validation(self) -> ValidationReport:
         """validate's report, outside ==."""
-        rows = self._scaled_bracket_rows()[1]
+        rows = dict(self.scaled_brackets[1])
         paired = {index for pair in rows for index in pair}
         # (i, j) runs over the pairs i < j, so (i, j, r) sorts without sorted()
         triples = {

@@ -9,11 +9,12 @@ on a closed or full stdout, included).
 Each command imports the modules it runs, from the submodules and never
 through the package's lazy names, so a fresh process loads only its own
 lane: analyze, forms and cohomology the exact modules they use, without
-numpy; curvature the catalog, geometry and jets (with numpy), without the
-exact lane; catalog list the catalog alone; catalog show what the entry's
-builder imports; verify --suite what that suite runs (liechar.verify
-imports each suite's modules inside the suite), and verify without a suite
-both lanes. json is imported only to print a JSON report.
+numpy, and the catalog only for a catalog: source; curvature the catalog,
+geometry and jets (with numpy), without the exact lane; catalog list the
+catalog alone; catalog show what the entry's builder imports; verify
+--suite what that suite runs (liechar.verify imports each suite's modules
+inside the suite), and verify without a suite both lanes. json is imported
+only to print a JSON report.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from math import comb
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import catalog
-
 if TYPE_CHECKING:
     from .algebra import LieAlgebra
+    from .catalog import CatalogEntry
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -58,7 +58,9 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-def _catalog_entry(name: str, kind: str | None = None) -> catalog.CatalogEntry:
+def _catalog_entry(name: str, kind: str | None = None) -> CatalogEntry:
+    from . import catalog
+
     try:
         return catalog.get(name, kind=kind)
     except KeyError as exc:
@@ -236,6 +238,8 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "list":
+        from . import catalog
+
         for qualified in catalog.list_names():
             kind, name = qualified.split(":", 1)
             print(f"{kind:15s} {name}")

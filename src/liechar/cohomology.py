@@ -6,10 +6,15 @@ The degree-k differential acts by
         (-1)^(i+j) * f([x_i, x_j], x_1, ..., omit x_i, ..., omit x_j, ..., x_{k+1})
 
 with 1-based argument positions. Each d_k is built sparse, from the nonzero
-structure constants only. Ranks and exactness come from one sparse
-fraction-free integer elimination, linalg.echelon. Tests certify every
-rank against both dense elimination routes and every primitive against a
-dense solve.
+structure constants only, and in integers: the algebra's scaled_brackets
+holds s * c_ij^k for the lcm s of the constants' denominators, built once
+per algebra, so the cells of s * d_k are sums of ints and
+DifferentialMatrix carries s as its scale. Ranks and exactness come from
+one sparse fraction-free integer elimination, linalg.echelon, which takes
+the integer cells as they stand; entries and apply divide by s, and the
+solve of a primitive scales its target by s, so every rank, Betti number
+and primitive is that of d_k itself. Tests certify every rank against both
+dense elimination routes and every primitive against a dense solve.
 
 cochain_complex ranks only the subcomplex of cochains of joint weight zero
 under the toral basis vectors, those e_i whose ad is diagonal in the given
@@ -20,9 +25,14 @@ weight lambda is not 0, the Cartan formula L_h = d i_h + i_h d gives
 lambda * id = d i_h + i_h d, so that space is acyclic (Hochschild-Serre
 1953), and b_k = |C^k_0| - rank d_k|_0 - rank d_{k-1}|_0. Each nonzero
 cell of d_k joins two subsets of equal weight, so only the weight-zero
-rows and columns are ever built. A basis with no toral vector, such as
-so3's or any dense one, has every cochain at weight zero. There
-cochain_complex ranks the quotient by the split centre instead (below).
+rows and columns are ever built. Nor are the other cochains listed: a
+weight-zero k-subset is a subset of the indices of weight 0 under every
+toral vector joined with a balanced subset (weights summing to 0) of the
+rest, and weight_zero_cochains generates exactly these, from the balanced
+subsets that LieAlgebra.weight_zero_parts finds once per algebra. A basis
+with no toral vector, such as so3's or any dense one, has every cochain at
+weight zero. There cochain_complex ranks the quotient by the split centre
+instead (below).
 Inside the subcomplex, d_0, d_1, ... are ranked in order and each
 d_k only on the columns that are not kept (pivot) rows of d_{k-1}: those
 rows are independent, so the other coordinate vectors and im d_{k-1} span
@@ -83,20 +93,24 @@ from . import linalg
 from .algebra import LieAlgebra
 from .forms import AlternatingForm, trace_forms
 
-# Betti tables, in-process on a 2-vCPU shared host (Python 3.11.7). In
-# matrix-unit bases, on the weight-zero subcomplex: b4+C^3 (dim 13) 6 ms,
-# b4+C^4 (dim 14) 11 ms (best of 3); above the cap, measured in a copy
-# with the cap raised, sl4 (dim 15) 0.11 s, b5 (dim 15) 0.02 s, gl4
-# (dim 16, middle degree 426 of 12,870 cochains) 0.24 s (one run each).
+# Betti tables, in-process on a 2-vCPU shared host (Python 3.11.7, best of
+# 3). In matrix-unit bases, on the weight-zero subcomplex, with integer
+# differentials and generated cochains: b4+C^3 (dim 13) 0.9 ms and b4+C^4
+# (dim 14) 1.0 ms; above the cap, measured in a copy with the cap raised,
+# b5 (dim 15) 1.2 ms, sl4 (dim 15) 31 ms and gl4 (dim 16, middle degree 426
+# of 12,870 cochains) 61 ms; under cProfile, echelon and the build of d_k
+# take 93% of gl4's. (Fraction differentials and filtered cochains took
+# 9.7, 19, 39, 89 and 117 ms on the same run.)
 # A unipotent basis change leaves no toral vector. With a centre outside
 # [g, g] the quotient by it is ranked (central_split): dense b4+C^3 (dim 13)
 # 0.11-0.21 s and b4+C^4 (dim 14) 0.08-0.17 s, against 26 s for b4+C^3
 # ranked whole. Without one the whole complex is ranked, and its middle
 # differential grows as C(n, n/2), dense: in bases with integer entries
 # sl3+aff1^2 (dim 12) 11 s and sl3+sl2+aff1 (dim 13) 59 s, with
-# half-integer ones 17 s and 273 s (one run each). Those inputs set the
-# cap: it stays at 14, where the matrix-unit and split inputs above take
-# under a second, and they already take a minute or more at dimension 13.
+# half-integer ones 17 s and 273 s (one run each, measured with Fraction
+# differentials, before the integer build). Those inputs set the cap: it
+# stays at 14, where the matrix-unit and split inputs above take under a
+# second, and they already take a minute or more at dimension 13.
 # Poincare duality spares a unimodular algebra the upper half of its chain,
 # but not the middle degree, which dominates: in half-integer bases dense
 # sl3+sl2 (dim 11) went 1.70 -> 1.06 s and dense gl3+sl2 (dim 12, ranked as
@@ -112,29 +126,36 @@ def cochain_basis(dim: int, k: int) -> list[tuple[int, ...]]:
 
 
 class DifferentialMatrix(NamedTuple):
-    """Matrix of d_k: degree-k cochains to degree-(k+1) cochains.
+    """Matrix of d_k: degree-k cochains to degree-(k+1) cochains, held in
+    integers as scale * d_k.
 
-    nonzeros[(r, c)] pairs row basis subset r (size k+1) with column subset
-    c (size k); absent cells are zero.
+    nonzeros[(r, c)] is the integer scale * d_k at row basis subset r (size
+    k+1) and column subset c (size k); absent cells are zero. scale is the
+    lcm of the denominators of the algebra's constants (its scaled_brackets),
+    so the integer cells are sums of scaled constants; 1 for integer
+    constants. rank reads the integer cells as they stand; entries and apply
+    divide by scale, so they give the rational d_k.
     """
 
     degree: int
     row_basis: list[tuple[int, ...]]
     col_basis: list[tuple[int, ...]]
-    nonzeros: linalg.SparseMatrix
+    nonzeros: dict[tuple[int, int], int]
+    scale: int
 
     @property
     def entries(self) -> linalg.Matrix:
-        """Dense view, built afresh on each access."""
+        """Dense rational view of d_k, built afresh on each access."""
         dense = linalg.zeros(len(self.row_basis), len(self.col_basis))
         for (r, c), value in self.nonzeros.items():
-            dense[r][c] = value
+            dense[r][c] = Fraction(value, self.scale)
         return dense
 
     def rank(self) -> int:
         return len(linalg.echelon(self.nonzeros))
 
     def apply(self, form: AlternatingForm) -> list[Fraction]:
+        """d_k of form, in row_basis order."""
         if form.degree != self.degree:
             raise ValueError(f"form degree {form.degree} does not match d_{self.degree}")
         vector = form.component_vector(self.col_basis)
@@ -142,7 +163,7 @@ class DifferentialMatrix(NamedTuple):
         for (r, c), value in self.nonzeros.items():
             if vector[c]:
                 image[r] += value * vector[c]
-        return image
+        return [x / self.scale for x in image]
 
 
 def differential_matrix(alg: LieAlgebra, k: int) -> DifferentialMatrix:
@@ -156,57 +177,53 @@ def differential_matrix(alg: LieAlgebra, k: int) -> DifferentialMatrix:
 def subcomplex_differential(
     alg: LieAlgebra, k: int, row_basis: list[tuple[int, ...]], col_basis: list[tuple[int, ...]]
 ) -> DifferentialMatrix:
-    """Matrix of d_k from the span of col_basis to the span of row_basis.
+    """Matrix of d_k from the span of col_basis to the span of row_basis, in
+    integers, summed from alg.scaled_brackets with its scale.
 
     Only the given rows are built, and every column that one of them reaches
     must be in col_basis: the full bases, or the weight-zero ones of a
     Jacobi-valid bracket (see weight_zero_cochains).
     """
-    # (i, j) -> [(a, c_ij^a, -c_ij^a)], negated once per constant; i < j, as
-    # in every pair of an ascending row subset
-    brackets = {pair: [(a, cval, -cval) for a, cval in row] for pair, row in alg.bracket_rows().items()}
+    # (i, j) -> ((a, s * c_ij^a), ...), i < j, as in every pair of an
+    # ascending row subset
+    scale, brackets = alg.scaled_brackets
     col_index = {subset: pos for pos, subset in enumerate(col_basis)}
     pairs = [(i, j, (i + j) % 2) for i, j in combinations(range(k + 1), 2)]
-    sums: dict[tuple[int, int], Fraction] = {}
+    sums: dict[tuple[int, int], int] = {}
     for r, subset in enumerate(row_basis):
         for i, j, parity in pairs:
             terms = brackets.get((subset[i], subset[j]))
             if terms is None:
                 continue
             rest = subset[:i] + subset[i + 1 : j] + subset[j + 1 :]
-            for a, cval, negated in terms:
+            for a, x in terms:
                 # sorting (a,) + rest moves a past the pos smaller entries,
                 # so the entry is (-1)^(i+j+pos) * c_ij^a
                 pos = bisect_left(rest, a)
                 if pos < len(rest) and rest[pos] == a:
                     continue
                 cell = (r, col_index[rest[:pos] + (a,) + rest[pos:]])
-                term = negated if (pos + parity) % 2 else cval
-                total = sums.get(cell)
-                sums[cell] = term if total is None else total + term
+                sums[cell] = sums.get(cell, 0) + (-x if (pos + parity) % 2 else x)
     nonzeros = {cell: value for cell, value in sums.items() if value}
-    return DifferentialMatrix(degree=k, row_basis=row_basis, col_basis=col_basis, nonzeros=nonzeros)
+    return DifferentialMatrix(degree=k, row_basis=row_basis, col_basis=col_basis, nonzeros=nonzeros, scale=scale)
 
 
 def weight_zero_cochains(alg: LieAlgebra, k: int) -> list[tuple[int, ...]]:
     """Lexicographic k-subsets S with sum of lambda_j over j in S zero for the
     weights lambda of every toral basis vector (alg.toral_weights): the
     degree-k cochains of joint weight zero. All of them when there is no
-    toral vector."""
-    basis = cochain_basis(alg.dim, k)
+    toral vector. Generated, not filtered: each balanced subset of the
+    indices of nonzero weight joined with each subset of the indices of
+    weight zero (alg.weight_zero_parts)."""
     if not alg.toral_weights:
-        return basis
-    # one integer per basis index: its toral weights as the digits of a
-    # balanced base-(2M+1) number, M the sum of |weights| of that toral
-    # vector, so a subset's digits never carry and its keys sum to 0
-    # exactly when each of its weight sums does
-    keys = [0] * (alg.dim + 1)
-    place = 1
-    for weights in alg.toral_weights.values():
-        for j, x in enumerate(weights, 1):
-            keys[j] += x * place
-        place *= 2 * sum(map(abs, weights)) + 1
-    return [subset for subset in basis if not sum(map(keys.__getitem__, subset))]
+        return cochain_basis(alg.dim, k)
+    zero, balanced = alg.weight_zero_parts
+    return sorted(
+        tuple(sorted(moving + rest))
+        for m in range(max(0, k - len(zero)), min(k, len(balanced) - 1) + 1)
+        for moving in balanced[m]
+        for rest in combinations(zero, k - m)
+    )
 
 
 def _check_betti_size(alg: LieAlgebra) -> None:
@@ -256,7 +273,9 @@ def _solve(d_prev: DifferentialMatrix | None, form: AlternatingForm) -> tuple[bo
     target = form.component_vector(d_prev.row_basis)
     if sum(map(bool, target)) != len(form.components):
         raise ValueError("form has a component of nonzero weight")
-    solution = linalg.sparse_solve(d_prev.nonzeros, len(d_prev.col_basis), target)
+    # d_prev.nonzeros holds scale * d_(k-1), so the target is scaled too
+    scaled = [x * d_prev.scale for x in target]
+    solution = linalg.sparse_solve(d_prev.nonzeros, len(d_prev.col_basis), scaled)
     if solution is None:
         return False, None
     primitive = AlternatingForm(

@@ -23,7 +23,7 @@ _TOKEN = re.compile(r"\S+")
 # underscores and non-ASCII digits, and Fraction() decimals and exponents,
 # expanding 1e10000000 digit by digit
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class AlgebraFileError(ValueError):
@@ -48,11 +48,14 @@ def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
 
 
 def _parse_fraction(token: str, lineno: int, column: int) -> Fraction:
-    """The value of an integer or p/q token; the interpreter's limit on
-    integer strings bounds the length of p and q."""
+    """The value of an integer or p/q token, built from the digits that
+    _RATIONAL matched; the interpreter's limit on integer strings bounds the
+    length of p and q."""
+    match = _RATIONAL.fullmatch(token)
     try:
-        if _RATIONAL.fullmatch(token):
-            return Fraction(token)
+        if match:
+            numerator, denominator = match.groups()
+            return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
     except (ValueError, ZeroDivisionError):
         pass
     raise AlgebraFileError(lineno, column, f"expected an integer or fraction p/q, got {token!r}")

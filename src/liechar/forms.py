@@ -59,6 +59,8 @@ class AlternatingForm:
                 raise ValueError(f"subset {subset} must be strictly increasing")
             if subset and not (1 <= subset[0] and subset[-1] <= dim):
                 raise ValueError(f"subset {subset} out of range")
+            if isinstance(value, float):
+                raise TypeError(f"form components must be exact rationals, got float {value!r}")
             v = Fraction(value)
             if v != 0:
                 cleaned[subset] = v

@@ -194,9 +194,33 @@ def test_sparse_ad_holds_integer_rows_of_the_nonzero_adjoints() -> None:
     assert lie_algebra(60, {(1, 2, 3): 1}).sparse_ad == (1, {1: {2: ((1, 1),)}, 2: {2: ((0, -1),)}})
 
 
-def test_bracket_rows_list_the_nonzero_constants() -> None:
+def test_scaled_brackets_list_the_nonzero_constants() -> None:
     g = lie_algebra(4, {(2, 1, 3): F(1), (1, 2, 1): F(2), (3, 4, 4): F(-1)})
-    assert g.bracket_rows() == {(1, 2): [(1, F(2)), (3, F(-1))], (3, 4): [(4, F(-1))]}
+    assert g.scaled_brackets == (1, {(1, 2): ((1, 2), (3, -1)), (3, 4): ((4, -1),)})
+
+
+def test_scaled_brackets_are_one_cached_integer_table_that_validate_leaves_unchanged() -> None:
+    g = lie_algebra(4, {(2, 1, 3): F(1, 2), (1, 2, 1): F(2), (3, 4, 4): F(-1, 3)})
+    table = g.scaled_brackets
+    assert table == (6, {(1, 2): ((1, 12), (3, -3)), (3, 4): ((4, -2),)})
+    snapshot = {pair: tuple(row) for pair, row in table[1].items()}
+    assert not g.validate().ok  # [[e1, e2], e4] = e4 / 6, and the other two terms vanish
+    assert g.sparse_ad[0] == 6 and g.scaled_brackets is table
+    assert table[1] == snapshot  # validate's reversed pairs went to a copy
+    assert "scaled_brackets" in vars(g) and "scaled_brackets" not in repr(g)
+    assert g == lie_algebra(4, dict(g.c))
+    assert lie_algebra(2, {}).scaled_brackets == (1, {})
+
+
+def test_weight_zero_parts_split_the_indices_by_weight() -> None:
+    # gl2 in the basis E12, E11, E22, E21: E11 and E22 are toral, E12 and E21
+    # have opposite nonzero weights, so {1, 4} is the one nonempty balanced subset
+    g = lie_algebra(4, {(1, 2, 1): -1, (1, 3, 1): 1, (1, 4, 2): 1, (1, 4, 3): -1, (2, 4, 4): -1, (3, 4, 4): 1})
+    assert g.toral_weights == {2: (1, 0, 0, -1), 3: (-1, 0, 0, 1)}
+    assert g.weight_zero_parts == ((2, 3), (((),), (), ((1, 4),)))
+    assert g.weight_zero_parts is g.weight_zero_parts and g == lie_algebra(4, dict(g.c))
+    # without a toral vector every index has weight zero
+    assert lie_algebra(3, {(1, 2, 3): 1}).weight_zero_parts == ((1, 2, 3), (((),),))
 
 
 def test_structure_constants_are_read_only() -> None:

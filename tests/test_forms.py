@@ -359,3 +359,13 @@ def test_form_fields_are_read_only_and_equality_and_repr_read_only_them() -> Non
     assert w != AlternatingForm(2, 3, {(1, 3): 1})
     assert w != (2, 3, w.components)
     assert repr(w) == "AlternatingForm(degree=2, dim=3, components={(1, 2): Fraction(1, 1)})"
+
+
+def test_alternating_form_refuses_float_components() -> None:
+    # 0.1 would be stored as its binary expansion 3602879701896397/2**55
+    with pytest.raises(TypeError, match="exact rationals"):
+        AlternatingForm(1, 2, {(1,): 0.1})
+    with pytest.raises(TypeError, match="exact rationals"):
+        AlternatingForm(2, 2, {(1, 2): 1.0})
+    form = AlternatingForm(1, 2, {(1,): 1, (2,): Fraction(1, 10)})
+    assert form.components == {(1,): Fraction(1), (2,): Fraction(1, 10)}

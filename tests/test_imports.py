@@ -67,11 +67,38 @@ print(json.dumps({{"package": after_package, "cli": after_cli, "list": after_lis
     result = run_fresh(script)
     assert result["codes"] == [0] * 10 + [1, 1, 0]
     assert result["package"] == ["liechar"]
-    assert result["cli"] == result["list"] == ["liechar", "liechar.catalog", "liechar.cli"]
+    # the catalog loads with the first command that reads it, here catalog list
+    assert result["cli"] == ["liechar", "liechar.cli"]
+    assert result["list"] == ["liechar", "liechar.catalog", "liechar.cli"]
     assert result["runs"] == sorted(["liechar", "liechar.cli", *EXACT_LANE])
     # no dataclasses (so no inspect) on the exact lane, and no json for a listing
     assert result["list_library"] == []
     assert result["runs_library"] == ["fractions", "json"]
+
+
+def test_exact_commands_on_a_file_do_not_load_the_catalog(tmp_path) -> None:
+    good = tmp_path / "sl2.txt"
+    good.write_text(serialize_algebra(catalog.get("sl2", kind="algebra").payload))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("dim 3\n1 2 1 1\n1 3 2 1\n")
+    commands = [
+        ["analyze", str(good)],
+        ["forms", str(good), "--degree", "3"],
+        ["cohomology", str(good), "--degree", "3"],
+        ["analyze", str(bad)],
+        ["cohomology", str(tmp_path / "missing.txt"), "--degree", "1"],
+    ]
+    script = f"""
+import contextlib, io, json, sys
+import liechar.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [liechar.cli.run(argv) for argv in {commands!r}]
+print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
+"""
+    result = run_fresh(script)
+    assert result["codes"] == [0, 0, 0, 1, 2]
+    assert "liechar.catalog" not in result["loaded"]
+    assert result["loaded"] == sorted(["liechar", "liechar.cli", *(m for m in EXACT_LANE if m != "liechar.catalog")])
 
 
 # the liechar modules (and numpy) that each verify suite loads besides liechar, cli and verify:

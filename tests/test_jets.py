@@ -1,5 +1,6 @@
 """First-order jets of vector fields on a box chart."""
 
+import itertools
 from random import Random
 
 import numpy as np
@@ -45,6 +46,23 @@ def test_lattice_stays_interior() -> None:
     assert len(pts) == 9
     for p in pts:
         chart.require_interior(p)
+
+
+def test_lattice_is_built_once_per_box_step_and_size_outside_the_chart() -> None:
+    chart = jets.Chart(lower=(-1.0, 0.0, 2.0), upper=(1.0, 3.0, 2.5), h=1e-3)
+    pts = chart.lattice(4)
+    # the grid of linspace axes, last axis fastest
+    axes = [np.linspace(lo + 2e-3, hi - 2e-3, 4) for lo, hi in zip(chart.lower, chart.upper)]
+    assert np.array_equal(pts, np.array(list(itertools.product(*axes))))
+    # an equal chart shares the array; another step or size gets its own
+    twin = jets.Chart(lower=(-1.0, 0.0, 2.0), upper=(1.0, 3.0, 2.5), h=1e-3)
+    assert twin.lattice(4) is pts
+    assert chart.with_step(5e-4).lattice(4) is not pts and chart.lattice(3) is not pts
+    with pytest.raises(ValueError, match="read-only"):
+        pts[0, 0] = 7.0
+    # the chart stores nothing: ==, hash and repr read only its fields
+    assert list(vars(chart)) == ["lower", "upper", "h"]
+    assert chart == twin and hash(chart) == hash(twin) and repr(chart) == repr(twin)
 
 
 @pytest.mark.parametrize("points_per_axis", [1, 0])
