@@ -15,6 +15,10 @@ modules (algebra, catalog, cohomology, fileformat, forms) without numpy,
 and a finite-difference name loads the exact lane and then geometry, jets
 and verify with numpy. Submodules imported directly, such as
 `liechar.catalog` or `liechar.geometry`, load only what they import.
+
+The validated records of both lanes (LieAlgebra, AlternatingForm, Chart,
+FrameField, LocalGroupMultiplication) derive from _Record, defined here
+because every process imports this file and the base needs neither lane.
 """
 
 __version__ = "0.1.0"
@@ -79,6 +83,38 @@ __all__ = [
     "w3_killing",
     "w_form",
 ]
+
+
+class _Record:
+    """Read-only value record. Its fields are the names its class annotates,
+    in order, which __init__ stores with object.__setattr__ (a field may
+    instead be computed on first read). == (same class only), hash and repr
+    read those fields and nothing else, so caches may sit beside them; an
+    array field compares by value."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__annotations__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # an array (anything with tolist) compares by value, as nested lists
+        values = [[x.tolist() if hasattr(x, "tolist") else x for x in r._fields()] for r in (self, other)]
+        return values[0] == values[1]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__annotations__)
+        return f"{type(self).__name__}({fields})"
+
 
 # The PEP 562 hook loads lanes whole and in order, so a finite-difference
 # name loads the exact lane first; only the second lane needs numpy. The

@@ -16,7 +16,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import linalg
+from . import _Record, linalg
 from .linalg import Matrix
 
 Vector = list[Fraction]
@@ -37,7 +37,7 @@ class ValidationReport(NamedTuple):
     violations: tuple[tuple[int, int, int, int], ...] = ()
 
 
-class LieAlgebra:
+class LieAlgebra(_Record):
     """Lie algebra given by structure constants on a fixed basis.
 
     Attributes:
@@ -46,10 +46,12 @@ class LieAlgebra:
             1 <= k <= n; entries for i > j follow by antisymmetry and absent
             entries are zero. Use structure_constant() for reads. Stored
             read-only (a MappingProxyType over the nonzero constants).
-        names: n basis labels, decorative only.
+        names: n basis labels, decorative only; by default e1, ..., en,
+            built on first read.
 
-    The three attributes are read-only, and == and repr read only them, not
-    the cached properties derived from them.
+    A _Record: the three fields are read-only, and == and repr read only
+    them, not the cached properties derived from them. hash raises
+    TypeError, as c is a mapping.
     """
 
     dim: int
@@ -74,26 +76,16 @@ class LieAlgebra:
             if key in normalized and normalized[key] != v:
                 raise ValueError(f"conflicting values for constant {key}")
             normalized[key] = v
-        names = names or tuple(f"e{i}" for i in range(1, dim + 1))
-        if len(names) != dim:
+        if names and len(names) != dim:
             raise ValueError("need one basis name per dimension")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "c", MappingProxyType(normalized))
-        object.__setattr__(self, "names", names)
+        if names:  # stored over the default below
+            object.__setattr__(self, "names", names)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of LieAlgebra")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of LieAlgebra")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dim, self.c, self.names) == (other.dim, other.c, other.names)
-
-    def __repr__(self) -> str:
-        return f"LieAlgebra(dim={self.dim!r}, c={self.c!r}, names={self.names!r})"
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return tuple(f"e{i}" for i in range(1, self.dim + 1))
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         """c_{ij}^k, extended to all index orders by antisymmetry."""

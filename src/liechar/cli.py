@@ -24,7 +24,6 @@ import os
 import sys
 from collections.abc import Callable
 from functools import partial
-from math import comb
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -126,13 +125,19 @@ def _check_cohomology_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
 
 
 def _check_forms_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
-    if not 1 <= args.degree <= alg.dim:
-        raise CliError(f"degree {args.degree} outside [1, {alg.dim}]")
-    if (count := comb(alg.dim, args.degree)) > FORMS_COMPONENT_CAP:
-        raise CliError(
-            f"degree {args.degree} in dimension {alg.dim} gives {count} components,"
-            f" over the cap of {FORMS_COMPONENT_CAP}"
-        )
+    n, k = alg.dim, args.degree
+    if not 1 <= k <= n:
+        raise CliError(f"degree {k} outside [1, {n}]")
+    # C(n, i) grows with i up to min(k, n - k): counting stops past 10^100,
+    # a count over the cap that would be slow to finish and to print
+    count = 1
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)
+        if count > 10**100:
+            break
+    if count > FORMS_COMPONENT_CAP:
+        shown = count if count <= 10**100 else "more than 10^100"
+        raise CliError(f"degree {k} in dimension {n} gives {shown} components, over the cap of {FORMS_COMPONENT_CAP}")
 
 
 def _report_algebra(

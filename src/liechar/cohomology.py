@@ -212,11 +212,9 @@ def weight_zero_cochains(alg: LieAlgebra, k: int) -> list[tuple[int, ...]]:
     """Lexicographic k-subsets S with sum of lambda_j over j in S zero for the
     weights lambda of every toral basis vector (alg.toral_weights): the
     degree-k cochains of joint weight zero. All of them when there is no
-    toral vector. Generated, not filtered: each balanced subset of the
-    indices of nonzero weight joined with each subset of the indices of
-    weight zero (alg.weight_zero_parts)."""
-    if not alg.toral_weights:
-        return cochain_basis(alg.dim, k)
+    toral vector, as every index then has weight zero. Generated, not
+    filtered: each balanced subset of the indices of nonzero weight joined
+    with each subset of the indices of weight zero (alg.weight_zero_parts)."""
     zero, balanced = alg.weight_zero_parts
     return sorted(
         tuple(sorted(moving + rest))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 
-from . import linalg
+from . import _Record, linalg
 from .algebra import LieAlgebra, Vector
 
 
@@ -35,13 +35,13 @@ def permutation_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-class AlternatingForm:
+class AlternatingForm(_Record):
     """Degree-k alternating multilinear form on a dim-n space.
 
     Components are stored on sorted index subsets (1-based, ascending);
     absent subsets are zero. Degree 0 is a single scalar stored at ().
-    The attributes degree, dim and components are read-only, and == and
-    repr read only them.
+    A _Record: the fields degree, dim and components are read-only, and ==
+    and repr read only them; hash raises TypeError, as components is a dict.
     """
 
     degree: int
@@ -67,20 +67,6 @@ class AlternatingForm:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "components", cleaned)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of AlternatingForm")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of AlternatingForm")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.degree, self.dim, self.components) == (other.degree, other.dim, other.components)
-
-    def __repr__(self) -> str:
-        return f"AlternatingForm(degree={self.degree!r}, dim={self.dim!r}, components={self.components!r})"
 
     def is_zero(self) -> bool:
         return not self.components

@@ -42,10 +42,11 @@ maxima. The sweep's r_full pairs a block with its mirror, whose stencil
 needs A only at its points and their first neighbours. The log-det check
 reads L at x +- h e_k for its log-determinants from the stencil of its w.
 
-FrameField and LocalGroupMultiplication are jets._Record classes: __init__
-stores the fields and calls __post_init__, which validates the callable on
-the default lattice in the same blocks, with no lattice cap. The other
-records are typing.NamedTuples, so geometry does not import dataclasses.
+FrameField and LocalGroupMultiplication derive from the package's _Record,
+as Chart does: __init__ stores the fields and calls __post_init__, which
+validates the callable on the default lattice in the same blocks, with no
+lattice cap. The other records are typing.NamedTuples, so geometry does not
+import dataclasses.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from . import _Record
 from .jets import (
     Chart,
     Form1J1T,
     J1TSection,
     VectorField,
-    _Record,
     constant_field,
     jacobian,
     spencer_bracket,

@@ -18,9 +18,9 @@ Index conventions, used consistently below and in geometry:
 No record is a dataclass, so the FD lane does not import dataclasses (and
 with it inspect, ast, dis and tokenize). A record that validates its fields
 (Chart here, FrameField and LocalGroupMultiplication in geometry) derives
-from _Record, which makes its fields read-only and gives ==, hash and repr
-over them; its __init__ stores the fields and calls __post_init__. The
-others are typing.NamedTuples.
+from the package's _Record, which makes its annotated fields read-only and
+gives ==, hash and repr over them alone; its __init__ stores the fields and
+calls __post_init__. The others are typing.NamedTuples.
 """
 
 from __future__ import annotations
@@ -31,32 +31,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _Record
+
 VectorField = Callable[[np.ndarray], np.ndarray]
 MatrixField = Callable[[np.ndarray], np.ndarray]
 ScalarField = Callable[[np.ndarray], np.ndarray]
-
-
-class _Record:
-    """Read-only fields: the attributes that __init__ stores, in that order.
-    == (same class only), hash and repr read them."""
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
-        return f"{type(self).__name__}({fields})"
 
 
 class Chart(_Record):
@@ -128,8 +107,8 @@ class Chart(_Record):
 # Every FrameField and LocalGroupMultiplication validates its chart's default
 # lattice: a borel_frame FrameField took 102 us with the lattice rebuilt and
 # 19-30 us with it cached (in-process, best of 7 x 2000). The cache lives
-# here, not on the Chart, whose ==, hash and repr read every attribute, and
-# is bounded so that it cannot grow with the charts a process makes.
+# here, not on the Chart, so that equal charts share one array, and is
+# bounded so that it cannot grow with the charts a process makes.
 @lru_cache(maxsize=32)
 def _lattice(lower: tuple[float, ...], upper: tuple[float, ...], h: float, points_per_axis: int) -> np.ndarray:
     margin = 2 * h

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
@@ -270,6 +271,21 @@ def test_forms_refuses_oversized_output_before_jacobi_and_trace_form(capsys, mon
     assert out == ""
     assert f"{count} components" in err and "over the cap" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("dim, degree", [(20000, 10000), (1000000, 500000)])
+def test_forms_refuses_a_count_too_long_to_print_at_once(capsys, monkeypatch, tmp_path, dim, degree) -> None:
+    # C(20000, 10000) has over 6,000 digits, past the interpreter's limit on
+    # printing an int, and C(10^6, 5 * 10^5) took seconds to compute in full
+    monkeypatch.setattr(LieAlgebra, "validate", lambda self: pytest.fail("validate ran past the cap"))
+    path = tmp_path / "wide.lie"
+    path.write_text(f"dim {dim}\n1 2 2 1\n")
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "forms", str(path), "--degree", str(degree))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "more than 10^100 components" in err and f"over the cap of {FORMS_COMPONENT_CAP}" in err
 
 
 def test_forms_degree_out_of_range_exits_two(capsys) -> None:

@@ -552,9 +552,15 @@ def test_betti_table_ranks_only_the_weight_zero_subcomplex(monkeypatch) -> None:
 
 
 def test_weight_zero_cochains_without_toral_vectors_are_all_cochains() -> None:
-    g = change_basis(bench_input("sl3"), seeded_unipotent(8, 0))
-    for k in range(g.dim + 1):
-        assert weight_zero_cochains(g, k) == cochain_basis(g.dim, k)
+    # every index has weight zero, so the generator yields the whole cochain
+    # basis in every degree: so3, heisenberg3, abelian(n) and dense bases
+    algebras = [CATALOG_ALGEBRAS[name] for name in ("so3", "heisenberg3", *(f"abelian({n})" for n in range(1, 7)))]
+    inputs = [parse_algebra(path.read_text()) for path in BENCH_INPUTS]
+    algebras += [change_basis(g, seeded_unipotent(g.dim, 0)) for g in inputs]
+    for g in algebras:
+        assert not g.toral_weights
+        for k in range(g.dim + 1):
+            assert weight_zero_cochains(g, k) == cochain_basis(g.dim, k), (g.dim, k)
 
 
 def poincare_of_odd_degrees(degrees: range) -> list[int]:

@@ -1,5 +1,6 @@
 """Text format for structure constants: parse errors carry positions."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -164,3 +165,18 @@ def test_index_must_be_an_ascii_integer(token, field) -> None:
 @pytest.mark.parametrize("text, dim", [("dim +3\n", 3), ("dim 03\n", 3), ("dim 3\n+1 +2 03 1\n", 3)])
 def test_signed_and_zero_padded_ascii_integers(text, dim) -> None:
     assert parse_algebra(text).dim == dim
+
+
+def test_a_two_line_file_costs_its_constants_not_its_dimension() -> None:
+    # the default labels e1 ... en are built when names is first read
+    tracemalloc.start()
+    try:
+        g = parse_algebra("dim 1000000\n1 2 2 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert "names" not in vars(g)
+    assert len(g.names) == g.dim and g.names[:2] == ("e1", "e2") and g.names[-1] == "e1000000"
+    assert g.names is g.names
+    assert serialize_algebra(g) == "dim 1000000\n1 2 2 1\n"

@@ -7,7 +7,9 @@ from random import Random
 import numpy as np
 import pytest
 
-from liechar import catalog, geometry, linalg, verify
+from liechar import _Record, catalog, geometry, linalg, verify
+from liechar.algebra import LieAlgebra
+from liechar.forms import AlternatingForm
 from liechar.geometry import (
     CURVATURE_LATTICE_CAP,
     FrameField,
@@ -96,6 +98,46 @@ def test_records_are_read_only_and_compare_by_value() -> None:
     assert repr(sample).startswith("ConnectionSample(gamma=array(")
     with pytest.raises(TypeError):
         Chart((0.0,), (1.0,), 0.01, 0.02)
+
+
+def test_records_of_both_lanes_share_one_protocol() -> None:
+    # the exact lane's records too, so the one base is checked in one place
+    for cls in (LieAlgebra, AlternatingForm, Chart, FrameField, LocalGroupMultiplication):
+        assert cls.__bases__ == (_Record,), cls
+        assert not {"__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__"} & set(vars(cls)), cls
+    form = AlternatingForm(1, 2, {(1,): 1})
+    with pytest.raises(AttributeError, match="cannot assign to field 'degree' of AlternatingForm"):
+        form.degree = 2
+    with pytest.raises(TypeError):
+        hash(form)
+
+
+def test_an_attribute_beside_the_fields_leaves_eq_hash_and_repr_alone() -> None:
+    mult = mult_of("affine_group")
+    frame = frame_from_multiplication(mult)
+    chart = mult.chart
+    twins = [
+        (chart, Chart(chart.lower, chart.upper, chart.h)),
+        (frame, FrameField(frame.chart, frame.matrix)),
+        (mult, LocalGroupMultiplication(mult.chart, mult.multiply, mult.identity)),
+    ]
+    for record, twin in twins:
+        before = repr(record)
+        object.__setattr__(record, "cache", object())
+        assert record == twin and twin == record and repr(record) == before
+    assert hash(chart) == hash(twins[0][1]) and hash(frame) == hash(twins[1][1])
+    with pytest.raises(TypeError):
+        hash(mult)
+
+
+def test_equal_multiplications_with_distinct_identity_arrays_compare_equal() -> None:
+    mult = mult_of("affine_group")
+    twin = LocalGroupMultiplication(mult.chart, mult.multiply, list(mult.identity))
+    assert twin.identity is not mult.identity
+    assert twin == mult and mult == twin
+    assert LocalGroupMultiplication(mult.chart.with_step(5e-4), mult.multiply, mult.identity) != mult
+    other = mult_of("borel_sl2_group")
+    assert LocalGroupMultiplication(mult.chart, other.multiply, mult.identity) != mult
 
 
 def test_frame_rejects_singular_matrix() -> None:
