@@ -30,7 +30,6 @@ __all__ = [
     "CatalogEntry",
     "Chart",
     "ConnectionSample",
-    "Curve",
     "CurvatureSample",
     "Form1J1T",
     "FrameField",
@@ -65,7 +64,6 @@ __all__ = [
     "list_names",
     "local_algebra",
     "log_det_ad_primitive_check",
-    "one_parameter_curve",
     "pairing",
     "parse_algebra",
     "prolong",

@@ -275,7 +275,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_suites
 
     try:
-        results = run_suites([args.suite] if args.suite else None)
+        results = run_suites([args.suite] if args.suite is not None else None)
     except KeyError as exc:
         raise CliError(exc.args[0]) from exc
     failures = 0

@@ -29,11 +29,12 @@ stencil: A is evaluated once at x, at x +- h e_k and at (x +- h e_r) +- h e_k,
 and inverted only at x and x +- h e_r. Gamma, its derivative, r1, r2,
 torsion, w, dw, the r2 trace, r_full and the structure functions are all
 read from those arrays; gamma_from_splitting stays an independent route
-through jets.jacobian. Each curvature expression is written once, as a
-stencil method: r1_full() and r2_full() give r1 and r2 before alternation,
-two_point(other) gives r_full's expression at (x, other.x) with its terms,
-and curvature(full) turns r1_full() or r2_full() into the scaled
-CurvatureSample. The point functions, bracket_defect_residual and
+through jets.jacobian, which `verify --suite geometry` certifies against
+the stencil's gamma on every catalog frame. Each curvature expression is
+written once, as a stencil method: r1_full() and r2_full() give r1 and r2
+before alternation, two_point(other) gives r_full's expression at
+(x, other.x) with its terms, and curvature(full) turns r1_full() or
+r2_full() into the scaled CurvatureSample. The point functions, bracket_defect_residual and
 curvature_sweep all call these. One driver, _lattice_maxima, covers the
 lattice for the sweep, local_algebra and log_det_ad_primitive_check: it
 hands blocks of SWEEP_BLOCK_POINTS points and their mirrors (the same
@@ -465,15 +466,6 @@ def invariant_field(frame: FrameField, p: np.ndarray, v: np.ndarray) -> VectorFi
     return field
 
 
-def invariant_field_pde_residual(frame: FrameField, p: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Max residual, per point, of d_j X^i = Gamma_{ja}^i X^a at x."""
-    stencil = _stencil(frame, x)
-    field = invariant_field(frame, p, v)
-    jac = jacobian(field, x, frame.chart.h)
-    expected = np.einsum("...jai,...a->...ij", stencil.gamma, field(x))
-    return point_sup(jac - expected, 2)
-
-
 def gamma_lift(frame: FrameField, xi: VectorField, variant: str = "tilde") -> J1TSection:
     """Jet section over a vector field with connection-generated matrix part.
 
@@ -682,60 +674,15 @@ def log_det_ad_primitive_check(mult: LocalGroupMultiplication, points_per_axis: 
     return maxima["residual"], max(1.0, maxima["w"])
 
 
-def automorphy_check(mult: LocalGroupMultiplication, elements: Sequence[np.ndarray]) -> list[bool]:
-    """det Ad_e(delta) = 1 per element; an (n, n) array is taken as Ad itself.
+def automorphy_check(mult: LocalGroupMultiplication, elements: np.ndarray | Sequence[np.ndarray]) -> list[bool]:
+    """det Ad_e(delta) = 1 at each element of a (P, n) point stack (or a list
+    of points), from one ad_e call.
 
     A true value means the element does not obstruct: the log-det primitive
     is automorphic with respect to it.
     """
-    results = []
-    for element in elements:
-        arr = np.asarray(element, dtype=float)
-        if arr.ndim == 2:
-            ad = arr
-        else:
-            if not mult.chart.contains(arr):
-                raise ValueError(f"element {arr} lies outside the multiplication chart")
-            ad = ad_e(mult, arr)
-        results.append(bool(abs(np.linalg.det(ad) - 1.0) <= AUTOMORPHY_TOL))
-    return results
-
-
-class Curve(NamedTuple):
-    """Sampled solution of dx/dt = eps(e, x) v; exited marks early abort."""
-
-    times: np.ndarray
-    points: np.ndarray
-    exited: bool
-
-
-def one_parameter_curve(
-    frame: FrameField,
-    e: np.ndarray,
-    v: np.ndarray,
-    t_final: float,
-    steps: int,
-) -> Curve:
-    """Classical fourth-order integration of the left-invariant flow."""
-    frame.chart.require_interior(np.asarray(e, dtype=float))
-    if steps < 1:
-        raise ValueError("need at least one step")
-    velocity = invariant_field(frame, e, v)
-    dt = t_final / steps
-    times = [0.0]
-    points = [np.asarray(e, dtype=float)]
-    exited = False
-    x = points[0]
-    for step in range(steps):
-        k1 = velocity(x)
-        k2 = velocity(x + 0.5 * dt * k1)
-        k3 = velocity(x + 0.5 * dt * k2)
-        k4 = velocity(x + dt * k3)
-        nxt = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not frame.chart.contains(nxt):
-            exited = True
-            break
-        x = nxt
-        times.append((step + 1) * dt)
-        points.append(x)
-    return Curve(times=np.array(times), points=np.array(points), exited=exited)
+    points = np.asarray(elements, dtype=float).reshape(-1, mult.chart.dim)
+    if not mult.chart.contains(points):
+        outside = next(p for p in points if not mult.chart.contains(p))
+        raise ValueError(f"element {outside} lies outside the multiplication chart")
+    return (np.abs(np.linalg.det(ad_e(mult, points)) - 1.0) <= AUTOMORPHY_TOL).tolist()

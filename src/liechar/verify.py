@@ -331,13 +331,17 @@ def suite_geometry() -> _Checks:
         bracket_defect_residual,
         dw_tr_r2_residual,
         gamma,
+        gamma_from_splitting,
+        invariant_field,
         local_algebra,
         log_det_ad_primitive_check,
+        point_sup,
         r1,
         r2,
         r_full,
         sup_norm,
     )
+    from .jets import jacobian
 
     rng = Random(RNG_SEED + 3)
 
@@ -348,6 +352,21 @@ def suite_geometry() -> _Checks:
         x, y, z = pts[[0, 1]], pts[[len(pts) // 2, -2]], pts[[-1, 0]]
         assert eps.cocycle_residual(x, y, z) <= EXACT_TOL, "cocycle fails"
         assert eps.identity_residual(pts) <= EXACT_TOL, "diagonal fails"
+
+    def splitting_gamma_and_invariant_fields(frame):
+        # the second Gamma route, and the invariant fields through the lattice
+        # centre: d_j X^i = Gamma_{ja}^i X^a, one field per basis vector
+        pts, h = frame.chart.lattice(3), frame.chart.h
+        sample = gamma(frame, pts)
+        via_eps = gamma_from_splitting(frame, pts).gamma
+        _assert_fd_zero("gamma from the splitting", point_sup(sample.gamma - via_eps, 3), h, sample.scale)
+        centre = pts[len(pts) // 2]
+        for i, v in enumerate(np.eye(frame.chart.dim)):
+            field = invariant_field(frame, centre, v)
+            values = field(pts)
+            expected = np.einsum("...jai,...a->...ij", sample.gamma, values)
+            residual = point_sup(jacobian(field, pts, h) - expected, 2)
+            _assert_fd_zero(f"invariant field {i + 1} equation", residual, h, sample.scale * point_sup(values, 1))
 
     def r1_vanishes(frame):
         sample = r1(frame, frame.chart.lattice(3))
@@ -393,6 +412,7 @@ def suite_geometry() -> _Checks:
 
     return [
         ("splitting_cocycle_and_diagonal", _each("frame", splitting_identities)),
+        ("splitting_gamma_and_invariant_fields", _each("frame", splitting_gamma_and_invariant_fields)),
         ("first_curvature_vanishes", _each("frame", r1_vanishes)),
         ("dw_equals_trace_r2", _each("frame", dw_matches_trace)),
         ("pointwise_vs_two_point_curvature", _each("frame", curvature_coherence)),

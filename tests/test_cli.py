@@ -630,11 +630,14 @@ def test_verify_single_suite(capsys) -> None:
 
 
 def test_verify_rejects_unknown_suite(capsys) -> None:
-    code, out, err = invoke(capsys, "verify", "--suite", "nosuch")
-    assert code == 2
-    assert out == ""
-    for suite in ("algebra", "forms", "cohomology", "jets", "geometry", "catalog"):
-        assert repr(suite) in err
+    # an empty name is a name too, not a request for every suite
+    for name in ("nosuch", ""):
+        code, out, err = invoke(capsys, "verify", "--suite", name)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: unknown verification suite {name!r};")
+        for suite in ("algebra", "forms", "cohomology", "jets", "geometry", "catalog"):
+            assert repr(suite) in err
 
 
 def test_missing_required_argument_exits_two(capsys) -> None:

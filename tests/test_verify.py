@@ -1,9 +1,10 @@
 """The built-in check suites report structured, all-green results."""
 
+import re
 import numpy as np
 import pytest
 
-from liechar import catalog
+from liechar import catalog, geometry
 from liechar.verify import SUITES, CheckResult, _assert_fd_zero, _check, _each, run_suites
 
 
@@ -29,7 +30,7 @@ def test_selected_suites_pass_and_tag_results() -> None:
 
 def test_every_suite_passes() -> None:
     results = run_suites()
-    assert len(results) == 28
+    assert len(results) == 29
     assert {r.suite for r in results} == set(SUITES)
     failed = [f"{r.suite}.{r.name}: {r.detail}" for r in results if not r.ok]
     assert not failed, failed
@@ -74,3 +75,20 @@ def test_fd_zero_failure_names_the_quantity_and_its_worst_ratio() -> None:
     _assert_fd_zero("residual", np.array([1.0, 5.0]), 0.5, np.array([1.0, 2.0]))
     with pytest.raises(AssertionError, match=r"^residual reaches 3\.00x its tol$"):
         _assert_fd_zero("residual", np.array([1.0, 7.5]), 0.5, np.array([1.0, 1.0]))
+
+
+def test_an_offset_splitting_gamma_fails_the_geometry_check(monkeypatch) -> None:
+    # the stencil's gamma is the reference, so a mutant of the splitting
+    # route must fail the one check that compares them
+    route = geometry.gamma_from_splitting
+
+    def offset(frame, x):
+        return geometry.ConnectionSample(gamma=route(frame, x).gamma + 1e-3)
+
+    monkeypatch.setattr(geometry, "gamma_from_splitting", offset)
+    by_name = {r.name: r for r in run_suites(["geometry"])}
+    result = by_name["splitting_gamma_and_invariant_fields"]
+    first = next(q.split(":", 1)[1] for q in catalog.list_names() if q.startswith("frame:"))
+    assert not result.ok
+    assert re.fullmatch(rf"{re.escape(first)}: gamma from the splitting reaches \d+\.\d\dx its tol", result.detail)
+    assert all(r.ok for r in by_name.values() if r is not result)
