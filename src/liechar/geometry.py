@@ -43,6 +43,13 @@ maxima. The sweep's r_full pairs a block with its mirror, whose stencil
 needs A only at its points and their first neighbours. The log-det check
 reads L at x +- h e_k for its log-determinants from the stencil of its w.
 
+A sweep block holds the stencil's A arrays and Gamma throughout, dGamma
+from r1 to the dw = tr r2 residual, and one full curvature tensor at a
+time: r1 and r2 are alternated one r-slice at a time for their maxima, so
+at most about 2 n^4 + 4 n^3 floats a point are alive. dGamma and dw are
+dropped before the two-point stage, which adds only A at the mirror's
+stencil and n^3 arrays.
+
 FrameField and LocalGroupMultiplication derive from the package's _Record,
 as Chart does: __init__ stores the fields and calls __post_init__, which
 validates the callable on the default lattice in the same blocks, with no
@@ -88,8 +95,8 @@ AUTOMORPHY_TOL = 1e-6
 # Every lattice computation builds the stencil of at most this many points
 # at a time, so its memory follows the block, not the lattice. The time per
 # point is flat from 128-point blocks up (identity(6) at --lattice 4), and
-# 625 keeps the default dimension-4 lattice (5**4 points) one block;
-# identity(6) peaks at 66 MB at --lattice 4 and at --lattice 5 alike.
+# 625 keeps the default dimension-4 lattice (5**4 points) one block; a
+# curvature run on identity(6) peaks at 50 MB at --lattice 4 and 5 alike.
 SWEEP_BLOCK_POINTS = 625
 
 # The most lattice points that curvature_sweep, local_algebra and
@@ -240,11 +247,16 @@ def _alternate(t: np.ndarray, axis: int) -> np.ndarray:
 class _Stencil:
     """The frame on the central-difference stencil of a point or a point stack x.
 
-    Every value is computed on first use and then kept. A is evaluated at x
-    and at x +- h e_k and inverted at those points; Gamma at x +- h e_r
-    evaluates A at (x +- h e_r) +- h e_k and drops those values at once.
-    Those points are built from x +- h e_r, never merged with x, so every
-    value is bitwise the one jets.jacobian applied twice would give.
+    Every value is computed on first use and then kept: A and A^{-1} at x
+    and at x +- h e_k (4n n^2 floats a point), Gamma and w at x, and
+    `derivatives`, dGamma (n^4 floats a point) with dw. The derivatives come
+    from one pass over r that evaluates A at (x +- h e_r) +- h e_k, holds one
+    pair Gamma(x +- h e_r) at a time and drops it once its difference is
+    written into dGamma. Those points are built from x +- h e_r, never merged
+    with x, so every value is bitwise the one jets.jacobian applied twice
+    would give. r1_full() and r2_full() build a fresh n^4 tensor on each
+    call; a caller that reads neither dGamma nor dw again deletes
+    `derivatives` to drop both.
     """
 
     def __init__(self, matrix: Callable[[np.ndarray], np.ndarray], h: float, x: np.ndarray):
@@ -279,37 +291,48 @@ class _Stencil:
         return _w_from(self.gamma)
 
     @cached_property
-    def shifted_gamma(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(Gamma(x + h e_r), Gamma(x - h e_r)) for each r."""
-        matrix, h = self.matrix, self.h
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dGamma, dw) from one pass over r that holds one pair
+        Gamma(x +- h e_r) at a time and writes its central difference in place."""
+        matrix, h, steps = self.matrix, self.h, self.steps
+        n = len(steps)
+        dgamma = np.empty(self.x.shape[:-1] + (n, n, n, n))
+        d_w = np.empty(self.x.shape[:-1] + (n, n))
 
         def at(y: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-            return _gamma_from([(matrix(y + s), matrix(y - s)) for s in self.steps], inverse, h)
+            return _gamma_from(((matrix(y + s), matrix(y - s)) for s in steps), inverse, h)
 
-        return [
-            (at(self.x + s, plus), at(self.x - s, minus)) for s, (plus, minus) in zip(self.steps, self.shifted_inverse)
-        ]
+        for r, (s, (inverse_plus, inverse_minus)) in enumerate(zip(steps, self.shifted_inverse)):
+            plus, minus = at(self.x + s, inverse_plus), at(self.x - s, inverse_minus)
+            d_r = dgamma[..., r, :, :, :]
+            np.subtract(plus, minus, out=d_r)
+            d_r /= 2 * h
+            d_w[..., r, :] = (_w_from(plus) - _w_from(minus)) / (2 * h)
+        return dgamma, _alternate(d_w, -2)
 
-    @cached_property
+    @property
     def dgamma(self) -> np.ndarray:
         """dg[..., r, k, j, i] = d_r Gamma_{kj}^i."""
-        return _central(self.shifted_gamma, self.h, axis=-4)
+        return self.derivatives[0]
 
-    @cached_property
+    @property
     def dw(self) -> np.ndarray:
         """dw[..., r, j] = d_r w_j - d_j w_r."""
-        d = _central([(_w_from(plus), _w_from(minus)) for plus, minus in self.shifted_gamma], self.h, axis=-2)
-        return _alternate(d, -2)
+        return self.derivatives[1]
 
     def r1_full(self) -> np.ndarray:
         """F[..., r, j, k, i] = d_r Gamma_{jk}^i + Gamma_{rk}^a Gamma_{ja}^i, r1 before alternation."""
-        g = self.gamma
-        return self.dgamma + np.einsum("...rka,...jai->...rjki", g, g)
+        g, dgamma = self.gamma, self.dgamma  # dGamma first, so its pass runs before the einsum output exists
+        full = np.einsum("...rka,...jai->...rjki", g, g)
+        full += dgamma
+        return full
 
     def r2_full(self) -> np.ndarray:
         """F[..., r, j, k, i] = d_r Gamma_{kj}^i + Gamma_{kr}^a Gamma_{aj}^i, r2 before alternation."""
-        g = self.gamma
-        return self.dgamma.swapaxes(-3, -2) + np.einsum("...kra,...aji->...rjki", g, g)
+        g, dgamma = self.gamma, self.dgamma
+        full = np.einsum("...kra,...aji->...rjki", g, g)
+        full += dgamma.swapaxes(-3, -2)
+        return full
 
     def curvature(self, full: np.ndarray) -> CurvatureSample:
         """The scaled sample of r1_full() or r2_full()."""
@@ -376,7 +399,8 @@ def w_form(frame: FrameField, x: np.ndarray) -> np.ndarray:
 
 
 def _trace(r2_tensor: np.ndarray) -> np.ndarray:
-    return np.einsum("...rjaa->...rj", r2_tensor)
+    """The trace over the last two axes: [..., r, j] of r2, or [..., j] of one r-slice."""
+    return np.einsum("...aa->...", r2_tensor)
 
 
 def tr_r2(frame: FrameField, x: np.ndarray) -> np.ndarray:
@@ -431,19 +455,25 @@ def _lattice_maxima(chart: Chart, points_per_axis: int, block_maxima: Callable) 
     return {key: float(np.max([block[key] for block in blocks])) for key in blocks[0]}
 
 
+def _alternated_slices(full: np.ndarray) -> Iterator[np.ndarray]:
+    """The r-slices [..., j, k, i] of the alternated full[..., r, j, k, i], built one at a time."""
+    return (full[..., r, :, :, :] - full[..., :, r, :, :] for r in range(full.shape[-4]))
+
+
 def _block_maxima(frame: FrameField, x: np.ndarray, mirror: np.ndarray) -> dict[str, float]:
-    """Sweep maxima over the point block x, each tensor dropped once its
-    maximum is taken and none scaled; r_full pairs x with mirror."""
+    """Sweep maxima over the point block x, none scaled; r_full pairs x with
+    mirror. r1 and r2 are alternated one r-slice at a time, each full tensor
+    is dropped before the next is built, and dGamma before the two-point stage."""
     stencil = _Stencil(frame.matrix, frame.chart.h, x)
-    maxima = {
-        "torsion_max": sup_norm(_alternate(stencil.gamma, -3)),
-        "w_max": sup_norm(stencil.w),
-        "r1_max": sup_norm(_alternate(stencil.r1_full(), -4)),
-    }
-    r2_tensor = _alternate(stencil.r2_full(), -4)
-    maxima["r2_max"] = sup_norm(r2_tensor)
-    maxima["dw_tr_r2_residual"] = sup_norm(_dw_residual(stencil.dw, r2_tensor))
-    del r2_tensor
+    maxima = {"torsion_max": sup_norm(_alternate(stencil.gamma, -3)), "w_max": sup_norm(stencil.w)}
+    full = stencil.r1_full()
+    maxima["r1_max"] = float(np.max([sup_norm(t) for t in _alternated_slices(full)]))
+    del full
+    full = stencil.r2_full()
+    # slice r of r2 holds tr_r2[r, j], which dw[j, r] must equal
+    pairs = [(sup_norm(t), sup_norm(stencil.dw[..., r] - _trace(t))) for r, t in enumerate(_alternated_slices(full))]
+    maxima["r2_max"], maxima["dw_tr_r2_residual"] = np.max(pairs, axis=0).tolist()
+    del full, stencil.derivatives
     maxima["r_full_diagonal_max"] = sup_norm(_alternate(stencil.two_point(stencil)[0], -3))
     maxima["r_full_max"] = sup_norm(_alternate(stencil.two_point(_Stencil(frame.matrix, stencil.h, mirror))[0], -3))
     return maxima
