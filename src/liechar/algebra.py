@@ -9,6 +9,7 @@ this module is exact.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
@@ -231,36 +232,47 @@ class LieAlgebra(_Record):
         return scale, {pair: tuple(row) for pair, row in rows.items()}
 
     def validate(self) -> ValidationReport:
-        """Check every Jacobi identity (antisymmetry holds by construction) on
-        the triples (i, j, r) with [e_i, e_j] != 0 and e_r in some nonzero
-        bracket, the only ones that can fail: every bracket with any other e_r
-        vanishes. Violations (i, j, k, m) come in lexicographic order. The sums
-        run in integers, on the constants scaled by the lcm of the denominators,
-        once per algebra: c is read-only."""
+        """Check every Jacobi identity (antisymmetry holds by construction):
+        the m-component of [[e_i, e_j], e_k] + [[e_j, e_k], e_i] +
+        [[e_k, e_i], e_j] for each triple i < j < k. Violations (i, j, k, m)
+        come in lexicographic order.
+
+        One pass over the bracket paths (i, j) -> a -> (a, r) -> m, i < j and
+        r not in {i, j}, adds c_ij^a * c_ar^m to the sum of the sorted triple
+        {i, j, r}, negated when i < r < j, as (i, j, r) is then an odd
+        permutation of it; each cyclic term of a triple is the sum of the paths
+        of one of its pairs. So the cost is the number of nonzero products
+        c_ij^a * c_ar^m, and a triple that no path reaches holds trivially. The
+        sums run in integers, on the constants scaled by the lcm of the
+        denominators, once per algebra: c is read-only."""
         return self._validation
 
     @cached_property
     def _validation(self) -> ValidationReport:
         """validate's report, outside ==."""
-        rows = dict(self.scaled_brackets[1])
-        paired = {index for pair in rows for index in pair}
-        # (i, j) runs over the pairs i < j, so (i, j, r) sorts without sorted()
-        triples = {
-            (r, i, j) if r < i else (i, r, j) if r < j else (i, j, r)
-            for i, j in rows
-            for r in paired
-            if r != i and r != j
-        }
-        rows.update({(j, i): [(k, -x) for k, x in row] for (i, j), row in list(rows.items())})
-        violations = []
-        for i, j, k in sorted(triples):
-            totals: dict[int, int] = {}
-            for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                for a, outer in rows.get((p, q), ()):
-                    for m, inner in rows.get((a, r), ()):
-                        totals[m] = totals.get(m, 0) + outer * inner
-            if any(totals.values()):
-                violations.extend((i, j, k, m) for m in sorted(totals) if totals[m] != 0)
+        rows = self.scaled_brackets[1]
+        # partners[a]: (r, ((m, s * c_ar^m), ...)) for every [e_a, e_r] != 0
+        partners: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+        for (i, j), row in rows.items():
+            partners.setdefault(i, []).append((j, row))
+            partners.setdefault(j, []).append((i, tuple((k, -x) for k, x in row)))
+        # totals[(i, j, k)][m]: the Jacobi sum of the sorted triple i < j < k
+        totals: defaultdict[tuple[int, int, int], dict[int, int]] = defaultdict(dict)
+        for (i, j), row in rows.items():
+            for a, x in row:
+                for r, inner in partners.get(a, ()):
+                    # (i, j, r) is an odd permutation of the sorted triple when i < r < j
+                    if r < i:
+                        total, sx = totals[r, i, j], x
+                    elif r > j:
+                        total, sx = totals[i, j, r], x
+                    elif r != i and r != j:
+                        total, sx = totals[i, r, j], -x
+                    else:
+                        continue
+                    for m, y in inner:
+                        total[m] = total.get(m, 0) + sx * y
+        violations = sorted((*triple, m) for triple, total in totals.items() for m, value in total.items() if value)
         return ValidationReport(ok=not violations, violations=tuple(violations))
 
     def killing(self) -> Matrix:

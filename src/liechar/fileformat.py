@@ -9,21 +9,23 @@
 
 Values are integers or fractions p/q. Unspecified constants are zero.
 Parse errors carry 1-based line and column positions.
+
+A line's fields are its whitespace-separated tokens before any '#'. An
+integer is an optional sign and ASCII digits; a value is an integer or
+p/q with an unsigned ASCII q. int() alone would also take underscores and
+non-ASCII digits, and Fraction() decimals and exponents, expanding
+1e10000000 digit by digit, so both are given only tokens that pass these
+string tests, and an integer past the interpreter's digit limit is
+refused. The reader tests tokens with str methods, not regular
+expressions; the accepted language and every error's line, column and
+message are unchanged by that.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .algebra import LieAlgebra
-
-_TOKEN = re.compile(r"\S+")
-# an integer, or p/q, in ASCII digits: int() alone would also take
-# underscores and non-ASCII digits, and Fraction() decimals and exponents,
-# expanding 1e10000000 digit by digit
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class AlgebraFileError(ValueError):
@@ -33,77 +35,90 @@ class AlgebraFileError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def _tokens(raw_line: str) -> list[tuple[int, str]]:
-    text = raw_line.split("#", 1)[0]
-    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(text)]
+def _ascii_int(token: str) -> bool:
+    """An optional sign, then one or more ASCII digits."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    return digits.isdigit() and digits.isascii()
 
 
-def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
-    try:
-        if _INTEGER.fullmatch(token):
+def _error(lineno: int, line: str, fields: list[str], index: int, message: str) -> AlgebraFileError:
+    """The error at fields[index] of line; its column is found only here,
+    as the fields are line.split() and carry no positions."""
+    end = 0
+    for field in fields[:index]:
+        end = line.index(field, end) + len(field)
+    return AlgebraFileError(lineno, line.index(fields[index], end) + 1, message)
+
+
+def _parse_int(lineno: int, line: str, fields: list[str], index: int, what: str) -> int:
+    token = fields[index]
+    if _ascii_int(token):
+        try:
             return int(token)
-    except ValueError:
-        pass
-    raise AlgebraFileError(lineno, column, f"expected an integer {what}, got {token!r}")
+        except ValueError:  # past the interpreter's limit on integer digits
+            pass
+    raise _error(lineno, line, fields, index, f"expected an integer {what}, got {token!r}")
 
 
-def _parse_fraction(token: str, lineno: int, column: int) -> Fraction:
-    """The value of an integer or p/q token, built from the digits that
-    _RATIONAL matched; the interpreter's limit on integer strings bounds the
-    length of p and q."""
-    match = _RATIONAL.fullmatch(token)
-    try:
-        if match:
-            numerator, denominator = match.groups()
-            return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise AlgebraFileError(lineno, column, f"expected an integer or fraction p/q, got {token!r}")
+def _parse_fraction(lineno: int, line: str, fields: list[str], index: int) -> Fraction:
+    token = fields[index]
+    numerator, slash, denominator = token.partition("/")
+    if _ascii_int(numerator) and (not slash or (denominator.isdigit() and denominator.isascii())):
+        try:
+            return Fraction(int(numerator), int(denominator)) if slash else Fraction(int(numerator))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise _error(lineno, line, fields, index, f"expected an integer or fraction p/q, got {token!r}")
 
 
 def parse_algebra(text: str) -> LieAlgebra:
     dim: int | None = None
     names: tuple[str, ...] = ()
     constants: dict[tuple[int, int, int], Fraction] = {}
+    # a value token is read once per text: most constants share a few values
+    values: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokens(raw)
-        if not tokens:
+        line = raw.split("#", 1)[0]
+        fields = line.split()
+        if not fields:
             continue
-        column, head = tokens[0]
+        head = fields[0]
         if dim is None:
             if head != "dim":
-                raise AlgebraFileError(lineno, column, f"first line must be 'dim n', got {head!r}")
-            if len(tokens) != 2:
-                raise AlgebraFileError(lineno, column, "'dim' takes exactly one value")
-            dim = _parse_int(tokens[1][1], lineno, tokens[1][0], "dimension")
+                raise _error(lineno, line, fields, 0, f"first line must be 'dim n', got {head!r}")
+            if len(fields) != 2:
+                raise _error(lineno, line, fields, 0, "'dim' takes exactly one value")
+            dim = _parse_int(lineno, line, fields, 1, "dimension")
             if dim < 1:
-                raise AlgebraFileError(lineno, tokens[1][0], f"dimension must be positive, got {dim}")
+                raise _error(lineno, line, fields, 1, f"dimension must be positive, got {dim}")
             continue
         if head == "basis":
             if names:
-                raise AlgebraFileError(lineno, column, "duplicate 'basis' line")
+                raise _error(lineno, line, fields, 0, "duplicate 'basis' line")
             if constants:
-                raise AlgebraFileError(lineno, column, "'basis' must precede structure constants")
-            if len(tokens) != dim + 1:
-                raise AlgebraFileError(lineno, column, f"'basis' needs exactly {dim} labels, got {len(tokens) - 1}")
-            names = tuple(tok for _, tok in tokens[1:])
+                raise _error(lineno, line, fields, 0, "'basis' must precede structure constants")
+            if len(fields) != dim + 1:
+                raise _error(lineno, line, fields, 0, f"'basis' needs exactly {dim} labels, got {len(fields) - 1}")
+            names = tuple(fields[1:])
             continue
         if head == "dim":
-            raise AlgebraFileError(lineno, column, "duplicate 'dim' line")
-        if len(tokens) != 4:
-            raise AlgebraFileError(lineno, column, f"constant lines are 'i j k p/q' (4 fields), got {len(tokens)}")
-        (ci, ti), (cj, tj), (ck, tk), (cv, tv) = tokens
-        i = _parse_int(ti, lineno, ci, "index i")
-        j = _parse_int(tj, lineno, cj, "index j")
-        k = _parse_int(tk, lineno, ck, "index k")
-        for col, idx, label in ((ci, i, "i"), (cj, j, "j"), (ck, k, "k")):
+            raise _error(lineno, line, fields, 0, "duplicate 'dim' line")
+        if len(fields) != 4:
+            raise _error(lineno, line, fields, 0, f"constant lines are 'i j k p/q' (4 fields), got {len(fields)}")
+        i = _parse_int(lineno, line, fields, 0, "index i")
+        j = _parse_int(lineno, line, fields, 1, "index j")
+        k = _parse_int(lineno, line, fields, 2, "index k")
+        for index, idx, label in ((0, i, "i"), (1, j, "j"), (2, k, "k")):
             if not 1 <= idx <= dim:
-                raise AlgebraFileError(lineno, col, f"index {label}={idx} outside 1..{dim}")
+                raise _error(lineno, line, fields, index, f"index {label}={idx} outside 1..{dim}")
         if i >= j:
-            raise AlgebraFileError(lineno, ci, f"constants must be given with i < j, got i={i}, j={j}")
+            raise _error(lineno, line, fields, 0, f"constants must be given with i < j, got i={i}, j={j}")
         if (i, j, k) in constants:
-            raise AlgebraFileError(lineno, ci, f"duplicate constant for ({i},{j},{k})")
-        constants[(i, j, k)] = _parse_fraction(tv, lineno, cv)
+            raise _error(lineno, line, fields, 0, f"duplicate constant for ({i},{j},{k})")
+        value = values.get(fields[3])
+        if value is None:
+            value = values[fields[3]] = _parse_fraction(lineno, line, fields, 3)
+        constants[(i, j, k)] = value
     if dim is None:
         raise AlgebraFileError(1, 1, "missing 'dim n' line")
     return LieAlgebra(dim=dim, c=constants, names=names)

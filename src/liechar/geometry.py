@@ -53,8 +53,10 @@ stencil and n^3 arrays.
 FrameField and LocalGroupMultiplication derive from the package's _Record,
 as Chart does: __init__ stores the fields and calls __post_init__, which
 validates the callable on the default lattice in the same blocks, with no
-lattice cap. The other records are typing.NamedTuples, so geometry does not
-import dataclasses.
+lattice cap: over CURVATURE_LATTICE_CAP points, Chart.lattice_blocks builds
+each block from its flat indices, so only one block of points is alive and
+no lattice is built whole. The other records are typing.NamedTuples, so
+geometry does not import dataclasses.
 """
 
 from __future__ import annotations
@@ -149,6 +151,18 @@ def _blocks(points: np.ndarray) -> Iterator[np.ndarray]:
     return (points[i : i + size] for i in range(0, len(points), size))
 
 
+def _default_lattice_blocks(chart: Chart, points_per_axis: int = 5) -> Iterator[np.ndarray]:
+    """chart.lattice() in blocks of at most SWEEP_BLOCK_POINTS points. Within
+    CURVATURE_LATTICE_CAP they are slices of the cached lattice, which every
+    later record on an equal chart reuses (building the blocks afresh cost a
+    small frame 25-30 us of its 30-60 us); above the cap each block is built
+    from its flat indices, so no lattice over the cap is built whole or
+    cached."""
+    if points_per_axis**chart.dim <= CURVATURE_LATTICE_CAP:
+        return _blocks(chart.lattice(points_per_axis))
+    return chart.lattice_blocks(SWEEP_BLOCK_POINTS, points_per_axis)
+
+
 class FrameField(_Record):
     """Invertible-matrix-valued map A on a chart, batched: matrix maps
     (..., n) points to (..., n, n) float arrays."""
@@ -166,7 +180,7 @@ class FrameField(_Record):
         the default lattice, evaluated a block at a time."""
         n = self.chart.dim
         worst = np.inf
-        for block in _blocks(self.chart.lattice()):
+        for block in _default_lattice_blocks(self.chart):
             values = _batched(self.matrix, (len(block), n, n), "frame matrix", block)
             if not np.isfinite(values).all():
                 raise ValueError("frame matrix is not finite on the chart lattice")
@@ -627,7 +641,7 @@ class LocalGroupMultiplication(_Record):
         if not self.chart.contains(e, margin=2 * self.chart.h):
             raise ValueError("identity must be interior to the chart")
         worst = 0.0
-        for block in _blocks(self.chart.lattice()):
+        for block in _default_lattice_blocks(self.chart):
             residual = self.identity_residual(block)
             if not np.isfinite(residual):
                 raise ValueError("multiply is not finite on the chart lattice")

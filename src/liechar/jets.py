@@ -25,7 +25,7 @@ calls __post_init__. The others are typing.NamedTuples.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -99,20 +99,38 @@ class Chart(_Record):
         """Interior sample lattice as one read-only (points_per_axis**n, n)
         array, last axis varying fastest; excludes a boundary margin of 2h.
         Built once per box, step and size, and shared (_lattice)."""
-        if points_per_axis < 2:
-            raise ValueError(f"a lattice needs at least 2 points per axis, got {points_per_axis}")
         return _lattice(tuple(self.lower), tuple(self.upper), self.h, points_per_axis)
 
+    def lattice_blocks(self, block_points: int, points_per_axis: int = 5) -> Iterator[np.ndarray]:
+        """The rows of lattice(points_per_axis), in order, as consecutive
+        blocks of at most block_points points. Each block is built from its
+        flat indices, unravelled into the axes, so no more than one block is
+        held at a time and nothing is cached."""
+        axes = _axes(tuple(self.lower), tuple(self.upper), self.h, points_per_axis)
+        shape = (points_per_axis,) * self.dim
+        total = points_per_axis**self.dim
+        for start in range(0, total, block_points):
+            index = np.unravel_index(np.arange(start, min(start + block_points, total)), shape)
+            yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
-# Every FrameField and LocalGroupMultiplication validates its chart's default
-# lattice: a borel_frame FrameField took 102 us with the lattice rebuilt and
-# 19-30 us with it cached (in-process, best of 7 x 2000). The cache lives
-# here, not on the Chart, so that equal charts share one array, and is
-# bounded so that it cannot grow with the charts a process makes.
+
+def _axes(lower: tuple[float, ...], upper: tuple[float, ...], h: float, points_per_axis: int) -> list[np.ndarray]:
+    """The points_per_axis coordinates of the lattice on each axis."""
+    if points_per_axis < 2:
+        raise ValueError(f"a lattice needs at least 2 points per axis, got {points_per_axis}")
+    margin = 2 * h
+    return [np.linspace(lo + margin, hi - margin, points_per_axis) for lo, hi in zip(lower, upper)]
+
+
+# Every FrameField and LocalGroupMultiplication within the lattice cap
+# validates its chart's default lattice: a borel_frame FrameField took 102 us
+# with the lattice rebuilt and 19-30 us with it cached (in-process, best of
+# 7 x 2000). The cache lives here, not on the Chart, so that equal charts
+# share one array, and is bounded so that it cannot grow with the charts a
+# process makes. Over the cap, validation reads lattice_blocks instead.
 @lru_cache(maxsize=32)
 def _lattice(lower: tuple[float, ...], upper: tuple[float, ...], h: float, points_per_axis: int) -> np.ndarray:
-    margin = 2 * h
-    axes = [np.linspace(lo + margin, hi - margin, points_per_axis) for lo, hi in zip(lower, upper)]
+    axes = _axes(lower, upper, h, points_per_axis)
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lower))
     points.flags.writeable = False
     return points

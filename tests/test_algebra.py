@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -132,10 +133,63 @@ def drawn_constants(draw) -> LieAlgebra:
     return lie_algebra(n, draw(st.dictionaries(st.sampled_from(keys), values, max_size=3 * n)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(st.sampled_from(CATALOG_ALGEBRAS), drawn_constants()))
+def gl_constants(m: int) -> dict[tuple[int, int, int], int]:
+    """gl_m on the matrix units E_ab = e_{(a-1)m+b}: [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
+    unit = {(a, b): (a - 1) * m + b for a in range(1, m + 1) for b in range(1, m + 1)}
+    constants: dict[tuple[int, int, int], int] = {}
+    for (a, b), i in unit.items():
+        for (c, d), j in unit.items():
+            if i < j:
+                for k, x in ((unit[a, d], int(b == c)), (unit[c, b], -int(d == a))):
+                    if x:
+                        constants[i, j, k] = constants.get((i, j, k), 0) + x
+    return {key: x for key, x in constants.items() if x}
+
+
+@st.composite
+def matrix_unit_subsets(draw) -> LieAlgebra:
+    """Some matrix units of gl_3 and some of the brackets among them: sparse,
+    up to dimension 9, often with Jacobi violations."""
+    basis = sorted(draw(st.sets(st.integers(1, 9), min_size=3)))
+    index = {e: t for t, e in enumerate(basis, 1)}
+    among = sorted((key, x) for key, x in gl_constants(3).items() if all(e in index for e in key))
+    keep = draw(st.lists(st.booleans(), min_size=len(among), max_size=len(among)))
+    return lie_algebra(len(basis), {tuple(index[e] for e in key): x for (key, x), kept in zip(among, keep) if kept})
+
+
+@st.composite
+def unipotent_bases(draw) -> LieAlgebra:
+    """A catalog algebra or gl_2, gl_3 in the basis f_i = sum_a U[a][i] e_a
+    for a seeded upper unitriangular integer U, so the constants turn dense;
+    half the draws then add 1 to one constant, which mostly breaks Jacobi."""
+    bases = [alg for alg in CATALOG_ALGEBRAS if alg.dim > 1] + [lie_algebra(m * m, gl_constants(m)) for m in (2, 3)]
+    base = draw(st.sampled_from(bases))
+    rng = Random(draw(st.integers(0, 2**32)))
+    n = base.dim
+    u = [[F(int(r == c)) if r >= c else F(rng.choice((-1, 0, 1))) for c in range(n)] for r in range(n)]
+    columns = [[u[a][i] for a in range(n)] for i in range(n)]
+    constants = {}
+    for i, j in combinations(range(n), 2):
+        image = base.bracket(columns[i], columns[j])
+        # back substitution: the coordinates x of the image, U x = image
+        x = [F(0)] * n
+        for r in reversed(range(n)):
+            x[r] = image[r] - sum(u[r][t] * x[t] for t in range(r + 1, n))
+        constants.update({(i + 1, j + 1, k + 1): x[k] for k in range(n) if x[k]})
+    if draw(st.booleans()):
+        key = rng.choice([(i, j, k) for i, j in combinations(range(1, n + 1), 2) for k in range(1, n + 1)])
+        constants[key] = constants.get(key, F(0)) + 1
+    return lie_algebra(n, constants)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(CATALOG_ALGEBRAS), drawn_constants(), matrix_unit_subsets(), unipotent_bases()))
 # one violation, (1, 3, 5, 3), and e2, e4, e6 in no bracket
 @example(lie_algebra(6, {(1, 3, 1): 1, (1, 5, 3): 1}))
+# sl2 on (X, Y, H): of the triple (1, 2, 3), [[Y, H], X] = -2H from the pair
+# (2, 3) cancels [[H, X], Y] = 2H from the pair (1, 3), whose third index 2
+# lies between, so (1, 3, 2) is odd; [[X, Y], H] = 0
+@example(lie_algebra(3, {(1, 2, 3): 1, (1, 3, 1): -2, (2, 3, 2): 2}))
 def test_sparse_jacobi_matches_the_dense_loop(alg: LieAlgebra) -> None:
     report = alg.validate()
     assert report.violations == dense_jacobi_violations(alg)

@@ -1,11 +1,15 @@
 """Text format for structure constants: parse errors carry positions."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liechar import catalog
+from liechar.algebra import LieAlgebra
 from liechar.fileformat import AlgebraFileError, parse_algebra, serialize_algebra
 
 
@@ -180,3 +184,173 @@ def test_a_two_line_file_costs_its_constants_not_its_dimension() -> None:
     assert len(g.names) == g.dim and g.names[:2] == ("e1", "e2") and g.names[-1] == "e1000000"
     assert g.names is g.names
     assert serialize_algebra(g) == "dim 1000000\n1 2 2 1\n"
+
+
+# The reader as it was written with regular expressions, kept as the oracle
+# of test_the_reader_matches_the_regex_reader: the same accepted texts, the
+# same algebras, the same errors.
+_TOKEN = re.compile(r"\S+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _regex_tokens(raw_line: str) -> list[tuple[int, str]]:
+    text = raw_line.split("#", 1)[0]
+    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(text)]
+
+
+def _regex_int(token: str, lineno: int, column: int, what: str) -> int:
+    try:
+        if _INTEGER.fullmatch(token):
+            return int(token)
+    except ValueError:
+        pass
+    raise AlgebraFileError(lineno, column, f"expected an integer {what}, got {token!r}")
+
+
+def _regex_fraction(token: str, lineno: int, column: int) -> Fraction:
+    match = _RATIONAL.fullmatch(token)
+    try:
+        if match:
+            numerator, denominator = match.groups()
+            return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise AlgebraFileError(lineno, column, f"expected an integer or fraction p/q, got {token!r}")
+
+
+def regex_parse_algebra(text: str) -> LieAlgebra:
+    dim: int | None = None
+    names: tuple[str, ...] = ()
+    constants: dict[tuple[int, int, int], Fraction] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = _regex_tokens(raw)
+        if not tokens:
+            continue
+        column, head = tokens[0]
+        if dim is None:
+            if head != "dim":
+                raise AlgebraFileError(lineno, column, f"first line must be 'dim n', got {head!r}")
+            if len(tokens) != 2:
+                raise AlgebraFileError(lineno, column, "'dim' takes exactly one value")
+            dim = _regex_int(tokens[1][1], lineno, tokens[1][0], "dimension")
+            if dim < 1:
+                raise AlgebraFileError(lineno, tokens[1][0], f"dimension must be positive, got {dim}")
+            continue
+        if head == "basis":
+            if names:
+                raise AlgebraFileError(lineno, column, "duplicate 'basis' line")
+            if constants:
+                raise AlgebraFileError(lineno, column, "'basis' must precede structure constants")
+            if len(tokens) != dim + 1:
+                raise AlgebraFileError(lineno, column, f"'basis' needs exactly {dim} labels, got {len(tokens) - 1}")
+            names = tuple(tok for _, tok in tokens[1:])
+            continue
+        if head == "dim":
+            raise AlgebraFileError(lineno, column, "duplicate 'dim' line")
+        if len(tokens) != 4:
+            raise AlgebraFileError(lineno, column, f"constant lines are 'i j k p/q' (4 fields), got {len(tokens)}")
+        (ci, ti), (cj, tj), (ck, tk), (cv, tv) = tokens
+        i = _regex_int(ti, lineno, ci, "index i")
+        j = _regex_int(tj, lineno, cj, "index j")
+        k = _regex_int(tk, lineno, ck, "index k")
+        for col, idx, label in ((ci, i, "i"), (cj, j, "j"), (ck, k, "k")):
+            if not 1 <= idx <= dim:
+                raise AlgebraFileError(lineno, col, f"index {label}={idx} outside 1..{dim}")
+        if i >= j:
+            raise AlgebraFileError(lineno, ci, f"constants must be given with i < j, got i={i}, j={j}")
+        if (i, j, k) in constants:
+            raise AlgebraFileError(lineno, ci, f"duplicate constant for ({i},{j},{k})")
+        constants[(i, j, k)] = _regex_fraction(tv, lineno, cv)
+    if dim is None:
+        raise AlgebraFileError(1, 1, "missing 'dim n' line")
+    return LieAlgebra(dim=dim, c=constants, names=names)
+
+
+def outcome(parse, text: str):
+    """The algebra parse reads from text, or its error's position and message."""
+    try:
+        return parse(text)
+    except AlgebraFileError as exc:
+        return exc.line, exc.column, str(exc)
+
+
+# the tokens the installed-script checks refuse, and more of their kind
+BAD_TOKENS = ["1e100000000", "1_0", "٣", "３", "7" * 5000, "1/" + "7" * 5000, "1/0"]
+BAD_TOKENS += ["0x3", "2.0", "+", "1/-2", "1/+2", "1/", "/2"]
+SPACE = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0"])
+
+
+def integer_token(value: int) -> st.SearchStrategy[str]:
+    """value as a token, perhaps signed or zero-padded."""
+    digits = str(abs(value))
+    signs = ["-"] if value < 0 else ["", "+"]
+    return st.sampled_from([sign + pad + digits for sign in signs for pad in ("", "0", "00")])
+
+
+def value_tokens() -> st.SearchStrategy[str]:
+    integer = st.integers(-9, 9).flatmap(integer_token)
+    # p/q with q in 0..12, the odd ones zero-padded to two digits
+    fraction = st.tuples(integer, st.integers(0, 12)).map(lambda t: f"{t[0]}/{t[1]:0{1 + t[1] % 2}d}")
+    return st.one_of(integer, fraction)
+
+
+@st.composite
+def constant_line(draw, dim: int) -> list[str]:
+    """i j k p/q, mostly with 1 <= i < j <= dim and 1 <= k <= dim."""
+    i = draw(st.integers(1, dim - 1))
+    j, k = draw(st.integers(i + 1, dim)), draw(st.integers(1, dim))
+    if draw(st.integers(0, 4)) == 0:  # out of range or descending
+        i, j, k = draw(st.permutations([i, j, draw(st.integers(-1, dim + 1))]))
+    return [draw(integer_token(x)) for x in (i, j, k)] + [draw(value_tokens())]
+
+
+@st.composite
+def algebra_texts(draw) -> str:
+    """A dim line (mostly first), then constant lines, repeated and out of
+    order ones among them, misplaced dim and basis lines, the bad tokens in
+    any field, blanks, comments, tabs, no-break spaces and CRLF."""
+    dim = draw(st.integers(2, 4))
+    constant = constant_line(dim)
+    bad = st.sampled_from(BAD_TOKENS + ["x", "dim", "basis"])
+    # a few of each kind of odd line among mostly well-formed constants
+    odd = st.one_of(
+        st.tuples(constant, st.integers(0, 3), bad).map(lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] + 1 :]),
+        st.lists(st.one_of(value_tokens(), bad), max_size=5),
+        st.tuples(st.just("dim"), st.one_of(st.integers(-1, 5).flatmap(integer_token), bad)).map(list),
+        st.lists(st.sampled_from(["x", "y", "α"]), min_size=dim - 1, max_size=dim + 1).map(lambda b: ["basis", *b]),
+        st.just([]),
+    )
+    line = st.integers(0, 9).flatmap(lambda kind: odd if kind == 0 else constant)
+    lines = []
+    for fields in draw(st.lists(line, max_size=10)):
+        text = draw(SPACE).join(fields)
+        if draw(st.booleans()):
+            text = draw(SPACE) + text
+        if draw(st.integers(0, 3)) == 0:
+            text += draw(SPACE) + "# " + draw(st.sampled_from(["note", "1 2 3 4", "dim 2"]))
+        lines.append(text)
+    if draw(st.integers(0, 19)):
+        lines.insert(0, "dim" + draw(SPACE) + draw(integer_token(dim)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(algebra_texts())
+@example("dim 3\r\nbasis a b c\r\n1 2 3 -06/4 # x\r\n\t1 3 2 +1\n2 3 1 0/7\n")
+@example("dim 3\n1\u00a0\u00a02 3 1\n1 2 3 1e100000000\n")
+@example("dim 3\n1 2 3 1\n2 3 1 1_0\n")
+@example("dim 3\n\t2 3 3 1/0\n")
+@example("dim 2\n1 2 2 1/+2\n")
+@example("dim 3\n 1  2  ٣ 1\n")
+@example("dim 3\n1 3 3 1\n 1 3 3 2\n")
+@example("dim 3\n3 1 1 1\n")
+@example("dim 3\n1 2 4 1\n")
+@example("dim 3\n1 2 3 " + "7" * 5000 + "\n")
+@example("dim 2\n1 2 2 1\nbasis a b\n")
+@example("dim 2\nbasis a b\nbasis a b\n")
+@example("# header\n\n1 2 2 1\n")
+@example("dim 2 2\n")
+@example("dim 2\ndim 2\n")
+def test_the_reader_matches_the_regex_reader(text: str) -> None:
+    assert outcome(parse_algebra, text) == outcome(regex_parse_algebra, text)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liechar import _Record, catalog, geometry, linalg, verify
+from liechar import _Record, catalog, geometry, jets, linalg, verify
 from liechar.algebra import LieAlgebra
 from liechar.forms import AlternatingForm
 from liechar.geometry import (
@@ -807,6 +807,24 @@ def test_a_dimension_7_chart_constructs_over_the_lattice_cap() -> None:
     FrameField(chart=chart, matrix=matrix)
     LocalGroupMultiplication(chart=chart, multiply=lambda a, b: a + b, identity=np.zeros(7))
     assert sum(sizes) == 5**7 and max(sizes) == geometry.SWEEP_BLOCK_POINTS
+
+
+def test_an_8_dimensional_chart_is_validated_a_block_at_a_time() -> None:
+    # 5**8 = 390,625 points: built whole, the lattice alone was 25 MB, and the
+    # frame's construction peaked at 50 MB traced with the lattice cached
+    n, points = 8, geometry.SWEEP_BLOCK_POINTS
+    chart = Chart(lower=(-1.0,) * n, upper=(1.0,) * n)
+    jets._lattice.cache_clear()
+    tracemalloc.start()
+    try:
+        FrameField(chart=chart, matrix=lambda x: np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)))
+        LocalGroupMultiplication(chart=chart, multiply=lambda a, b: a + b, identity=np.zeros(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block's frame values are points * n * n floats
+    assert peak < 2 * points * n * n * 8, peak
+    assert jets._lattice.cache_info().currsize == 0
 
 
 def test_validation_in_blocks_finds_a_fault_in_the_last_block() -> None:
