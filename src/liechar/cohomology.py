@@ -68,6 +68,28 @@ subset has weight zero. And it holds for the split, whose q is unimodular
 exactly when g is, g being q + F^c as Lie algebras. A non-unimodular algebra
 has rank d_(n-1) = 1 against rank d_0 = 0, and its whole chain is ranked.
 
+Every exact elimination stops at a rank it can prove (linalg.echelon's
+bound), as its kept rows are then a full echelon basis, the same rows as an
+unbounded run. The three bounds are theorems, not tuning values:
+- _ranked ranks d_k on the columns left after d_(k-1)'s pivots, so
+  rank d_k <= min(|C^(k+1)_0|, |C^k_0| - rank d_(k-1)), its rows and its
+  columns. In the middle degree k = n/2 - 1 of an even-dimensional
+  unimodular ranked algebra, duality gives rank d_k = rank d_(k+1), and
+  im d_k lies in ker d_(k+1) inside C^(n/2)_0, so 2 rank d_k <= |C^(n/2)_0|:
+  half the rows. That differential is the largest, and its rank often meets
+  the bound (35 of 70 rows on sl3), so the rest of its rows are never
+  reduced.
+- central_split bounds the rank of [g, g] by n, so a perfect algebra stops
+  after n of its C(n, 2) brackets, and it reduces each central vector in
+  integers against those rows and the central vectors chosen before it.
+- The class solve of a trace form on d_(k-1) stops at rank d_(k-1) + 1 kept
+  rows of [d_(k-1) | target], the rank read off the table
+  (CochainComplex.rank). That is more rows than d_(k-1) has rank, so the
+  target column leads one of them and the class is nonzero; an exact target
+  never gets there, and its primitive is the unbounded one.
+betti, is_exact and DifferentialMatrix.rank stay unbounded, as the
+reference routes.
+
 The trace-form classes (CochainComplex.trace_class) are solved on g's own
 weight-zero d_k and d_{k-1}: the ranked ones, or, past them or when the
 table came from a quotient, those two built for the class's degree. They
@@ -86,7 +108,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple
 
 from . import linalg
@@ -117,6 +139,16 @@ from .forms import AlternatingForm, trace_forms
 # its quotient sl3+sl2) 6.55 -> 5.18 s (medians of three pairs), and in the
 # latter the echelons of d_4 and d_5 take 3.5 of 4.2 s, on integer rows of
 # up to 239 bits.
+# The rank bounds (module docstring) stop an echelon only where they are
+# met: the column bound of d_k where b_k = 0, the middle one where
+# b_(n/2) = 0. Dense gl3 (dim 9, ranked as sl3) has both, and its table went
+# 15.3-16.2 -> 10.6-10.8 ms (the bench's exact_dense job, median over 30
+# seeds of the best of 24, two runs), but the cap inputs have neither:
+# dense gl3+sl2 (half-integer, b = 1 1 0 2 2 1 2 ...; its quotient sl3+sl2
+# has odd dimension) took 5.2-5.7 s before and 3.9-5.8 s after, and dense
+# sl3+aff1^2 (integer, not unimodular, every b_k > 0 from b_3 to b_10)
+# 8.3-10.8 s and 8.8-10.4 s (two runs each). Only a search for a torus,
+# which would give those bases toral vectors, can lift the cap.
 BETTI_DIM_CAP = 14
 
 
@@ -158,12 +190,16 @@ class DifferentialMatrix(NamedTuple):
         """d_k of form, in row_basis order."""
         if form.degree != self.degree:
             raise ValueError(f"form degree {form.degree} does not match d_{self.degree}")
+        # the components over their common denominator, so the sums are of ints
         vector = form.component_vector(self.col_basis)
-        image = [Fraction(0)] * len(self.row_basis)
+        denominator = lcm(*(x.denominator for x in vector))
+        numerators = [x.numerator * (denominator // x.denominator) for x in vector]
+        image = [0] * len(self.row_basis)
         for (r, c), value in self.nonzeros.items():
-            if vector[c]:
-                image[r] += value * vector[c]
-        return [x / self.scale for x in image]
+            if numerators[c]:
+                image[r] += value * numerators[c]
+        denominator *= self.scale
+        return [Fraction(x, denominator) for x in image]
 
 
 def differential_matrix(alg: LieAlgebra, k: int) -> DifferentialMatrix:
@@ -262,9 +298,13 @@ def is_exact(alg: LieAlgebra, form: AlternatingForm) -> tuple[bool, AlternatingF
     return _solve(_differential(alg, form.degree - 1), form)
 
 
-def _solve(d_prev: DifferentialMatrix | None, form: AlternatingForm) -> tuple[bool, AlternatingForm | None]:
-    """is_exact for a closed form, given d_prev = d_{degree-1} (None in degree 0);
-    a form with a component outside d_prev.row_basis raises ValueError."""
+def _solve(
+    d_prev: DifferentialMatrix | None, form: AlternatingForm, rank: int | None = None
+) -> tuple[bool, AlternatingForm | None]:
+    """is_exact for a closed form, given d_prev = d_{degree-1} (None in degree 0)
+    and, if known, its rank, which stops the solve at a nonzero class (see
+    linalg.sparse_solve); a form with a component outside d_prev.row_basis
+    raises ValueError."""
     if d_prev is None:
         zero = form.is_zero()
         return zero, (AlternatingForm(0, form.dim, {}) if zero else None)
@@ -273,7 +313,7 @@ def _solve(d_prev: DifferentialMatrix | None, form: AlternatingForm) -> tuple[bo
         raise ValueError("form has a component of nonzero weight")
     # d_prev.nonzeros holds scale * d_(k-1), so the target is scaled too
     scaled = [x * d_prev.scale for x in target]
-    solution = linalg.sparse_solve(d_prev.nonzeros, len(d_prev.col_basis), scaled)
+    solution = linalg.sparse_solve(d_prev.nonzeros, len(d_prev.col_basis), scaled, rank)
     if solution is None:
         return False, None
     primitive = AlternatingForm(
@@ -314,6 +354,15 @@ class CochainComplex(NamedTuple):
             self.alg, k, weight_zero_cochains(self.alg, k + 1), weight_zero_cochains(self.alg, k)
         )
 
+    def rank(self, k: int) -> int:
+        """Rank of alg's weight-zero d_k, -1 <= k < len(betti), read off the
+        table: r_j = |C^j_0| - b_j - r_(j-1) from r_(-1) = 0, as the other
+        weights are acyclic and the table is alg's (module docstring)."""
+        r = 0
+        for j in range(k + 1):
+            r = len(weight_zero_cochains(self.alg, j)) - self.betti[j] - r
+        return r
+
     @property
     def differentials(self) -> tuple[DifferentialMatrix, ...]:
         """alg's weight-zero d_0, ..., d_min(top, dim - 1), by differential()."""
@@ -330,7 +379,7 @@ class CochainComplex(NamedTuple):
             return STATUS_ZERO, None
         if k < self.alg.dim and any(self.differential(k).apply(form)):
             raise ValueError("exactness asked for a non-closed form")
-        exact, primitive = _solve(self.differential(k - 1) if k else None, form)
+        exact, primitive = _solve(self.differential(k - 1) if k else None, form, self.rank(k - 1))
         return (STATUS_EXACT if exact else STATUS_NONZERO_CLASS), primitive
 
 
@@ -352,14 +401,20 @@ def central_split(alg: LieAlgebra) -> tuple[LieAlgebra | None, int]:
                 equations[r * n + t, i - 1] = x
                 if i <= t:
                     brackets[(i - 1) * n + t, r] = x
-    derived = [row for _, row in linalg.echelon(brackets).values()]
+    derived = linalg.echelon(brackets, n)
     if len(derived) == n:
         return alg, 0
-    centre = linalg.kernel(equations, n)
-    # the pivot columns after [g, g]'s are the central vectors independent of
-    # [g, g] and of the central vectors before them
-    columns = [[Fraction(row.get(m, 0)) for row in derived] + [z[m] for z in centre] for m in range(n)]
-    chosen = [centre[p - len(derived)] for p in linalg.row_reduce(columns)[1] if p >= len(derived)]
+    # the central vectors independent of [g, g] and of the central vectors
+    # chosen before them: those whose integer row does not vanish when
+    # reduced against the echelon rows of both
+    chosen = []
+    for z in linalg.kernel(equations, n):
+        scale = lcm(*(x.denominator for x in z))
+        row = {m: x.numerator * (scale // x.denominator) for m, x in enumerate(z) if x}
+        lead = linalg.reduce_row(row, derived)
+        if lead is not None:
+            derived[lead] = (-1, row)
+            chosen.append(z)
     if not chosen:
         return alg, 0
     reduced, leads = linalg.row_reduce(chosen)
@@ -395,7 +450,12 @@ def _ranked(alg: LieAlgebra, top: int) -> tuple[tuple[int, ...], tuple[Different
         rows = weight_zero_cochains(alg, k + 1)
         d_k = subcomplex_differential(alg, k, rows, cochains)
         kept = {cell: value for cell, value in d_k.nonzeros.items() if cell[1] not in pivots}
-        pivots = {r for r, _ in linalg.echelon(kept).values()}
+        # rank bounds (module docstring): the rows, the columns left, and in
+        # the middle degree of an even dimension half the rows
+        bound = min(len(rows), len(cochains) - len(pivots))
+        if dual and 2 * (k + 1) == n:
+            bound = min(bound, len(rows) // 2)
+        pivots = {r for r, _ in linalg.echelon(kept, bound).values()}
         ranks.append(len(pivots))
         sizes.append(len(rows))
         differentials.append(d_k)

@@ -141,18 +141,24 @@ def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     return x
 
 
-def echelon(nonzeros: SparseMatrix) -> dict[int, tuple[int, dict[int, int]]]:
+def echelon(nonzeros: SparseMatrix, bound: int | None = None) -> dict[int, tuple[int, dict[int, int]]]:
     """Row echelon form of a sparse matrix, by fraction-free elimination.
 
     Returns {leading column: (row id, integer row {col: nonzero})}, one
     entry per kept row. The rows are cleared of denominators and inserted
-    sparsest first (ties by row id); each is reduced by its leading column
-    against the rows kept so far, row = p*row - a*pivot with p, a the two
-    leading entries over their gcd, and divided by its content. A row that
-    vanishes is dependent. So the kept rows are independent, as many as the
-    rank, and their leading columns are the pivot columns of row_reduce.
-    A row meets only the kept rows that lead at one of its columns, so a
-    block-diagonal matrix is reduced block by block without finding blocks.
+    sparsest first (ties by row id); each is reduced by reduce_row against
+    the rows kept so far. A row that vanishes is dependent. So the kept rows
+    are independent, as many as the rank, and their leading columns are the
+    pivot columns of row_reduce. A row meets only the kept rows that lead at
+    one of its columns, so a block-diagonal matrix is reduced block by block
+    without finding blocks.
+
+    bound, when given, is a rank the caller has proved the matrix cannot
+    exceed, not a tuning value: the elimination stops once it keeps bound
+    rows. Kept rows are never changed and the order does not depend on the
+    bound, so the result is the first bound rows the unbounded run keeps,
+    and equal to it when bound >= rank: then the kept rows are already a
+    full echelon basis of the row space, and every later row would vanish.
     """
     grouped: dict[int, dict[int, Fraction]] = {}
     for (r, c), value in nonzeros.items():
@@ -164,35 +170,57 @@ def echelon(nonzeros: SparseMatrix) -> dict[int, tuple[int, dict[int, int]]]:
     pending.sort(key=lambda item: item[:2])
     kept: dict[int, tuple[int, dict[int, int]]] = {}
     for _, r, row in pending:
+        if len(kept) == bound:
+            break
         lead = min(row)
-        while lead in kept:
-            pivot = kept[lead][1]
-            g = gcd(pivot[lead], row[lead])
-            p, a = pivot[lead] // g, row[lead] // g
-            if p != 1:
-                for c in row:
-                    row[c] *= p
-            for c, x in pivot.items():
-                value = row.get(c, 0) - a * x
-                if value:
-                    row[c] = value
-                else:
-                    del row[c]
-            if not row:
-                break
-            content = gcd(*row.values())
-            if content != 1:
-                for c in row:
-                    row[c] //= content
-            lead = min(row)
-        else:  # the row did not vanish
-            kept[lead] = (r, row)
+        if lead in kept:
+            lead = reduce_row(row, kept)
+            if lead is None:
+                continue
+        kept[lead] = (r, row)
     return kept
 
 
-def sparse_solve(nonzeros: SparseMatrix, cols: int, b: list[Fraction]) -> list[Fraction] | None:
+def reduce_row(row: dict[int, int], kept: dict[int, tuple[int, dict[int, int]]]) -> int | None:
+    """Reduce the integer row {col: nonzero} in place by its leading column
+    against the echelon rows of kept, row = p*row - a*pivot with p, a the two
+    leading entries over their gcd, then divided by its content, until no
+    kept row leads where it does. Returns its leading column, or None when it
+    vanished, that is when it lies in the span of kept's rows."""
+    lead = min(row, default=None)
+    while lead in kept:
+        pivot = kept[lead][1]
+        g = gcd(pivot[lead], row[lead])
+        p, a = pivot[lead] // g, row[lead] // g
+        if p != 1:
+            for c in row:
+                row[c] *= p
+        for c, x in pivot.items():
+            value = row.get(c, 0) - a * x
+            if value:
+                row[c] = value
+            else:
+                del row[c]
+        if not row:
+            return None
+        content = gcd(*row.values())
+        if content != 1:
+            for c in row:
+                row[c] //= content
+        lead = min(row)
+    return lead
+
+
+def sparse_solve(
+    nonzeros: SparseMatrix, cols: int, b: list[Fraction], rank: int | None = None
+) -> list[Fraction] | None:
     """solve() on a sparse matrix with cols columns, from the echelon form of
     [A | b], b as column cols; None if a kept row leads there.
+
+    rank, when given, is the rank of A, and the elimination of [A | b] stops
+    at rank + 1 kept rows: b is then outside the image, so column cols leads
+    one of them. A consistent b never gets there, and its echelon and
+    solution are those of the unbounded run.
 
     The leading columns of any echelon basis of a row space are its reduced
     row echelon pivots, so back-substitution with the free columns at 0
@@ -200,7 +228,7 @@ def sparse_solve(nonzeros: SparseMatrix, cols: int, b: list[Fraction]) -> list[F
     """
     augmented = dict(nonzeros)
     augmented.update({(r, cols): value for r, value in enumerate(b) if value})
-    kept = echelon(augmented)
+    kept = echelon(augmented, None if rank is None else rank + 1)
     if cols in kept:
         return None
     x = [Fraction(0)] * cols

@@ -477,6 +477,55 @@ def test_poincare_duality_of_unimodular_dense_bases(name) -> None:
         assert_duality_shortcut_equals_the_full_route(dense)
 
 
+EVEN_UNIMODULAR = ["abelian(2)", "abelian(4)", "abelian(6)", "gl2", "sl3", "sl2_sl2"]
+
+
+def test_the_even_unimodular_inputs_are_all_of_them() -> None:
+    # every even-dimensional unimodular catalog algebra and bench input
+    found = sorted(name for name, g in ALGEBRAS_UP_TO_DIM_10.items() if g.dim % 2 == 0 and g.is_unimodular())
+    assert found == sorted(EVEN_UNIMODULAR)
+
+
+@pytest.mark.parametrize("name", EVEN_UNIMODULAR)
+def test_bounded_tables_of_even_unimodular_dense_bases_equal_the_full_ranks(name) -> None:
+    # the middle d_(n/2 - 1) stops at half its rows, on the algebra itself
+    # or on its quotient by the split centre
+    g = ALGEBRAS_UP_TO_DIM_10[name]
+    for seed in range(2):
+        dense = change_basis(g, seeded_unipotent(g.dim, seed))
+        assert betti_table(dense) == full_rank_table(dense)
+
+
+def test_the_middle_echelon_of_dense_sl3_stops_at_half_its_rows(monkeypatch) -> None:
+    # rank d_3 = rank d_4 on sl3 (dim 8) and im d_3 lies in ker d_4, so
+    # 2 rank d_3 <= |C^4| = 70; rank d_3 is 35, so the bound is reached and
+    # the elimination stops at its 35th kept row, before its last rows
+    g = change_basis(bench_input("sl3"), seeded_unipotent(8, 0))
+    calls = []
+
+    def recording(nonzeros, bound=None):
+        kept = echelon(nonzeros, bound)
+        calls.append((len({r for r, _ in nonzeros}), bound, len(kept)))
+        return kept
+
+    echelon = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", recording)
+    assert betti_table(g) == [1, 0, 0, 1, 0, 1, 0, 0, 1]
+    # (rows, bound, kept rows): [g, g] stops at n = 8 rows, as sl3 is
+    # perfect; d_0 = 0 has no rows; then d_1 and d_2 stop at the columns left
+    # and d_3 at half its rows
+    assert calls == [(28, 8, 8), (0, 1, 0), (28, 8, 8), (56, 20, 20), (70, 35, 35)]
+
+
+@pytest.mark.parametrize("name", ["gl2", "sl2_sl2", "b3", "heisenberg3", "sl2_plus_abelian2"])
+def test_ranks_read_off_the_table_equal_the_ranks_of_the_differentials(name) -> None:
+    g = ALGEBRAS_UP_TO_DIM_10[name]
+    for alg in (g, change_basis(g, seeded_unipotent(g.dim, 1))):
+        complex_ = cochain_complex(alg)
+        assert complex_.rank(-1) == 0
+        assert [complex_.rank(k) for k in range(alg.dim)] == [d.rank() for d in complex_.differentials]
+
+
 def test_upper_differentials_are_built_on_demand() -> None:
     # past the ranked d_0, ..., d_((n - 1) // 2) of a unimodular algebra,
     # differential(k) builds the weight-zero d_k afresh
@@ -640,6 +689,59 @@ def test_central_split_of_abelian_and_reductive_dense_bases() -> None:
     assert betti_table(quotient) == betti_table(bench_input("sl3"))
 
 
+def fraction_central_split(alg: LieAlgebra) -> tuple[LieAlgebra | None, int]:
+    """central_split as it chose the central vectors before the integer
+    reduction: the pivot columns past [g, g]'s of a Fraction row_reduce of
+    the n x (d + c) matrix whose columns are the echelon rows of [g, g] and
+    the kernel vectors of the centre equations."""
+    n = alg.dim
+    equations: dict[tuple[int, int], int] = {}
+    brackets: dict[tuple[int, int], int] = {}
+    for i, rows in alg.sparse_ad[1].items():
+        for r, row in rows.items():
+            for t, x in row:
+                equations[r * n + t, i - 1] = x
+                if i <= t:
+                    brackets[(i - 1) * n + t, r] = x
+    derived = [row for _, row in linalg.echelon(brackets).values()]
+    if len(derived) == n:
+        return alg, 0
+    centre = linalg.kernel(equations, n)
+    columns = [[Fraction(row.get(m, 0)) for row in derived] + [z[m] for z in centre] for m in range(n)]
+    chosen = [centre[p - len(derived)] for p in linalg.row_reduce(columns)[1] if p >= len(derived)]
+    if not chosen:
+        return alg, 0
+    reduced, leads = linalg.row_reduce(chosen)
+    if len(leads) == n:
+        return None, n
+    index = {m + 1: pos for pos, m in enumerate(sorted(set(range(n)) - set(leads)), 1)}
+    rewrite = {lead + 1: [(index[t], -z[t - 1]) for t in index if z[t - 1]] for z, lead in zip(reduced, leads)}
+    constants: dict[tuple[int, int, int], Fraction] = {}
+    for (i, j, k), value in alg.c.items():
+        if i in index and j in index:
+            for m, coeff in rewrite[k] if k in rewrite else ((index[k], 1),):
+                key = (index[i], index[j], m)
+                constants[key] = constants.get(key, 0) + value * coeff
+    return LieAlgebra(dim=len(index), c=constants), len(leads)
+
+
+@pytest.mark.parametrize(
+    "name, split",
+    [("gl2", 1), ("gl3", 1), ("b4_C3", 4), ("sl2_plus_abelian2", 2), ("heisenberg3", 0), ("abelian(4)", 4), ("sl2_sl2", 0)],
+)
+def test_central_split_chooses_the_central_vectors_of_the_fraction_route(name, split) -> None:
+    # the integer reduction against [g, g]'s echelon rows keeps the same
+    # central vectors, so the same quotient q; heisenberg3's centre lies in
+    # [g, g] and sl2 + sl2 is perfect, so neither splits
+    g = CATALOG_ALGEBRAS.get(name) or bench_input(name)
+    for seed in range(3):
+        dense = change_basis(g, seeded_unipotent(g.dim, seed))
+        assert not dense.toral_weights
+        quotient, c = central_split(dense)
+        assert (quotient, c) == fraction_central_split(dense)
+        assert c == split
+
+
 def test_dense_betti_table_of_b4_plus_abelian3_equals_its_poincare_table() -> None:
     # the split centre is b4's identity and C^3, so 4 of the 13 dimensions
     g = bench_input("b4_C3")
@@ -763,16 +865,19 @@ def weight_zero_coboundary(g: LieAlgebra, d_prev: cohomology.DifferentialMatrix,
 
 def assert_weight_zero_solves_equal_the_full_route(g: LieAlgebra) -> None:
     """The weight-zero solve of each nonzero trace form and of a weight-zero
-    coboundary in every degree gives is_exact's status and primitive."""
-    differentials = cochain_complex(g).differentials
+    coboundary in every degree gives is_exact's status and primitive, both
+    unbounded and stopped at the rank of d_(k-1) read off the table."""
+    complex_ = cochain_complex(g)
+    differentials = complex_.differentials
     for k in range(1, g.dim + 1):
         d_prev = differentials[k - 1]
         for form in (trace_form(g, k), weight_zero_coboundary(g, d_prev, seed=k)):
             if form.is_zero():
                 continue
-            ok, primitive = cohomology._solve(d_prev, form)
             expected_ok, expected = is_exact(g, form)
-            assert (ok, primitive and primitive.components) == (expected_ok, expected and expected.components), k
+            for rank in (None, complex_.rank(k - 1)):
+                ok, primitive = cohomology._solve(d_prev, form, rank)
+                assert (ok, primitive and primitive.components) == (expected_ok, expected and expected.components), k
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS_UP_TO_DIM_10))

@@ -166,6 +166,23 @@ def test_echelon_rank_pivots_and_rows_match_dense_routes(matrix) -> None:
 
 
 @settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.integers(0, 8))
+@example((4, 5, {(1, 3): F(1), (3, 0): F(2)}), 1)  # stops before the second block
+@example((3, 3, {(0, 0): F(1), (1, 0): F(2), (2, 1): F(1)}), 2)  # bound = rank, one dependent row left
+@example((2, 2, {(0, 0): F(1), (1, 1): F(1)}), 0)
+def test_a_bounded_echelon_is_the_start_of_the_unbounded_one(matrix, bound) -> None:
+    # at a bound >= rank the same echelon; below it, the first bound rows
+    # that the unbounded run keeps, in the same order and with the same entries
+    _, _, nonzeros = matrix
+    full = linalg.echelon(nonzeros)
+    bounded = linalg.echelon(nonzeros, bound)
+    if bound >= len(full):
+        assert bounded == full
+    else:
+        assert list(bounded.items()) == list(full.items())[:bound]
+
+
+@settings(max_examples=300, deadline=None)
 @given(sparse_matrices().filter(lambda m: m[0] > 0), st.data())
 @example((4, 5, {(1, 3): F(1), (3, 0): F(2)}), None)
 def test_sparse_solve_equals_dense_solve(matrix, data) -> None:
@@ -178,7 +195,11 @@ def test_sparse_solve_equals_dense_solve(matrix, data) -> None:
         b = linalg.mat_vec(_dense(rows, cols, nonzeros), x) if cols else [F(0)] * rows
     else:
         b = data.draw(st.lists(st.integers(-2, 2).map(F), min_size=rows, max_size=rows))
-    assert linalg.sparse_solve(nonzeros, cols, b) == linalg.solve(_dense(rows, cols, nonzeros), b)
+    dense = _dense(rows, cols, nonzeros)
+    expected = linalg.solve(dense, b)
+    assert linalg.sparse_solve(nonzeros, cols, b) == expected
+    # stopped at rank + 1 kept rows: None exactly when b is outside the image
+    assert linalg.sparse_solve(nonzeros, cols, b, linalg.rank(dense)) == expected
 
 
 def test_sparse_solve_known_systems() -> None:
