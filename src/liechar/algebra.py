@@ -13,7 +13,6 @@ from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -225,10 +224,11 @@ class LieAlgebra(_Record):
         constants' denominators. Built once per algebra and shared by
         validate, sparse_ad and the cochain differentials, so callers must
         not change it; == and repr ignore it."""
-        scale = lcm(*(value.denominator for value in self.c.values()))
+        keys = sorted(self.c)
+        scale, values = linalg.cleared([self.c[key] for key in keys])
         rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (i, j, k), value in sorted(self.c.items()):
-            rows.setdefault((i, j), []).append((k, value.numerator * (scale // value.denominator)))
+        for (i, j, k), value in zip(keys, values):
+            rows.setdefault((i, j), []).append((k, value))
         return scale, {pair: tuple(row) for pair, row in rows.items()}
 
     def validate(self) -> ValidationReport:

@@ -179,8 +179,7 @@ def _analyze_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dic
 
 
 def _forms_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> dict:
-    from .cohomology import cochain_basis
-    from .forms import trace_form
+    from .forms import cochain_basis, trace_form
 
     form = trace_form(alg, args.degree)
     components = {_subset_key(subset): str(value) for subset, value in sorted(form.components.items())}

@@ -15,6 +15,9 @@ the integer cells as they stand; entries and apply divide by s, and the
 solve of a primitive scales its target by s, so every rank, Betti number
 and primitive is that of d_k itself. Tests certify every rank against both
 dense elimination routes and every primitive against a dense solve.
+Every sparse matrix this module eliminates has integer cells, read off
+scaled_brackets; a form in apply and a central vector become integers
+through linalg.cleared, and a solve's target inside sparse_solve.
 
 cochain_complex ranks only the subcomplex of cochains of joint weight zero
 under the toral basis vectors, those e_i whose ad is diagonal in the given
@@ -108,12 +111,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import NamedTuple
 
 from . import linalg
 from .algebra import LieAlgebra
-from .forms import AlternatingForm, trace_forms
+from .forms import AlternatingForm, cochain_basis, trace_forms
 
 # Betti tables, in-process on a 2-vCPU shared host (Python 3.11.7, best of
 # 3). In matrix-unit bases, on the weight-zero subcomplex, with integer
@@ -152,11 +155,6 @@ from .forms import AlternatingForm, trace_forms
 BETTI_DIM_CAP = 14
 
 
-def cochain_basis(dim: int, k: int) -> list[tuple[int, ...]]:
-    """Lexicographic k-subsets of {1..dim}: the basis of degree-k cochains."""
-    return list(combinations(range(1, dim + 1), k))
-
-
 class DifferentialMatrix(NamedTuple):
     """Matrix of d_k: degree-k cochains to degree-(k+1) cochains, held in
     integers as scale * d_k.
@@ -191,9 +189,7 @@ class DifferentialMatrix(NamedTuple):
         if form.degree != self.degree:
             raise ValueError(f"form degree {form.degree} does not match d_{self.degree}")
         # the components over their common denominator, so the sums are of ints
-        vector = form.component_vector(self.col_basis)
-        denominator = lcm(*(x.denominator for x in vector))
-        numerators = [x.numerator * (denominator // x.denominator) for x in vector]
+        denominator, numerators = linalg.cleared(form.component_vector(self.col_basis))
         image = [0] * len(self.row_basis)
         for (r, c), value in self.nonzeros.items():
             if numerators[c]:
@@ -409,8 +405,7 @@ def central_split(alg: LieAlgebra) -> tuple[LieAlgebra | None, int]:
     # reduced against the echelon rows of both
     chosen = []
     for z in linalg.kernel(equations, n):
-        scale = lcm(*(x.denominator for x in z))
-        row = {m: x.numerator * (scale // x.denominator) for m, x in enumerate(z) if x}
+        row = {m: x for m, x in enumerate(linalg.cleared(z)[1]) if x}
         lead = linalg.reduce_row(row, derived)
         if lead is not None:
             derived[lead] = (-1, row)

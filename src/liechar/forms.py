@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from itertools import combinations
 
 from . import _Record, linalg
 from .algebra import LieAlgebra, Vector
@@ -33,6 +34,12 @@ def permutation_sign(perm: tuple[int, ...]) -> int:
             if perm[a] > perm[b]:
                 sign = -sign
     return sign
+
+
+def cochain_basis(dim: int, k: int) -> list[tuple[int, ...]]:
+    """Lexicographic k-subsets of {1..dim}: the basis of degree-k cochains,
+    the index subsets of an AlternatingForm's components."""
+    return list(combinations(range(1, dim + 1), k))
 
 
 class AlternatingForm(_Record):

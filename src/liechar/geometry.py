@@ -633,9 +633,13 @@ class LocalGroupMultiplication(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Keep a read-only copy of e and refuse m unless e is interior and
-        the identity laws hold on the default lattice, a block at a time."""
+        """Keep a read-only copy of e and refuse m unless e is one point of
+        the chart, interior, and the identity laws hold on the default
+        lattice, a block at a time."""
         e = np.array(self.identity, dtype=float)  # a copy, so freezing it leaves the caller's array writable
+        if e.shape != (self.chart.dim,):
+            # a shape that broadcasts against the lattice would pass the laws below
+            raise ValueError(f"identity has shape {e.shape}, not ({self.chart.dim},) as the chart's points")
         e.flags.writeable = False
         object.__setattr__(self, "identity", e)
         if not self.chart.contains(e, margin=2 * self.chart.h):
@@ -695,12 +699,13 @@ def log_det_ad_primitive_check(mult: LocalGroupMultiplication, points_per_axis: 
 
     Two independent routes on each block's stencil of A = L, the
     left-translation Jacobian, read from mult.left_jacobian and not checked
-    as a FrameField (that would evaluate the whole default lattice at once):
-    w from Gamma, which inverts L at the lattice points only, and central
-    differences of -log |det Ad_e| = log |det L| - log |det R| with
-    Ad_e = L^{-1} R, which read L at x +- h e_k from the same stencil and
-    invert nothing. Refuses a lattice point or neighbour where L is
-    singular. Returns (residual, local magnitude scale).
+    as a FrameField (that would also validate L on the chart's default
+    lattice, a pass whose values this check never reads): w from Gamma,
+    which inverts L at the lattice points only, and central differences of
+    -log |det Ad_e| = log |det L| - log |det R| with Ad_e = L^{-1} R, which
+    read L at x +- h e_k from the same stencil and invert nothing. Refuses a
+    lattice point or neighbour where L is singular. Returns (residual, local
+    magnitude scale).
     """
 
     def minus_log_det_ad(y: np.ndarray, left: np.ndarray) -> np.ndarray:

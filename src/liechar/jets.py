@@ -42,7 +42,8 @@ class Chart(_Record):
     """Axis-aligned coordinate box with a finite-difference step.
 
     Attributes:
-        lower, upper: box corners, length-n tuples with lower < upper.
+        lower, upper: box corners, length-n tuples of finite floats with
+            lower < upper.
         h: central-difference step; must be at most a tenth of the
             shortest box side so that stencils stay meaningful, and must
             change every corner coordinate when added or subtracted.
@@ -61,6 +62,10 @@ class Chart(_Record):
     def __post_init__(self) -> None:
         if len(self.lower) != len(self.upper):
             raise ValueError("corner dimensions differ")
+        # a NaN side passes or fails min() by its place, and an infinite
+        # corner has no lattice, so both are refused before the sides
+        if not np.isfinite(self.lower + self.upper).all():
+            raise ValueError(f"chart corners must be finite, got lower={self.lower!r}, upper={self.upper!r}")
         sides = [hi - lo for lo, hi in zip(self.lower, self.upper)]
         if min(sides) <= 0:
             raise ValueError("box must be nonempty")

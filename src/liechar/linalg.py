@@ -4,9 +4,11 @@ Matrices are lists of lists of Fraction. Two independent rank routes are
 kept on purpose: plain fraction elimination and fraction-free (Bareiss)
 elimination over cleared integers. Callers that certify results run both.
 
-A sparse matrix is a map {(row, col): nonzero value}. echelon reduces it
-by fraction-free integer elimination on its nonzero cells only, and
-sparse_solve back-substitutes in that echelon form.
+A sparse matrix is a map {(row, col): nonzero int}. echelon reduces it by
+fraction-free integer elimination on its nonzero cells only, and kernel and
+sparse_solve back-substitute in that echelon form. cleared is the one place
+a rational sequence becomes integers: callers clear a rational row before
+it enters a sparse matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
-SparseMatrix = dict[tuple[int, int], Fraction]
+SparseMatrix = dict[tuple[int, int], int]
+
+
+def cleared(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d * x for x in values]) for the lcm d of the denominators (1 for
+    no values)."""
+    scale = lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -103,10 +112,7 @@ def rank_fraction_free(matrix: Matrix) -> int:
     """
     if not matrix or not matrix[0]:
         return 0
-    m: list[list[int]] = []
-    for row in matrix:
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        m.append([x.numerator * (scale // x.denominator) for x in row])
+    m = [cleared(row)[1] for row in matrix]
     rows, cols = len(m), len(m[0])
     r = 0
     prev = 1
@@ -145,13 +151,12 @@ def echelon(nonzeros: SparseMatrix, bound: int | None = None) -> dict[int, tuple
     """Row echelon form of a sparse matrix, by fraction-free elimination.
 
     Returns {leading column: (row id, integer row {col: nonzero})}, one
-    entry per kept row. The rows are cleared of denominators and inserted
-    sparsest first (ties by row id); each is reduced by reduce_row against
-    the rows kept so far. A row that vanishes is dependent. So the kept rows
-    are independent, as many as the rank, and their leading columns are the
-    pivot columns of row_reduce. A row meets only the kept rows that lead at
-    one of its columns, so a block-diagonal matrix is reduced block by block
-    without finding blocks.
+    entry per kept row. The rows are inserted sparsest first (ties by row
+    id); each is reduced by reduce_row against the rows kept so far. A row
+    that vanishes is dependent. So the kept rows are independent, as many as
+    the rank, and their leading columns are the pivot columns of row_reduce.
+    A row meets only the kept rows that lead at one of its columns, so a
+    block-diagonal matrix is reduced block by block without finding blocks.
 
     bound, when given, is a rank the caller has proved the matrix cannot
     exceed, not a tuning value: the elimination stops once it keeps bound
@@ -160,16 +165,11 @@ def echelon(nonzeros: SparseMatrix, bound: int | None = None) -> dict[int, tuple
     and equal to it when bound >= rank: then the kept rows are already a
     full echelon basis of the row space, and every later row would vanish.
     """
-    grouped: dict[int, dict[int, Fraction]] = {}
+    grouped: dict[int, dict[int, int]] = {}
     for (r, c), value in nonzeros.items():
         grouped.setdefault(r, {})[c] = value
-    pending = []
-    for r, cells in grouped.items():
-        scale = lcm(*(x.denominator for x in cells.values()))
-        pending.append((len(cells), r, {c: x.numerator * (scale // x.denominator) for c, x in cells.items()}))
-    pending.sort(key=lambda item: item[:2])
     kept: dict[int, tuple[int, dict[int, int]]] = {}
-    for _, r, row in pending:
+    for r, row in sorted(grouped.items(), key=lambda item: (len(item[1]), item[0])):
         if len(kept) == bound:
             break
         lead = min(row)
@@ -215,44 +215,44 @@ def sparse_solve(
     nonzeros: SparseMatrix, cols: int, b: list[Fraction], rank: int | None = None
 ) -> list[Fraction] | None:
     """solve() on a sparse matrix with cols columns, from the echelon form of
-    [A | b], b as column cols; None if a kept row leads there.
+    [A | d b], d b = cleared(b) as column cols; None if a kept row leads
+    there. Its null vector that is -1 at column cols is (d x, -1).
 
-    rank, when given, is the rank of A, and the elimination of [A | b] stops
-    at rank + 1 kept rows: b is then outside the image, so column cols leads
-    one of them. A consistent b never gets there, and its echelon and
-    solution are those of the unbounded run.
+    rank, when given, is the rank of A, and the elimination stops at rank + 1
+    kept rows: b is then outside the image, so column cols leads one of
+    them. A consistent b never gets there, and its echelon and solution are
+    those of the unbounded run.
 
     The leading columns of any echelon basis of a row space are its reduced
     row echelon pivots, so back-substitution with the free columns at 0
     gives exactly the solution of solve() on the dense matrix.
     """
+    scale, target = cleared(b)
     augmented = dict(nonzeros)
-    augmented.update({(r, cols): value for r, value in enumerate(b) if value})
+    augmented.update({(r, cols): value for r, value in enumerate(target) if value})
     kept = echelon(augmented, None if rank is None else rank + 1)
     if cols in kept:
         return None
-    x = [Fraction(0)] * cols
-    for lead in sorted(kept, reverse=True):
-        row = kept[lead][1]
-        rest = sum(value * x[c] for c, value in row.items() if lead < c < cols)
-        x[lead] = Fraction(row.get(cols, 0) - rest) / row[lead]
-    return x
+    x = _back_substitute(kept, [Fraction(0)] * cols + [Fraction(-1)])
+    return [value / scale for value in x[:cols]]
 
 
 def kernel(nonzeros: SparseMatrix, cols: int) -> list[list[Fraction]]:
     """Null space of a sparse matrix with cols columns, one vector per column
     f that leads no echelon row: x_f = 1, the other such columns 0, and the
-    leading columns back-substituted as in sparse_solve."""
+    leading columns back-substituted."""
     kept = echelon(nonzeros)
-    basis = []
-    for free in (c for c in range(cols) if c not in kept):
-        x = [Fraction(0)] * cols
-        x[free] = Fraction(1)
-        for lead in sorted(kept, reverse=True):
-            row = kept[lead][1]
-            x[lead] = -sum((value * x[c] for c, value in row.items() if c > lead), Fraction(0)) / row[lead]
-        basis.append(x)
-    return basis
+    units = ([Fraction(int(c == free)) for c in range(cols)] for free in range(cols) if free not in kept)
+    return [_back_substitute(kept, x) for x in units]
+
+
+def _back_substitute(kept: dict[int, tuple[int, dict[int, int]]], x: list[Fraction]) -> list[Fraction]:
+    """Set x at the leading columns of the echelon rows kept, last first, so
+    that every row vanishes on x; the other entries are the caller's."""
+    for lead in sorted(kept, reverse=True):
+        row = kept[lead][1]
+        x[lead] = -sum((value * x[c] for c, value in row.items() if c > lead), Fraction(0)) / row[lead]
+    return x
 
 
 def determinant(a: Matrix) -> Fraction:

@@ -397,3 +397,17 @@ def test_semisimple_matches_killing_nondegeneracy() -> None:
         g = entry.payload
         p, n, z = linalg.symmetric_signature(g.killing())
         assert g.is_semisimple() == (z == 0), entry.name
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: LieAlgebra(dim=0, c={}), "dimension must be >= 1"),
+        (lambda: lie_algebra(3).bracket([Fraction(1)] * 2, [Fraction(1)] * 3), "vector length must match"),
+        (lambda: lie_algebra(3).bracket([Fraction(1)] * 3, [Fraction(1)] * 4), "vector length must match"),
+        (lambda: lie_algebra(3).ad([Fraction(1)] * 2), "vector length must match"),
+    ],
+)
+def test_algebra_refusals(build, match) -> None:
+    with pytest.raises(ValueError, match=match):
+        build()

@@ -139,3 +139,16 @@ def test_multiplication_identity_is_a_read_only_copy() -> None:
     assert own.flags.writeable and not mult.identity.flags.writeable
     own[0] = 2.0
     assert np.array_equal(mult.identity, [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "name, kind, match",
+    [
+        ("sl2", "bogus", "unknown catalog kind 'bogus'"),
+        ("sl2", "", "unknown catalog kind ''"),
+        ("frame:sl2", "Algebra", "unknown catalog kind 'Algebra'"),
+    ],
+)
+def test_get_refuses_an_unknown_kind(name, kind, match) -> None:
+    with pytest.raises(KeyError, match=match):
+        catalog.get(name, kind=kind)

@@ -128,6 +128,15 @@ def test_analyze_max_degree_limits_trace_forms(capsys, monkeypatch) -> None:
     assert tops == [1, 3]
 
 
+def test_analyze_max_degree_zero_reports_no_class(capsys) -> None:
+    # no odd degree up to 0, so no trace form is built
+    code, out, err = invoke(capsys, "analyze", "catalog:sl2", "--max-degree", "0")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["betti"] == [1]
+    assert report["classes"] == {}
+
+
 def test_analyze_negative_max_degree_exits_two(capsys) -> None:
     code, out, err = invoke(capsys, "analyze", "catalog:sl2", "--max-degree", "-1")
     assert code == 2
@@ -627,6 +636,19 @@ def test_verify_single_suite(capsys) -> None:
     assert code == 0
     assert "PASS algebra.jacobi_all_catalog" in out
     assert out.strip().endswith("passed, 0 failed")
+
+
+def test_verify_reports_a_failing_check_and_exits_one(capsys, monkeypatch) -> None:
+    from liechar import verify
+
+    def failing() -> None:
+        raise AssertionError("residual 1 over tolerance 0")
+
+    monkeypatch.setitem(verify.SUITES, "broken", lambda: [("always", failing)])
+    code, out, err = invoke(capsys, "verify", "--suite", "broken")
+    assert code == 1
+    assert out == "FAIL broken.always: residual 1 over tolerance 0\n0 passed, 1 failed\n"
+    assert err == ""
 
 
 def test_verify_rejects_unknown_suite(capsys) -> None:

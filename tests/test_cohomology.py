@@ -1098,3 +1098,37 @@ def test_primitives_of_scaled_coboundaries_solve_the_fraction_build(g, seed) -> 
         x = primitive.component_vector(d_prev.col_basis)
         assert linalg.mat_vec(dense, x) == form.component_vector(d_prev.row_basis), k
         assert x == linalg.solve(dense, form.component_vector(d_prev.row_basis)), k
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (
+            lambda: differential_matrix(CATALOG_ALGEBRAS["sl2"], 1).apply(AlternatingForm(2, 3, {})),
+            r"form degree 2 does not match d_1",
+        ),
+        (lambda: differential_matrix(CATALOG_ALGEBRAS["sl2"], 4), r"degree 4 outside \[0, 3\]"),
+        (lambda: differential_matrix(CATALOG_ALGEBRAS["sl2"], -1), r"degree -1 outside \[0, 3\]"),
+        (lambda: betti(CATALOG_ALGEBRAS["sl2"], 4), r"degree 4 outside \[0, 3\]"),
+        (lambda: betti(CATALOG_ALGEBRAS["sl2"], -1), r"degree -1 outside \[0, 3\]"),
+        (
+            lambda: is_closed(CATALOG_ALGEBRAS["sl2"], AlternatingForm(1, 4, {(4,): Fraction(1)})),
+            "form dimension does not match the algebra",
+        ),
+        (
+            # d of e^1 on so3 is a nonzero 2-form
+            lambda: cochain_complex(CATALOG_ALGEBRAS["so3"]).trace_class(AlternatingForm(1, 3, {(1,): Fraction(1)})),
+            "exactness asked for a non-closed form",
+        ),
+    ],
+)
+def test_cohomology_refusals(call, match) -> None:
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_a_zero_form_is_exact_exactly_when_it_vanishes() -> None:
+    # d_(-1) is the zero map into C^0, so its image is {0}
+    g = CATALOG_ALGEBRAS["sl2"]
+    assert is_exact(g, AlternatingForm(0, 3, {})) == (True, AlternatingForm(0, 3, {}))
+    assert is_exact(g, AlternatingForm(0, 3, {(): Fraction(2)})) == (False, None)

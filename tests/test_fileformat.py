@@ -354,3 +354,18 @@ def algebra_texts(draw) -> str:
 @example("dim 2\ndim 2\n")
 def test_the_reader_matches_the_regex_reader(text: str) -> None:
     assert outcome(parse_algebra, text) == outcome(regex_parse_algebra, text)
+
+
+@pytest.mark.parametrize(
+    "text, line, column, match",
+    [
+        # 5,001 digits: past the interpreter's limit on integer digits, so
+        # int() raises and the reader reports the token as no integer
+        ("dim 1" + "0" * 5000 + "\n", 1, 5, "expected an integer"),
+        ("dim 2\n1 2 1" + "0" * 5000 + " 1\n", 2, 5, "expected an integer"),
+    ],
+)
+def test_reader_refusals_name_their_line_and_column(text, line, column, match) -> None:
+    with pytest.raises(AlgebraFileError, match=match) as exc:
+        parse_algebra(text)
+    assert (exc.value.line, exc.value.column) == (line, column)

@@ -369,3 +369,25 @@ def test_alternating_form_refuses_float_components() -> None:
         AlternatingForm(2, 2, {(1, 2): 1.0})
     form = AlternatingForm(1, 2, {(1,): 1, (2,): Fraction(1, 10)})
     assert form.components == {(1,): Fraction(1), (2,): Fraction(1, 10)}
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: AlternatingForm(4, 3, {}), r"degree must lie in \[0, dim\]"),
+        (lambda: AlternatingForm(-1, 3, {}), r"degree must lie in \[0, dim\]"),
+        (lambda: AlternatingForm(2, 3, {(1,): Fraction(1)}), r"subset \(1,\) has wrong size for degree 2"),
+        (lambda: AlternatingForm(2, 3, {(2, 1): Fraction(1)}), r"subset \(2, 1\) must be strictly increasing"),
+        (lambda: AlternatingForm(2, 3, {(1, 1): Fraction(1)}), r"subset \(1, 1\) must be strictly increasing"),
+        (lambda: AlternatingForm(2, 3, {(0, 1): Fraction(1)}), r"subset \(0, 1\) out of range"),
+        (lambda: AlternatingForm(2, 3, {(2, 4): Fraction(1)}), r"subset \(2, 4\) out of range"),
+        (lambda: AlternatingForm(2, 3, {(1, 2): Fraction(1)}).evaluate([Fraction(1)] * 3), "expected 2 vectors, got 1"),
+        (
+            lambda: AlternatingForm(2, 3, {(1, 2): Fraction(1)}).evaluate([Fraction(1)] * 3, [Fraction(1)] * 2),
+            "vector length must match the form dimension",
+        ),
+    ],
+)
+def test_alternating_form_refusals(build, match) -> None:
+    with pytest.raises(ValueError, match=match):
+        build()

@@ -1,5 +1,7 @@
 """Connections, curvatures, and local group data from frame fields."""
 
+import operator
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -162,6 +164,15 @@ def test_frame_rejects_a_matrix_that_is_nan_on_part_of_the_lattice() -> None:
 
     with pytest.raises(ValueError, match="frame matrix is not finite on the chart lattice"):
         FrameField(chart=Chart(lower=(-0.5, -1.0), upper=(1.5, 1.0)), matrix=matrix)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 2)])
+def test_multiplication_refuses_an_identity_of_the_wrong_shape(shape) -> None:
+    # (1,) broadcasts against the lattice, so the identity laws alone let it
+    # through and ad_e then failed inside numpy; (3,) and (2, 2) failed there
+    chart = Chart(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape(f"identity has shape {shape}, not (2,)")):
+        LocalGroupMultiplication(chart=chart, multiply=operator.add, identity=np.zeros(shape))
 
 
 def test_multiplication_that_is_nan_on_part_of_the_lattice_is_refused() -> None:

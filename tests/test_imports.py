@@ -101,6 +101,24 @@ print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
     assert result["loaded"] == sorted(["liechar", "liechar.cli", *(m for m in EXACT_LANE if m != "liechar.catalog")])
 
 
+def test_forms_loads_no_cohomology(tmp_path) -> None:
+    # the cochain basis the report enumerates lives in liechar.forms
+    good = tmp_path / "sl2.txt"
+    good.write_text(serialize_algebra(catalog.get("sl2", kind="algebra").payload))
+    script = f"""
+import contextlib, io, json, sys
+import liechar.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [liechar.cli.run(["forms", {str(good)!r}, "--degree", str(k)]) for k in (1, 3)]
+print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
+"""
+    result = run_fresh(script)
+    assert result["codes"] == [0, 0]
+    assert result["loaded"] == [
+        "liechar", "liechar.algebra", "liechar.cli", "liechar.fileformat", "liechar.forms", "liechar.linalg"
+    ]
+
+
 # the liechar modules (and numpy) that each verify suite loads besides liechar, cli and verify:
 # no fileformat anywhere, and no exact module for jets
 SUITE_MODULES = {

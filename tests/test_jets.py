@@ -32,6 +32,28 @@ def test_chart_rejects_steps_that_vanish_in_float() -> None:
         jets.Chart(lower=(-1e6,), upper=(0.0,), h=1e-11)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        ((0.0, NAN), (2.0, 1.0)),
+        ((NAN, 0.0), (2.0, 1.0)),
+        ((0.0, 0.0), (NAN, 1.0)),
+        ((0.0, 0.0), (2.0, NAN)),
+        ((0.0, 0.0), (INF, 1.0)),
+        ((0.0, -INF), (2.0, 1.0)),
+        ((-INF, 0.0), (INF, 1.0)),
+    ],
+)
+def test_chart_refuses_a_corner_that_is_not_finite(lower, upper) -> None:
+    # with the NaN side second, min(sides) skipped it and the chart's
+    # lattice had NaN rows; with it first, the step message was raised
+    with pytest.raises(ValueError, match="chart corners must be finite"):
+        jets.Chart(lower=lower, upper=upper)
+
+
 def test_chart_contains_and_interior() -> None:
     chart = square_chart()
     assert chart.contains(np.array([0.0, 0.0]))

@@ -138,8 +138,36 @@ def sparse_matrices(draw) -> tuple[int, int, linalg.SparseMatrix]:
     return rows, cols, draw(st.dictionaries(cells, values, max_size=2 * max(rows, cols)))
 
 
-def _dense(rows: int, cols: int, nonzeros: linalg.SparseMatrix) -> linalg.Matrix:
+def _dense(rows: int, cols: int, nonzeros: dict[tuple[int, int], Fraction]) -> linalg.Matrix:
     return [[nonzeros.get((r, c), F(0)) for c in range(cols)] for r in range(rows)]
+
+
+def _integer_rows(nonzeros: dict[tuple[int, int], Fraction]) -> linalg.SparseMatrix:
+    """The sparse integer matrix of nonzeros with each row cleared by
+    linalg.cleared: the same row space and null space."""
+    grouped: dict[int, dict[int, Fraction]] = {}
+    for (r, c), value in nonzeros.items():
+        grouped.setdefault(r, {})[c] = value
+    cleared = {}
+    for r, cells in grouped.items():
+        cleared.update({(r, c): x for c, x in zip(cells, linalg.cleared(list(cells.values()))[1])})
+    return cleared
+
+
+def _integer_system(
+    nonzeros: dict[tuple[int, int], Fraction], cols: int, b: list[Fraction]
+) -> tuple[linalg.SparseMatrix, list[int]]:
+    """A x = b with each row of [A | b] cleared together: the same solutions."""
+    augmented = _integer_rows({**nonzeros, **{(r, cols): value for r, value in enumerate(b) if value}})
+    matrix = {cell: x for cell, x in augmented.items() if cell[1] < cols}
+    return matrix, [augmented.get((r, cols), 0) for r in range(len(b))]
+
+
+def test_cleared_puts_a_sequence_over_the_lcm_of_its_denominators() -> None:
+    assert linalg.cleared([F(1, 2), F(-2, 3), F(0), F(5)]) == (6, [3, -4, 0, 30])
+    assert linalg.cleared([3, -1]) == (1, [3, -1])
+    assert linalg.cleared([]) == (1, [])
+    assert linalg.cleared([F(k, 4) for k in range(3)]) == (4, [0, 1, 2])
 
 
 @settings(max_examples=300, deadline=None)
@@ -153,7 +181,7 @@ def _dense(rows: int, cols: int, nonzeros: linalg.SparseMatrix) -> linalg.Matrix
 def test_echelon_rank_pivots_and_rows_match_dense_routes(matrix) -> None:
     rows, cols, nonzeros = matrix
     dense = _dense(rows, cols, nonzeros)
-    kept = linalg.echelon(nonzeros)
+    kept = linalg.echelon(_integer_rows(nonzeros))
     assert len(kept) == linalg.rank(dense) == linalg.rank_fraction_free(dense)
     assert sorted(kept) == linalg.row_reduce(dense)[1]
     # the kept rows are distinct, independent rows of the matrix, and each
@@ -173,7 +201,7 @@ def test_echelon_rank_pivots_and_rows_match_dense_routes(matrix) -> None:
 def test_a_bounded_echelon_is_the_start_of_the_unbounded_one(matrix, bound) -> None:
     # at a bound >= rank the same echelon; below it, the first bound rows
     # that the unbounded run keeps, in the same order and with the same entries
-    _, _, nonzeros = matrix
+    nonzeros = _integer_rows(matrix[2])
     full = linalg.echelon(nonzeros)
     bounded = linalg.echelon(nonzeros, bound)
     if bound >= len(full):
@@ -197,20 +225,28 @@ def test_sparse_solve_equals_dense_solve(matrix, data) -> None:
         b = data.draw(st.lists(st.integers(-2, 2).map(F), min_size=rows, max_size=rows))
     dense = _dense(rows, cols, nonzeros)
     expected = linalg.solve(dense, b)
-    assert linalg.sparse_solve(nonzeros, cols, b) == expected
+    integers, target = _integer_system(nonzeros, cols, b)
+    assert linalg.sparse_solve(integers, cols, target) == expected
     # stopped at rank + 1 kept rows: None exactly when b is outside the image
-    assert linalg.sparse_solve(nonzeros, cols, b, linalg.rank(dense)) == expected
+    assert linalg.sparse_solve(integers, cols, target, linalg.rank(dense)) == expected
 
 
 def test_sparse_solve_known_systems() -> None:
+    def cleared_solve(nonzeros, cols, b):
+        integers, target = _integer_system(nonzeros, cols, b)
+        return linalg.sparse_solve(integers, cols, target)
+
     # two blocks: x3 = 3 and 2 x0 = -1; x1, x2, x4 are free and get 0
     nonzeros = {(1, 3): F(1), (3, 0): F(2)}
-    assert linalg.sparse_solve(nonzeros, 5, [F(0), F(3), F(0), F(-1)]) == [F(-1, 2), F(0), F(0), F(3), F(0)]
+    assert cleared_solve(nonzeros, 5, [F(0), F(3), F(0), F(-1)]) == [F(-1, 2), F(0), F(0), F(3), F(0)]
     # a right-hand side on an empty row is inconsistent
-    assert linalg.sparse_solve(nonzeros, 5, [F(1), F(3), F(0), F(-1)]) is None
+    assert cleared_solve(nonzeros, 5, [F(1), F(3), F(0), F(-1)]) is None
     # x0 + x1 = 1, x1 = 2 needs back-substitution from the last pivot
-    assert linalg.sparse_solve({(0, 0): F(1), (0, 1): F(1), (1, 1): F(1)}, 2, [F(1), F(2)]) == [F(-1), F(2)]
-    assert linalg.sparse_solve({}, 2, [F(0)]) == [F(0), F(0)]
+    assert cleared_solve({(0, 0): F(1), (0, 1): F(1), (1, 1): F(1)}, 2, [F(1), F(2)]) == [F(-1), F(2)]
+    assert cleared_solve({}, 2, [F(0)]) == [F(0), F(0)]
+    # a rational target on integer cells is scaled once and the solution
+    # divided once: 2 x0 = 1/3, 3 x1 - x0 = 1/2
+    assert linalg.sparse_solve({(0, 0): 2, (1, 1): 3, (1, 0): -1}, 2, [F(1, 3), F(1, 2)]) == [F(1, 6), F(2, 9)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -220,7 +256,7 @@ def test_sparse_solve_known_systems() -> None:
 def test_kernel_is_a_basis_of_the_null_space(matrix) -> None:
     rows, cols, nonzeros = matrix
     dense = _dense(rows, cols, nonzeros)
-    basis = linalg.kernel(nonzeros, cols)
+    basis = linalg.kernel(_integer_rows(nonzeros), cols)
     assert len(basis) == cols - linalg.rank(dense)
     for x in basis:
         image = [F(0)] * rows
@@ -229,13 +265,13 @@ def test_kernel_is_a_basis_of_the_null_space(matrix) -> None:
         assert not any(image)
     assert linalg.rank(basis) == len(basis)
     # one unit entry at a column that leads no echelon row, zeros at the others
-    free = [c for c in range(cols) if c not in linalg.echelon(nonzeros)]
+    free = [c for c in range(cols) if c not in linalg.echelon(_integer_rows(nonzeros))]
     assert [[x[c] for c in free] for x in basis] == linalg.identity(len(free))
 
 
 def test_kernel_known_values() -> None:
     # x0 + 2 x1 = 0 and x2 = 0 in three columns, with a dependent row
     nonzeros = {(0, 0): F(1), (0, 1): F(2), (1, 2): F(3), (2, 0): F(2), (2, 1): F(4)}
-    assert linalg.kernel(nonzeros, 3) == [[F(-2), F(1), F(0)]]
+    assert linalg.kernel(_integer_rows(nonzeros), 3) == [[F(-2), F(1), F(0)]]
     assert linalg.kernel({}, 2) == linalg.identity(2)
-    assert linalg.kernel({(0, 0): F(5)}, 1) == []
+    assert linalg.kernel(_integer_rows({(0, 0): F(5)}), 1) == []
