@@ -21,7 +21,7 @@ r_full[k, j, i] alternates the pair (k, j) of
 Points are batched: a frame matrix maps (..., n) points to (..., n, n)
 arrays, a multiplication maps broadcastable (..., n) pairs to (..., n),
 and the point functions below take one point or a stack of points (such
-as Chart.lattice()) and put the same leading axes on every result,
+as Chart.lattice(p)) and put the same leading axes on every result,
 per-point magnitudes and residuals included.
 
 Every derivative of the frame is a central difference read from one
@@ -35,9 +35,10 @@ written once, as a stencil method: r1_full() and r2_full() give r1 and r2
 before alternation, two_point(other) gives r_full's expression at
 (x, other.x) with its terms, and curvature(full) turns r1_full() or
 r2_full() into the scaled CurvatureSample. The point functions, bracket_defect_residual and
-curvature_sweep all call these. One driver, _lattice_maxima, covers the
-lattice for the sweep, local_algebra and log_det_ad_primitive_check: it
-hands blocks of SWEEP_BLOCK_POINTS points and their mirrors (the same
+curvature_sweep all call these. One driver, _lattice_maxima, covers every
+lattice pass (record validation, the sweep, local_algebra and
+log_det_ad_primitive_check): on the default lattice unless given a size,
+it hands blocks of SWEEP_BLOCK_POINTS points and their mirrors (the same
 positions of the reversed lattice) to a function that returns the block's
 maxima. The sweep's r_full pairs a block with its mirror, whose stencil
 needs A only at its points and their first neighbours. The log-det check
@@ -52,11 +53,8 @@ stencil and n^3 arrays.
 
 FrameField and LocalGroupMultiplication derive from the package's _Record,
 as Chart does: __init__ stores the fields and calls __post_init__, which
-validates the callable on the default lattice in the same blocks, with no
-lattice cap: over CURVATURE_LATTICE_CAP points, Chart.lattice_blocks builds
-each block from its flat indices, so only one block of points is alive and
-no lattice is built whole. The other records are typing.NamedTuples, so
-geometry does not import dataclasses.
+validates the callable through _lattice_maxima. The other records are
+typing.NamedTuples, so geometry does not import dataclasses.
 """
 
 from __future__ import annotations
@@ -101,14 +99,15 @@ AUTOMORPHY_TOL = 1e-6
 # curvature run on identity(6) peaks at 50 MB at --lattice 4 and 5 alike.
 SWEEP_BLOCK_POINTS = 625
 
-# The most lattice points that curvature_sweep, local_algebra and
-# log_det_ad_primitive_check take, checked before any lattice is built; they
-# run in blocks, so it is a time limit. identity(6), the costliest catalog
-# frame per point, takes 0.16 ms a point for the one sweep of a curvature
-# run on a 2-vCPU host (its residuals are exact, so the h/2 sweep is
-# skipped): 0.95 s at 4 points per axis, 2.7 s at 5 (15,625 points), and 6
-# (46,656 points) would take about 8 s, twice that for a 6-dimensional
-# frame whose residuals need the second sweep.
+# The most lattice points that record validation, curvature_sweep,
+# local_algebra and log_det_ad_primitive_check take, checked before any
+# lattice is built; their default lattice is the largest within it
+# (default_points_per_axis). They run in blocks, so it is a time limit.
+# identity(6), the costliest catalog frame per point, takes 0.16 ms a point
+# for the one sweep of a curvature run on a 2-vCPU host (its residuals are
+# exact, so the h/2 sweep is skipped): 0.95 s at 4 points per axis, 2.7 s
+# at 5 (15,625 points), and 6 (46,656 points) would take about 8 s, twice
+# that for a 6-dimensional frame whose residuals need the second sweep.
 CURVATURE_LATTICE_CAP = 20_000
 
 
@@ -145,27 +144,10 @@ def _batched(fn: Callable, shape: tuple[int, ...], label: str, *args: np.ndarray
     return out
 
 
-def _blocks(points: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive slices of at most SWEEP_BLOCK_POINTS points."""
-    size = SWEEP_BLOCK_POINTS
-    return (points[i : i + size] for i in range(0, len(points), size))
-
-
-def _default_lattice_blocks(chart: Chart, points_per_axis: int = 5) -> Iterator[np.ndarray]:
-    """chart.lattice() in blocks of at most SWEEP_BLOCK_POINTS points. Within
-    CURVATURE_LATTICE_CAP they are slices of the cached lattice, which every
-    later record on an equal chart reuses (building the blocks afresh cost a
-    small frame 25-30 us of its 30-60 us); above the cap each block is built
-    from its flat indices, so no lattice over the cap is built whole or
-    cached."""
-    if points_per_axis**chart.dim <= CURVATURE_LATTICE_CAP:
-        return _blocks(chart.lattice(points_per_axis))
-    return chart.lattice_blocks(SWEEP_BLOCK_POINTS, points_per_axis)
-
-
 class FrameField(_Record):
     """Invertible-matrix-valued map A on a chart, batched: matrix maps
-    (..., n) points to (..., n, n) float arrays."""
+    (..., n) points to (..., n, n) float arrays. Validated on the default
+    lattice, the largest within CURVATURE_LATTICE_CAP (default_points_per_axis)."""
 
     chart: Chart
     matrix: Callable[[np.ndarray], np.ndarray]
@@ -178,13 +160,14 @@ class FrameField(_Record):
     def __post_init__(self) -> None:
         """Refuse A unless it is batched, finite and |det A| >= DET_FLOOR on
         the default lattice, evaluated a block at a time."""
-        n = self.chart.dim
-        worst = np.inf
-        for block in _default_lattice_blocks(self.chart):
-            values = _batched(self.matrix, (len(block), n, n), "frame matrix", block)
+
+        def block_maxima(x: np.ndarray, _mirror: np.ndarray) -> dict[str, float]:
+            values = _batched(self.matrix, (len(x),) + 2 * (self.chart.dim,), "frame matrix", x)
             if not np.isfinite(values).all():
                 raise ValueError("frame matrix is not finite on the chart lattice")
-            worst = min(worst, np.abs(np.linalg.det(values)).min())
+            return {"minus_det": -np.abs(np.linalg.det(values)).min()}  # its maximum is the least |det A|
+
+        worst = -_lattice_maxima(self.chart, None, block_maxima)["minus_det"]
         if worst < DET_FLOOR:
             raise ValueError(f"frame determinant falls to {worst:.3e} on the chart lattice")
 
@@ -460,12 +443,20 @@ def lattice_size(chart: Chart, points_per_axis: int) -> int:
     return points
 
 
-def _lattice_maxima(chart: Chart, points_per_axis: int, block_maxima: Callable) -> dict[str, float]:
+def default_points_per_axis(chart: Chart) -> int:
+    """The most points per axis, 5 down to 2, whose lattice fits CURVATURE_LATTICE_CAP;
+    2 from dimension 15 on, where even that lattice is over the cap and lattice_size refuses it."""
+    return next((p for p in (5, 4, 3) if p**chart.dim <= CURVATURE_LATTICE_CAP), 2)
+
+
+def _lattice_maxima(chart: Chart, points_per_axis: int | None, block_maxima: Callable) -> dict[str, float]:
     """Maxima of block_maxima(block, mirror) over blocks of at most
-    SWEEP_BLOCK_POINTS lattice points and their mirrors; a NaN stays NaN."""
+    SWEEP_BLOCK_POINTS lattice points and their mirrors, on the default
+    lattice when points_per_axis is None; a NaN stays NaN."""
+    points_per_axis = default_points_per_axis(chart) if points_per_axis is None else points_per_axis
     lattice_size(chart, points_per_axis)
-    lattice = chart.lattice(points_per_axis)
-    blocks = [block_maxima(x, mirror) for x, mirror in zip(_blocks(lattice), _blocks(lattice[::-1]))]
+    lattice, size = chart.lattice(points_per_axis), SWEEP_BLOCK_POINTS
+    blocks = [block_maxima(lattice[i : i + size], lattice[::-1][i : i + size]) for i in range(0, len(lattice), size)]
     return {key: float(np.max([block[key] for block in blocks])) for key in blocks[0]}
 
 
@@ -578,10 +569,11 @@ class LocalAlgebraError(ValueError):
     """Frame's structure functions do not determine a Lie algebra."""
 
 
-def local_algebra(frame: FrameField, p: np.ndarray, points_per_axis: int = 5) -> LieAlgebra:
+def local_algebra(frame: FrameField, p: np.ndarray, points_per_axis: int | None = None) -> LieAlgebra:
     """Round the structure functions at p to a validated rational algebra.
 
-    Fails if the functions vary over the chart lattice or miss their
+    Fails if the functions vary over the chart lattice (the default one,
+    default_points_per_axis, unless points_per_axis is given) or miss their
     rounding (by more than ten times the finite-difference tolerance, or by
     NaN), or if the rounded constants violate the Jacobi identity.
     """
@@ -635,7 +627,7 @@ class LocalGroupMultiplication(_Record):
     def __post_init__(self) -> None:
         """Keep a read-only copy of e and refuse m unless e is one point of
         the chart, interior, and the identity laws hold on the default
-        lattice, a block at a time."""
+        lattice (default_points_per_axis), a block at a time."""
         e = np.array(self.identity, dtype=float)  # a copy, so freezing it leaves the caller's array writable
         if e.shape != (self.chart.dim,):
             # a shape that broadcasts against the lattice would pass the laws below
@@ -644,12 +636,14 @@ class LocalGroupMultiplication(_Record):
         object.__setattr__(self, "identity", e)
         if not self.chart.contains(e, margin=2 * self.chart.h):
             raise ValueError("identity must be interior to the chart")
-        worst = 0.0
-        for block in _default_lattice_blocks(self.chart):
-            residual = self.identity_residual(block)
+
+        def block_maxima(x: np.ndarray, _mirror: np.ndarray) -> dict[str, float]:
+            residual = self.identity_residual(x)
             if not np.isfinite(residual):
                 raise ValueError("multiply is not finite on the chart lattice")
-            worst = max(worst, residual)
+            return {"residual": residual}
+
+        worst = _lattice_maxima(self.chart, None, block_maxima)["residual"]
         if worst > EXACT_TOL:
             raise ValueError(f"identity laws fail by {worst:.3e} on the chart lattice")
 
@@ -694,18 +688,20 @@ def ad_e(mult: LocalGroupMultiplication, a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(lj) @ mult.right_jacobian(a)
 
 
-def log_det_ad_primitive_check(mult: LocalGroupMultiplication, points_per_axis: int = 5) -> tuple[float, float]:
-    """Max lattice deviation of -grad log |det Ad_e| from the frame's w.
+def log_det_ad_primitive_check(
+    mult: LocalGroupMultiplication, points_per_axis: int | None = None
+) -> tuple[float, float]:
+    """Max lattice deviation of -grad log |det Ad_e| from the frame's w, on
+    the default lattice (default_points_per_axis) unless points_per_axis is given.
 
     Two independent routes on each block's stencil of A = L, the
     left-translation Jacobian, read from mult.left_jacobian and not checked
-    as a FrameField (that would also validate L on the chart's default
-    lattice, a pass whose values this check never reads): w from Gamma,
-    which inverts L at the lattice points only, and central differences of
-    -log |det Ad_e| = log |det L| - log |det R| with Ad_e = L^{-1} R, which
-    read L at x +- h e_k from the same stencil and invert nothing. Refuses a
-    lattice point or neighbour where L is singular. Returns (residual, local
-    magnitude scale).
+    as a FrameField (that would validate L on a lattice this check never
+    reads): w from Gamma, which inverts L at the lattice points only, and
+    central differences of -log |det Ad_e| = log |det L| - log |det R| with
+    Ad_e = L^{-1} R, which read L at x +- h e_k from the same stencil and
+    invert nothing. Refuses a lattice point or neighbour where L is
+    singular. Returns (residual, local magnitude scale).
     """
 
     def minus_log_det_ad(y: np.ndarray, left: np.ndarray) -> np.ndarray:
@@ -730,7 +726,10 @@ def automorphy_check(mult: LocalGroupMultiplication, elements: np.ndarray | Sequ
     A true value means the element does not obstruct: the log-det primitive
     is automorphic with respect to it.
     """
-    points = np.asarray(elements, dtype=float).reshape(-1, mult.chart.dim)
+    n, points = mult.chart.dim, np.asarray(elements, dtype=float)
+    if points.size and points.shape[-1] != n:  # reshaped, it would read as another number of points
+        raise ValueError(f"elements must be points of the {n}-dimensional chart, got shape {points.shape}")
+    points = points.reshape(-1, n)
     if not mult.chart.contains(points):
         outside = next(p for p in points if not mult.chart.contains(p))
         raise ValueError(f"element {outside} lies outside the multiplication chart")

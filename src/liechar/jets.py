@@ -25,7 +25,7 @@ calls __post_init__. The others are typing.NamedTuples.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -85,8 +85,11 @@ class Chart(_Record):
         return Chart(lower=self.lower, upper=self.upper, h=h)
 
     def _inside(self, x: np.ndarray, margin: float) -> np.ndarray:
-        """Per-point membership of a point or a stack of points (..., n)."""
+        """Per-point membership of a point or a stack of points (..., n);
+        refuses a last axis other than n, which would broadcast against the corners."""
         x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"a {self.dim}-dimensional chart takes points of shape (..., {self.dim}), not {x.shape}")
         return np.all((np.add(self.lower, margin) <= x) & (x <= np.subtract(self.upper, margin)), axis=-1)
 
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
@@ -100,43 +103,25 @@ class Chart(_Record):
         if np.any(outside):
             raise ValueError(f"point {x[outside][0]} is within 2h of the chart boundary")
 
-    def lattice(self, points_per_axis: int = 5) -> np.ndarray:
+    def lattice(self, points_per_axis: int) -> np.ndarray:
         """Interior sample lattice as one read-only (points_per_axis**n, n)
         array, last axis varying fastest; excludes a boundary margin of 2h.
         Built once per box, step and size, and shared (_lattice)."""
         return _lattice(tuple(self.lower), tuple(self.upper), self.h, points_per_axis)
 
-    def lattice_blocks(self, block_points: int, points_per_axis: int = 5) -> Iterator[np.ndarray]:
-        """The rows of lattice(points_per_axis), in order, as consecutive
-        blocks of at most block_points points. Each block is built from its
-        flat indices, unravelled into the axes, so no more than one block is
-        held at a time and nothing is cached."""
-        axes = _axes(tuple(self.lower), tuple(self.upper), self.h, points_per_axis)
-        shape = (points_per_axis,) * self.dim
-        total = points_per_axis**self.dim
-        for start in range(0, total, block_points):
-            index = np.unravel_index(np.arange(start, min(start + block_points, total)), shape)
-            yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
-
-def _axes(lower: tuple[float, ...], upper: tuple[float, ...], h: float, points_per_axis: int) -> list[np.ndarray]:
-    """The points_per_axis coordinates of the lattice on each axis."""
-    if points_per_axis < 2:
-        raise ValueError(f"a lattice needs at least 2 points per axis, got {points_per_axis}")
-    margin = 2 * h
-    return [np.linspace(lo + margin, hi - margin, points_per_axis) for lo, hi in zip(lower, upper)]
-
-
-# Every FrameField and LocalGroupMultiplication within the lattice cap
-# validates its chart's default lattice: a borel_frame FrameField took 102 us
-# with the lattice rebuilt and 19-30 us with it cached (in-process, best of
-# 7 x 2000). The cache lives here, not on the Chart, so that equal charts
-# share one array, and is bounded so that it cannot grow with the charts a
-# process makes. Over the cap, validation reads lattice_blocks instead.
+# Every FrameField and LocalGroupMultiplication validates its chart's default
+# lattice: a borel_frame FrameField took 102 us with the lattice rebuilt and
+# 19-30 us with it cached (in-process, best of 7 x 2000). The cache lives
+# here, not on the Chart, so that equal charts share one array, and is
+# bounded so that it cannot grow with the charts a process makes.
 @lru_cache(maxsize=32)
 def _lattice(lower: tuple[float, ...], upper: tuple[float, ...], h: float, points_per_axis: int) -> np.ndarray:
-    axes = _axes(lower, upper, h, points_per_axis)
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lower))
+    if points_per_axis < 2:
+        raise ValueError(f"a lattice needs at least 2 points per axis, got {points_per_axis}")
+    axes = [np.linspace(lo + 2 * h, hi - 2 * h, points_per_axis) for lo, hi in zip(lower, upper)]
+    # copy=False: the axes are broadcast views, so only the stacked lattice is allocated
+    points = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(lower))
     points.flags.writeable = False
     return points
 

@@ -25,6 +25,7 @@ from liechar.geometry import (
     automorphy_check,
     bracket_defect_residual,
     curvature_sweep,
+    default_points_per_axis,
     dw_tr_r2_residual,
     fd_tolerance,
     frame_from_multiplication,
@@ -653,6 +654,24 @@ def test_automorphy_check() -> None:
     with pytest.raises(ValueError, match=r"element \[9\. 0\.\] lies outside the multiplication chart"):
         automorphy_check(mult, [np.array([1.0, 0.5]), np.array([9.0, 0.0])])
     assert automorphy_check(mult, []) == []
+    # reshaped unchecked, one 4-vector on the 2-dimensional chart read as two points
+    with pytest.raises(ValueError, match=re.escape("points of the 2-dimensional chart, got shape (1, 4)")):
+        automorphy_check(mult, [np.array([1.0, 0.5, 2.0, 0.0])])
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (4, 1)])
+def test_points_whose_last_axis_is_not_the_chart_dimension_are_refused(shape: tuple[int, ...]) -> None:
+    # such points broadcast against the corners, and a frame then failed with an IndexError
+    frame = frame_of("borel_frame")
+    assert frame.chart.dim == 2
+    point = np.full(shape, 0.7)
+    message = re.escape(f"a 2-dimensional chart takes points of shape (..., 2), not {shape}")
+    with pytest.raises(ValueError, match=message):
+        frame.chart.contains(point)
+    with pytest.raises(ValueError, match=message):
+        gamma(frame, point)
+    with pytest.raises(ValueError, match="a 2-dimensional chart takes points of shape"):
+        local_algebra(frame, point)
 
 
 def _stacked(fn, *point_stacks) -> tuple[np.ndarray, ...]:
@@ -796,6 +815,7 @@ def test_lattice_computations_evaluate_at_most_one_block_at_a_time() -> None:
     mult = LocalGroupMultiplication(chart=abelian.chart, multiply=recorded(abelian.multiply), identity=abelian.identity)
     # construction validates on the default lattice: the frame once, the
     # multiplication once per identity law
+    assert default_points_per_axis(abelian.chart) == 5
     assert max(sizes) == geometry.SWEEP_BLOCK_POINTS
     assert sum(sizes) == 3 * 5**6
     for check in (lambda: local_algebra(frame, np.zeros(6), 5), lambda: log_det_ad_primitive_check(mult, 5)):
@@ -806,9 +826,9 @@ def test_lattice_computations_evaluate_at_most_one_block_at_a_time() -> None:
 
 
 def test_a_dimension_7_chart_constructs_over_the_lattice_cap() -> None:
-    # construction validates 5**7 points, over CURVATURE_LATTICE_CAP, in blocks
+    # 5**7 points is over CURVATURE_LATTICE_CAP, so construction validates 4**7
     chart = Chart(lower=(-1.0,) * 7, upper=(1.0,) * 7)
-    assert 5**7 > CURVATURE_LATTICE_CAP
+    assert 5**7 > CURVATURE_LATTICE_CAP >= 4**7 == 16_384
     sizes: list[int] = []
 
     def matrix(x: np.ndarray) -> np.ndarray:
@@ -817,12 +837,12 @@ def test_a_dimension_7_chart_constructs_over_the_lattice_cap() -> None:
 
     FrameField(chart=chart, matrix=matrix)
     LocalGroupMultiplication(chart=chart, multiply=lambda a, b: a + b, identity=np.zeros(7))
-    assert sum(sizes) == 5**7 and max(sizes) == geometry.SWEEP_BLOCK_POINTS
+    assert sum(sizes) == 4**7 and max(sizes) == geometry.SWEEP_BLOCK_POINTS
 
 
 def test_an_8_dimensional_chart_is_validated_a_block_at_a_time() -> None:
-    # 5**8 = 390,625 points: built whole, the lattice alone was 25 MB, and the
-    # frame's construction peaked at 50 MB traced with the lattice cached
+    # the default lattice is 3**8 = 6,561 points, built whole and cached like
+    # any lattice within the cap; only the frame values come a block at a time
     n, points = 8, geometry.SWEEP_BLOCK_POINTS
     chart = Chart(lower=(-1.0,) * n, upper=(1.0,) * n)
     jets._lattice.cache_clear()
@@ -835,13 +855,50 @@ def test_an_8_dimensional_chart_is_validated_a_block_at_a_time() -> None:
         tracemalloc.stop()
     # one block's frame values are points * n * n floats
     assert peak < 2 * points * n * n * 8, peak
-    assert jets._lattice.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_construction_validates_the_default_lattice_in_blocks(n: int) -> None:
+    # the most points per axis, at most 5, whose lattice fits the cap; from
+    # n = 15 even 2 per axis is over it, and the matrix is never called
+    expected = {7: 4, 8: 3, 9: 3}.get(n, 5 if n <= 6 else 2)
+    chart = Chart(lower=(-1.0,) * n, upper=(1.0,) * n)
+    assert default_points_per_axis(chart) == expected
+    sizes: list[int] = []
+
+    def matrix(x: np.ndarray) -> np.ndarray:
+        sizes.append(len(x))
+        return np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n))
+
+    if n < 15:
+        FrameField(chart=chart, matrix=matrix)
+        assert sum(sizes) == expected**n <= CURVATURE_LATTICE_CAP
+        assert max(sizes) <= geometry.SWEEP_BLOCK_POINTS
+        return
+    message = f"2 points per axis give {2**n} lattice points, over the cap CURVATURE_LATTICE_CAP = 20000"
+    with pytest.raises(ValueError, match=message):
+        FrameField(chart=chart, matrix=matrix)
+    with pytest.raises(ValueError, match=message):
+        LocalGroupMultiplication(chart=chart, multiply=operator.add, identity=np.zeros(n))
+    assert sizes == []
+
+
+def test_lattice_checks_default_to_the_lattice_within_the_cap_at_dimension_7() -> None:
+    # at their old default of 5 points per axis both refused every chart of dimension 7 and more
+    n = 7
+    chart = Chart(lower=(-1.0,) * n, upper=(1.0,) * n)
+    frame = FrameField(chart=chart, matrix=lambda x: np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)))
+    mult = LocalGroupMultiplication(chart=chart, multiply=operator.add, identity=np.zeros(n))
+    assert local_algebra(frame, np.zeros(n)).c == {}
+    assert log_det_ad_primitive_check(mult) == (0.0, 1.0)
+    with pytest.raises(ValueError, match="5 points per axis give 78125 lattice points, over the cap"):
+        local_algebra(frame, np.zeros(n), points_per_axis=5)
 
 
 def test_validation_in_blocks_finds_a_fault_in_the_last_block() -> None:
     # the default identity(6) lattice is 25 blocks; x1 is largest in the last
     chart = frame_of("identity(6)").chart
-    top = chart.lattice()[-1, 0]
+    top = chart.lattice(5)[-1, 0]
 
     def matrix(x: np.ndarray) -> np.ndarray:
         return np.where(x[..., 0] < top, 1.0, 0.0)[..., None, None] * np.eye(6)

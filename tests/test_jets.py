@@ -87,15 +87,6 @@ def test_lattice_is_built_once_per_box_step_and_size_outside_the_chart() -> None
     assert chart == twin and hash(chart) == hash(twin) and repr(chart) == repr(twin)
 
 
-@pytest.mark.parametrize(("points_per_axis", "block_points"), [(4, 7), (4, 64), (3, 100), (2, 1)])
-def test_lattice_blocks_are_the_lattice_in_order(points_per_axis: int, block_points: int) -> None:
-    chart = jets.Chart(lower=(-1.0, 0.0, 2.0), upper=(1.0, 3.0, 2.5), h=1e-3)
-    blocks = list(chart.lattice_blocks(block_points, points_per_axis))
-    assert [len(b) for b in blocks[:-1]] == [block_points] * (len(blocks) - 1)
-    # the same points, bit for bit, in the same order
-    assert np.array_equal(np.concatenate(blocks), chart.lattice(points_per_axis))
-
-
 @pytest.mark.parametrize("points_per_axis", [1, 0])
 def test_lattice_needs_two_points_per_axis(points_per_axis: int) -> None:
     with pytest.raises(ValueError, match=f"at least 2 points per axis, got {points_per_axis}"):
