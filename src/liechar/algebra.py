@@ -125,14 +125,8 @@ class LieAlgebra(_Record):
         return m
 
     def basis_ad(self) -> list[Matrix]:
-        """Adjoint operators of the basis vectors, in basis order, as fresh
-        rows that the caller may change."""
-        return [[list(row) for row in m] for m in self._basis_ad]
-
-    @cached_property
-    def _basis_ad(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """ad(e_i) as dense matrices from sparse_ad, built once per algebra;
-        == ignores it."""
+        """Adjoint operators of the basis vectors, in basis order, as dense
+        matrices read from sparse_ad; fresh rows that the caller may change."""
         n = self.dim
         scale, sparse = self.sparse_ad
         ads = [linalg.zeros(n, n) for _ in range(n)]
@@ -140,7 +134,7 @@ class LieAlgebra(_Record):
             for r, row in rows.items():
                 for t, x in row:
                     ads[i - 1][r][t] = Fraction(x, scale)
-        return tuple(tuple(map(tuple, m)) for m in ads)
+        return ads
 
     @cached_property
     def sparse_ad(self) -> tuple[int, dict[int, dict[int, tuple[tuple[int, int], ...]]]]:

@@ -111,15 +111,14 @@ def _text_lines(tree: dict, prefix: str) -> list[str]:
     return lines
 
 
-def _check_betti_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
-    from .cohomology import BETTI_DIM_CAP
+def _check_analyze_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
+    from .cohomology import check_betti_size
 
-    if alg.dim > BETTI_DIM_CAP:
-        raise CliError(f"dimension {alg.dim} exceeds the Betti table cap ({BETTI_DIM_CAP})")
+    check_betti_size(alg)
 
 
 def _check_cohomology_size(alg: LieAlgebra, args: argparse.Namespace) -> None:
-    _check_betti_size(alg, args)
+    _check_analyze_size(alg, args)
     if not 0 <= args.degree <= alg.dim:
         raise CliError(f"degree {args.degree} outside 0..{alg.dim}")
 
@@ -146,9 +145,13 @@ def _report_algebra(
     args: argparse.Namespace,
 ) -> int:
     """Load args.source, check_size it before the (sparse) Jacobi check, then
-    emit build_report(name, alg, args), or the Jacobi violations with exit 1."""
+    emit build_report(name, alg, args), or the Jacobi violations with exit 1.
+    A size check refuses with CliError or ValueError, each exit 2."""
     name, alg = _load_algebra(args.source)
-    check_size(alg, args)
+    try:
+        check_size(alg, args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     validation = alg.validate()
     if not validation.ok:
         violations = [list(v) for v in validation.violations]
@@ -208,31 +211,28 @@ def _cohomology_report(name: str, alg: LieAlgebra, args: argparse.Namespace) -> 
 def _cmd_curvature(args: argparse.Namespace) -> int:
     # from the submodule: `from . import geometry` would go through the
     # package's lazy hook, which loads the exact lane and verify as well
-    from .geometry import FrameField, curvature_sweep, lattice_size
+    from .geometry import FrameField, curvature_sweep
 
     frame = _catalog_entry(args.frame, "frame").payload
-    if args.lattice < 2:
-        raise CliError("--lattice must be at least 2")
-    if args.h is not None and args.h <= 0:
-        raise CliError("--h must be positive")
+    # the chart refuses a bad size or step, the size first: no frame is built or evaluated
     try:
-        points = lattice_size(frame.chart, args.lattice)
+        points_per_axis = frame.chart.lattice_points_per_axis(args.lattice)
         if args.h is not None:
             frame = FrameField(chart=frame.chart.with_step(args.h), matrix=frame.matrix)
         halved = FrameField(chart=frame.chart.with_step(frame.chart.h / 2), matrix=frame.matrix)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    coarse = curvature_sweep(frame, args.lattice)
+    coarse = curvature_sweep(frame, points_per_axis)
     # a ratio only means something when the coarse residual is signal, not
     # float noise; with no signal at all, the halved sweep would go unread
     keys = ("r1_max", "dw_tr_r2_residual", "r_full_diagonal_max")
     signal = [key for key in keys if coarse[key] > 1e-10]
-    fine = curvature_sweep(halved, args.lattice) if signal else {}
+    fine = curvature_sweep(halved, points_per_axis) if signal else {}
     ratios = {key: round(coarse[key] / fine[key], 3) if key in signal and fine[key] > 0 else None for key in keys}
     report = {
         "frame": args.frame,
         "h": frame.chart.h,
-        "lattice_points": points,
+        "lattice_points": points_per_axis**frame.chart.dim,
         "max_norms": {k: float(f"{v:.12e}") for k, v in coarse.items()},
         "halved_h_ratios": ratios,
     }
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("source")
     p_analyze.add_argument("--max-degree", type=_nonnegative_int, default=None, help="cap Betti/class degrees")
     add_format(p_analyze)
-    p_analyze.set_defaults(func=partial(_report_algebra, _analyze_report, _check_betti_size))
+    p_analyze.set_defaults(func=partial(_report_algebra, _analyze_report, _check_analyze_size))
 
     p_forms = sub.add_parser("forms", help="components of the degree-k trace form")
     p_forms.add_argument("source")
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curv = sub.add_parser("curvature", help="lattice curvature statistics for a catalog frame")
     p_curv.add_argument("--frame", required=True, help="catalog frame name")
     p_curv.add_argument("--h", type=float, default=None, help="finite-difference step")
-    p_curv.add_argument("--lattice", type=int, default=5, help="points per axis")
+    p_curv.add_argument("--lattice", type=int, help="points per axis (default: the most, 5 down to 2, within the cap)")
     add_format(p_curv)
     p_curv.set_defaults(func=_cmd_curvature)
 

@@ -256,7 +256,8 @@ def weight_zero_cochains(alg: LieAlgebra, k: int) -> list[tuple[int, ...]]:
     )
 
 
-def _check_betti_size(alg: LieAlgebra) -> None:
+def check_betti_size(alg: LieAlgebra) -> None:
+    """Refuse, with ValueError, an algebra of dimension over BETTI_DIM_CAP."""
     if alg.dim > BETTI_DIM_CAP:
         raise ValueError(f"dimension {alg.dim} exceeds the Betti cap {BETTI_DIM_CAP}")
 
@@ -271,7 +272,7 @@ def betti(alg: LieAlgebra, k: int) -> int:
     n = alg.dim
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} outside [0, {n}]")
-    _check_betti_size(alg)
+    check_betti_size(alg)
     d_k, d_prev = _differential(alg, k), _differential(alg, k - 1)
     return comb(n, k) - (d_k.rank() if d_k else 0) - (d_prev.rank() if d_prev else 0)
 
@@ -473,7 +474,7 @@ def cochain_complex(alg: LieAlgebra, top: int | None = None) -> CochainComplex:
     n = alg.dim
     if top is not None and top < 0:
         raise ValueError(f"top degree {top} is negative")
-    _check_betti_size(alg)
+    check_betti_size(alg)
     violations = alg.validate().violations
     if violations:
         raise ValueError(f"Jacobi identity fails at (i, j, k, m) = {violations[0]}: no cochain complex")

@@ -34,13 +34,14 @@ the stencil's gamma on every catalog frame. Each curvature expression is
 written once, as a stencil method: r1_full() and r2_full() give r1 and r2
 before alternation, two_point(other) gives r_full's expression at
 (x, other.x) with its terms, and curvature(full) turns r1_full() or
-r2_full() into the scaled CurvatureSample. The point functions, bracket_defect_residual and
-curvature_sweep all call these. One driver, _lattice_maxima, covers every
-lattice pass (record validation, the sweep, local_algebra and
-log_det_ad_primitive_check): on the default lattice unless given a size,
-it hands blocks of SWEEP_BLOCK_POINTS points and their mirrors (the same
-positions of the reversed lattice) to a function that returns the block's
-maxima. The sweep's r_full pairs a block with its mirror, whose stencil
+r2_full() into the scaled CurvatureSample. The point functions,
+bracket_defect_residual and curvature_sweep all call these. One driver,
+_lattice_maxima, covers every lattice pass (record validation, the sweep,
+local_algebra and log_det_ad_primitive_check): on
+chart.lattice(points_per_axis), whose size the Chart decides and checks
+before anything is built, it hands blocks of SWEEP_BLOCK_POINTS points and
+their mirrors (the same positions of the reversed lattice) to a function
+that returns the block's maxima. The sweep's r_full pairs a block with its mirror, whose stencil
 needs A only at its points and their first neighbours. The log-det check
 reads L at x +- h e_k for its log-determinants from the stencil of its w.
 
@@ -99,17 +100,6 @@ AUTOMORPHY_TOL = 1e-6
 # curvature run on identity(6) peaks at 50 MB at --lattice 4 and 5 alike.
 SWEEP_BLOCK_POINTS = 625
 
-# The most lattice points that record validation, curvature_sweep,
-# local_algebra and log_det_ad_primitive_check take, checked before any
-# lattice is built; their default lattice is the largest within it
-# (default_points_per_axis). They run in blocks, so it is a time limit.
-# identity(6), the costliest catalog frame per point, takes 0.16 ms a point
-# for the one sweep of a curvature run on a 2-vCPU host (its residuals are
-# exact, so the h/2 sweep is skipped): 0.95 s at 4 points per axis, 2.7 s
-# at 5 (15,625 points), and 6 (46,656 points) would take about 8 s, twice
-# that for a 6-dimensional frame whose residuals need the second sweep.
-CURVATURE_LATTICE_CAP = 20_000
-
 
 def sup_norm(arr: np.ndarray) -> float:
     a = np.asarray(arr, dtype=float)
@@ -146,8 +136,9 @@ def _batched(fn: Callable, shape: tuple[int, ...], label: str, *args: np.ndarray
 
 class FrameField(_Record):
     """Invertible-matrix-valued map A on a chart, batched: matrix maps
-    (..., n) points to (..., n, n) float arrays. Validated on the default
-    lattice, the largest within CURVATURE_LATTICE_CAP (default_points_per_axis)."""
+    (..., n) points to (..., n, n) float arrays. Validated on the chart's
+    default lattice, chart.lattice(), and refused with it from dimension 15
+    on, where even 2 points per axis are over CURVATURE_LATTICE_CAP."""
 
     chart: Chart
     matrix: Callable[[np.ndarray], np.ndarray]
@@ -432,29 +423,10 @@ def r_full(frame: FrameField, x: np.ndarray, y: np.ndarray) -> CurvatureSample:
     return CurvatureSample(tensor=_alternate(full, -3), scale=scale)
 
 
-def lattice_size(chart: Chart, points_per_axis: int) -> int:
-    """Points in chart.lattice(points_per_axis), refused over CURVATURE_LATTICE_CAP."""
-    points = points_per_axis**chart.dim
-    if points > CURVATURE_LATTICE_CAP:
-        raise ValueError(
-            f"{points_per_axis} points per axis give {points} lattice points,"
-            f" over the cap CURVATURE_LATTICE_CAP = {CURVATURE_LATTICE_CAP}"
-        )
-    return points
-
-
-def default_points_per_axis(chart: Chart) -> int:
-    """The most points per axis, 5 down to 2, whose lattice fits CURVATURE_LATTICE_CAP;
-    2 from dimension 15 on, where even that lattice is over the cap and lattice_size refuses it."""
-    return next((p for p in (5, 4, 3) if p**chart.dim <= CURVATURE_LATTICE_CAP), 2)
-
-
 def _lattice_maxima(chart: Chart, points_per_axis: int | None, block_maxima: Callable) -> dict[str, float]:
     """Maxima of block_maxima(block, mirror) over blocks of at most
-    SWEEP_BLOCK_POINTS lattice points and their mirrors, on the default
-    lattice when points_per_axis is None; a NaN stays NaN."""
-    points_per_axis = default_points_per_axis(chart) if points_per_axis is None else points_per_axis
-    lattice_size(chart, points_per_axis)
+    SWEEP_BLOCK_POINTS points of chart.lattice(points_per_axis) and their
+    mirrors; a NaN stays NaN."""
     lattice, size = chart.lattice(points_per_axis), SWEEP_BLOCK_POINTS
     blocks = [block_maxima(lattice[i : i + size], lattice[::-1][i : i + size]) for i in range(0, len(lattice), size)]
     return {key: float(np.max([block[key] for block in blocks])) for key in blocks[0]}
@@ -570,19 +542,22 @@ class LocalAlgebraError(ValueError):
 
 
 def local_algebra(frame: FrameField, p: np.ndarray, points_per_axis: int | None = None) -> LieAlgebra:
-    """Round the structure functions at p to a validated rational algebra.
+    """Round the structure functions at p, one point of shape (n,), to a
+    validated rational algebra; p of any other shape is refused by it.
 
-    Fails if the functions vary over the chart lattice (the default one,
-    default_points_per_axis, unless points_per_axis is given) or miss their
-    rounding (by more than ten times the finite-difference tolerance, or by
-    NaN), or if the rounded constants violate the Jacobi identity.
+    Fails if the functions vary over frame.chart.lattice(points_per_axis) or
+    miss their rounding (by more than ten times the finite-difference
+    tolerance, or by NaN), or if the rounded constants violate the Jacobi identity.
     """
     # the exact lane is imported here, so the rest of geometry runs without it
     from fractions import Fraction
 
     from .algebra import LieAlgebra
 
-    c_p = structure_functions(frame, np.asarray(p, dtype=float)[None])[0]
+    n, p = frame.chart.dim, np.asarray(p, dtype=float)
+    if p.shape != (n,):
+        raise ValueError(f"local_algebra takes one point of the {n}-dimensional chart, of shape ({n},), not {p.shape}")
+    c_p = structure_functions(frame, p[None])[0]
     spread = _lattice_maxima(
         frame.chart, points_per_axis, lambda x, _mirror: {"spread": sup_norm(structure_functions(frame, x) - c_p)}
     )["spread"]
@@ -590,7 +565,6 @@ def local_algebra(frame: FrameField, p: np.ndarray, points_per_axis: int | None 
     tol = 10.0 * fd_tolerance(frame.chart.h, scale)
     if not spread <= tol:
         raise LocalAlgebraError(f"structure functions vary by {spread:.3e} over the lattice (tol {tol:.3e})")
-    n = frame.chart.dim
     constants: dict[tuple[int, int, int], Fraction] = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -626,8 +600,8 @@ class LocalGroupMultiplication(_Record):
 
     def __post_init__(self) -> None:
         """Keep a read-only copy of e and refuse m unless e is one point of
-        the chart, interior, and the identity laws hold on the default
-        lattice (default_points_per_axis), a block at a time."""
+        the chart, interior, and the identity laws hold on the chart's
+        default lattice, chart.lattice(), a block at a time."""
         e = np.array(self.identity, dtype=float)  # a copy, so freezing it leaves the caller's array writable
         if e.shape != (self.chart.dim,):
             # a shape that broadcasts against the lattice would pass the laws below
@@ -691,8 +665,8 @@ def ad_e(mult: LocalGroupMultiplication, a: np.ndarray) -> np.ndarray:
 def log_det_ad_primitive_check(
     mult: LocalGroupMultiplication, points_per_axis: int | None = None
 ) -> tuple[float, float]:
-    """Max lattice deviation of -grad log |det Ad_e| from the frame's w, on
-    the default lattice (default_points_per_axis) unless points_per_axis is given.
+    """Max deviation of -grad log |det Ad_e| from the frame's w over
+    mult.chart.lattice(points_per_axis).
 
     Two independent routes on each block's stencil of A = L, the
     left-translation Jacobian, read from mult.left_jacobian and not checked

@@ -37,6 +37,16 @@ VectorField = Callable[[np.ndarray], np.ndarray]
 MatrixField = Callable[[np.ndarray], np.ndarray]
 ScalarField = Callable[[np.ndarray], np.ndarray]
 
+# The most points of any chart lattice (Chart.lattice_points_per_axis), so
+# the most that record validation, curvature_sweep, local_algebra and
+# log_det_ad_primitive_check take; they run in blocks, so it is a time limit.
+# identity(6), the costliest catalog frame per point, takes 0.16 ms a point
+# for the one sweep of a curvature run on a 2-vCPU host (its residuals are
+# exact, so the h/2 sweep is skipped): 0.95 s at 4 points per axis, 2.7 s
+# at 5 (15,625 points), and 6 (46,656 points) would take about 8 s, twice
+# that for a 6-dimensional frame whose residuals need the second sweep.
+CURVATURE_LATTICE_CAP = 20_000
+
 
 class Chart(_Record):
     """Axis-aligned coordinate box with a finite-difference step.
@@ -103,11 +113,28 @@ class Chart(_Record):
         if np.any(outside):
             raise ValueError(f"point {x[outside][0]} is within 2h of the chart boundary")
 
-    def lattice(self, points_per_axis: int) -> np.ndarray:
-        """Interior sample lattice as one read-only (points_per_axis**n, n)
-        array, last axis varying fastest; excludes a boundary margin of 2h.
-        Built once per box, step and size, and shared (_lattice)."""
-        return _lattice(tuple(self.lower), tuple(self.upper), self.h, points_per_axis)
+    def lattice_points_per_axis(self, points_per_axis: int | None = None) -> int:
+        """The points per axis of lattice(points_per_axis), by default the
+        most, 5 down to 2, whose lattice fits CURVATURE_LATTICE_CAP (5 up to
+        dimension 6, 4 at 7, 3 at 8-9, 2 from 10 on). Refuses fewer than 2 and
+        a lattice over the cap, as even the default is from dimension 15 on."""
+        if points_per_axis is None:
+            points_per_axis = next((p for p in (5, 4, 3) if p**self.dim <= CURVATURE_LATTICE_CAP), 2)
+        if points_per_axis < 2:
+            raise ValueError(f"a lattice needs at least 2 points per axis, got {points_per_axis}")
+        if points_per_axis**self.dim > CURVATURE_LATTICE_CAP:
+            raise ValueError(
+                f"{points_per_axis} points per axis give {points_per_axis**self.dim} lattice points,"
+                f" over the cap CURVATURE_LATTICE_CAP = {CURVATURE_LATTICE_CAP}"
+            )
+        return points_per_axis
+
+    def lattice(self, points_per_axis: int | None = None) -> np.ndarray:
+        """Interior sample lattice, p = lattice_points_per_axis(points_per_axis)
+        points per axis excluding a boundary margin of 2h, as one read-only
+        (p**n, n) array with the last axis varying fastest. Built once per box,
+        step and size, and shared (_lattice); a refused size builds nothing."""
+        return _lattice(tuple(self.lower), tuple(self.upper), self.h, self.lattice_points_per_axis(points_per_axis))
 
 
 # Every FrameField and LocalGroupMultiplication validates its chart's default
@@ -117,8 +144,6 @@ class Chart(_Record):
 # bounded so that it cannot grow with the charts a process makes.
 @lru_cache(maxsize=32)
 def _lattice(lower: tuple[float, ...], upper: tuple[float, ...], h: float, points_per_axis: int) -> np.ndarray:
-    if points_per_axis < 2:
-        raise ValueError(f"a lattice needs at least 2 points per axis, got {points_per_axis}")
     axes = [np.linspace(lo + 2 * h, hi - 2 * h, points_per_axis) for lo, hi in zip(lower, upper)]
     # copy=False: the axes are broadcast views, so only the stacked lattice is allocated
     points = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(lower))

@@ -15,12 +15,12 @@ import pytest
 from liechar import catalog, cohomology, forms, geometry
 from liechar.algebra import LieAlgebra, lie_algebra
 from liechar.cli import FORMS_COMPONENT_CAP, run
-from liechar.geometry import CURVATURE_LATTICE_CAP
-from liechar.jets import Chart
+from liechar.jets import CURVATURE_LATTICE_CAP, Chart
 from liechar.fileformat import parse_algebra, serialize_algebra
 
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+BENCH_REFERENCE = BENCH_INPUTS.parent / "reference"
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -145,13 +145,17 @@ def test_analyze_negative_max_degree_exits_two(capsys) -> None:
 
 
 OVER_THE_BETTI_CAP = f"dim {cohomology.BETTI_DIM_CAP + 1}\n1 2 3 1\n"
+# the message of cohomology.check_betti_size, the one Betti-cap refusal
+BETTI_CAP_REFUSAL = (
+    f"error: dimension {cohomology.BETTI_DIM_CAP + 1} exceeds the Betti cap {cohomology.BETTI_DIM_CAP}\n"
+)
 
 
 @pytest.mark.parametrize(
     "command",
     [
-        (["analyze"], OVER_THE_BETTI_CAP, "Betti table cap"),
-        (["cohomology", "--degree", "1"], OVER_THE_BETTI_CAP, "Betti table cap"),
+        (["analyze"], OVER_THE_BETTI_CAP, BETTI_CAP_REFUSAL),
+        (["cohomology", "--degree", "1"], OVER_THE_BETTI_CAP, BETTI_CAP_REFUSAL),
         # fails Jacobi, but a degree outside 0..dim is refused first
         (["cohomology", "--degree", "99"], "dim 3\n1 2 1 1\n1 3 2 1\n", "error: degree 99 outside 0..3\n"),
     ],
@@ -169,6 +173,24 @@ def test_oversized_input_exits_two_before_jacobi(capsys, monkeypatch, tmp_path, 
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("path", sorted(BENCH_REFERENCE.glob("*.json")), ids=lambda path: path.stem)
+def test_the_bench_reference_reports_replay_byte_for_byte(capsys, path: Path) -> None:
+    # the bench compares every analyze, forms and cohomology job with these
+    # stored reports; replayed here, a change to any of them fails every test
+    # run. The stored argv names inputs by the absolute path of the checkout
+    # that wrote it, so each is re-rooted at this checkout's bench/inputs.
+    reference = json.loads(path.read_text())
+    argv = [str(BENCH_INPUTS / Path(arg).name) if "/bench/inputs/" in arg else arg for arg in reference["argv"]]
+    code, out, err = invoke(capsys, *argv)
+    report = json.loads(out)
+    report.pop("timing", None)
+    assert (code, report) == (reference["exit_code"], reference["report"]), err
+
+
+def test_the_bench_reference_reports_are_all_replayed() -> None:
+    assert len(list(BENCH_REFERENCE.glob("*.json"))) == 14
 
 
 @pytest.mark.parametrize("token", ["1e10000000", "0.5"])
@@ -323,9 +345,9 @@ def test_forms_refuses_a_degree_out_of_range_before_jacobi(capsys, monkeypatch, 
         (["cohomology", "catalog:sl2", "--degree", "4"], "degree 4 outside"),
         (["cohomology", "catalog:sl2", "--degree", "-1"], "degree -1 outside"),
         (["forms", "catalog:sl2", "--degree", "-1"], "degree -1 outside"),
-        (["curvature", "--frame", "identity(2)", "--h", "0"], "--h must be positive"),
-        (["curvature", "--frame", "identity(2)", "--h", "-1"], "--h must be positive"),
-        (["curvature", "--frame", "identity(2)", "--lattice", "1"], "--lattice must be at least 2"),
+        (["curvature", "--frame", "identity(2)", "--h", "0"], "step h must be positive"),
+        (["curvature", "--frame", "identity(2)", "--h", "-1"], "step h must be positive"),
+        (["curvature", "--frame", "identity(2)", "--lattice", "1"], "at least 2 points per axis, got 1"),
         (["analyze", "FILE"], "'1/0'"),
     ],
 )

@@ -16,7 +16,6 @@ from liechar import _Record, catalog, geometry, jets, linalg, verify
 from liechar.algebra import LieAlgebra
 from liechar.forms import AlternatingForm
 from liechar.geometry import (
-    CURVATURE_LATTICE_CAP,
     FrameField,
     LocalAlgebraError,
     LocalGroupMultiplication,
@@ -25,7 +24,6 @@ from liechar.geometry import (
     automorphy_check,
     bracket_defect_residual,
     curvature_sweep,
-    default_points_per_axis,
     dw_tr_r2_residual,
     fd_tolerance,
     frame_from_multiplication,
@@ -47,7 +45,7 @@ from liechar.geometry import (
     w_exterior_derivative,
     w_form,
 )
-from liechar.jets import Chart, delta_one_form, jacobian, prolong
+from liechar.jets import CURVATURE_LATTICE_CAP, Chart, delta_one_form, jacobian, prolong
 
 
 def frame_of(name: str) -> FrameField:
@@ -659,18 +657,21 @@ def test_automorphy_check() -> None:
         automorphy_check(mult, [np.array([1.0, 0.5, 2.0, 0.0])])
 
 
-@pytest.mark.parametrize("shape", [(1,), (3,), (4, 1)])
+@pytest.mark.parametrize("shape", [(1,), (3,), (4, 1), (1, 2), (2, 2)])
 def test_points_whose_last_axis_is_not_the_chart_dimension_are_refused(shape: tuple[int, ...]) -> None:
     # such points broadcast against the corners, and a frame then failed with an IndexError
     frame = frame_of("borel_frame")
     assert frame.chart.dim == 2
     point = np.full(shape, 0.7)
-    message = re.escape(f"a 2-dimensional chart takes points of shape (..., 2), not {shape}")
-    with pytest.raises(ValueError, match=message):
-        frame.chart.contains(point)
-    with pytest.raises(ValueError, match=message):
-        gamma(frame, point)
-    with pytest.raises(ValueError, match="a 2-dimensional chart takes points of shape"):
+    if shape[-1] != 2:
+        message = re.escape(f"a 2-dimensional chart takes points of shape (..., 2), not {shape}")
+        with pytest.raises(ValueError, match=message):
+            frame.chart.contains(point)
+        with pytest.raises(ValueError, match=message):
+            gamma(frame, point)
+    # local_algebra takes one point, so a stack of 2-vectors is refused too, naming its own shape
+    message = f"local_algebra takes one point of the 2-dimensional chart, of shape (2,), not {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         local_algebra(frame, point)
 
 
@@ -790,7 +791,7 @@ def test_lattices_over_the_cap_are_refused_before_they_are_built(monkeypatch) ->
     def unbuilt(*args):
         raise AssertionError("a lattice was built")
 
-    monkeypatch.setattr(Chart, "lattice", unbuilt)
+    monkeypatch.setattr(jets, "_lattice", unbuilt)
     with pytest.raises(ValueError, match="over the cap"):
         local_algebra(frame_of("identity(6)"), np.zeros(6), points_per_axis=6)
     # 7**5 points is within the cap: the check passes and the lattice is built
@@ -815,7 +816,7 @@ def test_lattice_computations_evaluate_at_most_one_block_at_a_time() -> None:
     mult = LocalGroupMultiplication(chart=abelian.chart, multiply=recorded(abelian.multiply), identity=abelian.identity)
     # construction validates on the default lattice: the frame once, the
     # multiplication once per identity law
-    assert default_points_per_axis(abelian.chart) == 5
+    assert abelian.chart.lattice_points_per_axis() == 5
     assert max(sizes) == geometry.SWEEP_BLOCK_POINTS
     assert sum(sizes) == 3 * 5**6
     for check in (lambda: local_algebra(frame, np.zeros(6), 5), lambda: log_det_ad_primitive_check(mult, 5)):
@@ -863,7 +864,12 @@ def test_construction_validates_the_default_lattice_in_blocks(n: int) -> None:
     # n = 15 even 2 per axis is over it, and the matrix is never called
     expected = {7: 4, 8: 3, 9: 3}.get(n, 5 if n <= 6 else 2)
     chart = Chart(lower=(-1.0,) * n, upper=(1.0,) * n)
-    assert default_points_per_axis(chart) == expected
+    message = f"2 points per axis give {2**n} lattice points, over the cap CURVATURE_LATTICE_CAP = 20000"
+    if n < 15:
+        assert chart.lattice_points_per_axis() == expected
+    else:
+        with pytest.raises(ValueError, match=message):
+            chart.lattice_points_per_axis()
     sizes: list[int] = []
 
     def matrix(x: np.ndarray) -> np.ndarray:
@@ -875,7 +881,6 @@ def test_construction_validates_the_default_lattice_in_blocks(n: int) -> None:
         assert sum(sizes) == expected**n <= CURVATURE_LATTICE_CAP
         assert max(sizes) <= geometry.SWEEP_BLOCK_POINTS
         return
-    message = f"2 points per axis give {2**n} lattice points, over the cap CURVATURE_LATTICE_CAP = 20000"
     with pytest.raises(ValueError, match=message):
         FrameField(chart=chart, matrix=matrix)
     with pytest.raises(ValueError, match=message):

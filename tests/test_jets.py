@@ -93,6 +93,23 @@ def test_lattice_needs_two_points_per_axis(points_per_axis: int) -> None:
         square_chart().lattice(points_per_axis)
 
 
+def test_a_lattice_over_the_cap_is_refused_before_it_is_built(monkeypatch) -> None:
+    # 5**7 = 78,125 points: Chart.lattice checks the size itself, so a direct
+    # call is refused as the lattice computations are
+    def unbuilt(*args):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(jets, "_lattice", unbuilt)
+    chart = jets.Chart(lower=(-1.0,) * 7, upper=(1.0,) * 7)
+    message = "5 points per axis give 78125 lattice points, over the cap CURVATURE_LATTICE_CAP = 20000"
+    with pytest.raises(ValueError, match=message):
+        chart.lattice(5)
+    # the default is the most points per axis within the cap: 4**7 = 16,384
+    assert chart.lattice_points_per_axis() == 4 and 4**7 <= jets.CURVATURE_LATTICE_CAP
+    with pytest.raises(AssertionError, match="built"):
+        chart.lattice()
+
+
 def test_with_step() -> None:
     chart = square_chart(h=1e-3)
     finer = chart.with_step(5e-4)
