@@ -47,7 +47,8 @@ class LieAlgebra(_Record):
             entries are zero. Use structure_constant() for reads. Stored
             read-only (a MappingProxyType over the nonzero constants).
         names: n basis labels, decorative only; by default e1, ..., en,
-            built on first read.
+            built on first read. Each is a nonempty str without whitespace
+            or '#', so that serialize_algebra writes it back readable.
 
     A _Record: the three fields are read-only, and == and repr read only
     them, not the cached properties derived from them. hash raises
@@ -78,6 +79,11 @@ class LieAlgebra(_Record):
             normalized[key] = v
         if names and len(names) != dim:
             raise ValueError("need one basis name per dimension")
+        for label in names:
+            # serialize_algebra writes the labels space-separated on the
+            # 'basis' line, where parse_algebra must read them back
+            if not isinstance(label, str) or not label or "#" in label or any(ch.isspace() for ch in label):
+                raise ValueError(f"basis label {label!r} must be a nonempty str without whitespace or '#'")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "c", MappingProxyType(normalized))
         if names:  # stored over the default below

@@ -53,7 +53,8 @@ class Chart(_Record):
 
     Attributes:
         lower, upper: box corners, length-n tuples of finite floats with
-            lower < upper.
+            lower < upper; corners given as other sequences or arrays are
+            stored as such tuples.
         h: central-difference step; must be at most a tenth of the
             shortest box side so that stencils stay meaningful, and must
             change every corner coordinate when added or subtracted.
@@ -64,8 +65,10 @@ class Chart(_Record):
     h: float
 
     def __init__(self, lower: tuple[float, ...], upper: tuple[float, ...], h: float = 1e-3) -> None:
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        # tuples of Python floats, so that + joins the corners, == and hash
+        # do not depend on how they were given, and a chart is hashable
+        object.__setattr__(self, "lower", tuple(map(float, lower)))
+        object.__setattr__(self, "upper", tuple(map(float, upper)))
         object.__setattr__(self, "h", h)
         self.__post_init__()
 
@@ -134,7 +137,7 @@ class Chart(_Record):
         points per axis excluding a boundary margin of 2h, as one read-only
         (p**n, n) array with the last axis varying fastest. Built once per box,
         step and size, and shared (_lattice); a refused size builds nothing."""
-        return _lattice(tuple(self.lower), tuple(self.upper), self.h, self.lattice_points_per_axis(points_per_axis))
+        return _lattice(self.lower, self.upper, self.h, self.lattice_points_per_axis(points_per_axis))
 
 
 # Every FrameField and LocalGroupMultiplication validates its chart's default

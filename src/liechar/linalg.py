@@ -1,8 +1,10 @@
 """Exact linear algebra over rationals.
 
 Matrices are lists of lists of Fraction. Two independent rank routes are
-kept on purpose: plain fraction elimination and fraction-free (Bareiss)
-elimination over cleared integers. Callers that certify results run both.
+kept on purpose: plain fraction elimination (row_reduce) and fraction-free
+elimination over cleared integers (_bareiss). Callers that certify results
+run both. _bareiss is also determinant's one elimination: its last pivot,
+signed by the row swaps, is the determinant of the cleared rows.
 
 A sparse matrix is a map {(row, col): nonzero int}. echelon reduces it by
 fraction-free integer elimination on its nonzero cells only, and kernel and
@@ -14,7 +16,7 @@ it enters a sparse matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 Matrix = list[list[Fraction]]
 SparseMatrix = dict[tuple[int, int], int]
@@ -110,27 +112,33 @@ def rank_fraction_free(matrix: Matrix) -> int:
     Independent of row_reduce: single-step fraction-free pivoting with exact
     integer division, no Fraction arithmetic after clearing.
     """
-    if not matrix or not matrix[0]:
-        return 0
-    m = [cleared(row)[1] for row in matrix]
-    rows, cols = len(m), len(m[0])
+    return _bareiss([cleared(row)[1] for row in matrix])[0]
+
+
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """(rank, signed last pivot) of the integer matrix m, by single-step
+    Bareiss elimination in place. Each pivot is a minor of m, exact by
+    Sylvester's identity; on a square m of full rank the last one, signed by
+    the row swaps, is det m. The empty matrix gives (0, 1)."""
+    rows, cols = len(m), len(m[0]) if m else 0
     r = 0
-    prev = 1
+    prev = sign = 1
     for c in range(cols):
         pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
         for i in range(r + 1, rows):
             for j in range(c + 1, cols):
-                # Bareiss update: exact by Sylvester identity.
                 m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
         r += 1
         if r == rows:
             break
-    return r
+    return r, sign * prev
 
 
 def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
@@ -256,24 +264,13 @@ def _back_substitute(kept: dict[int, tuple[int, dict[int, int]]], x: list[Fracti
 
 
 def determinant(a: Matrix) -> Fraction:
+    """det a: the Bareiss pivot of its cleared rows over the product of their
+    scales; 0 below full rank, 1 for the empty matrix."""
     n = len(a)
     assert all(len(row) == n for row in a)
-    m = [row[:] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+    scaled = [cleared(row) for row in a]
+    r, pivot = _bareiss([row for _, row in scaled])
+    return Fraction(pivot, prod(scale for scale, _ in scaled)) if r == n else Fraction(0)
 
 
 def symmetric_signature(a: Matrix) -> tuple[int, int, int]:

@@ -1,5 +1,6 @@
 """Structure-constant Lie algebras: brackets, Killing form, series flags."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from liechar import catalog, linalg
 from liechar.algebra import LieAlgebra, lie_algebra
+from liechar.fileformat import parse_algebra, serialize_algebra
 
 
 def F(x: int, y: int = 1) -> Fraction:
@@ -67,6 +69,27 @@ def test_basis_names_default_and_custom() -> None:
     assert b.names == ("t", "s")
     with pytest.raises(ValueError):
         lie_algebra(2, {}, names=("t",))
+
+
+@pytest.mark.parametrize("label", ["a b", "c#", "", " ", "x\ty", "x\n", "x\u2028y", "#", 1, None, b"x"])
+def test_basis_labels_that_a_basis_line_cannot_carry_are_refused(label) -> None:
+    # serialize_algebra writes the labels space-separated on the 'basis'
+    # line, which parse_algebra splits on whitespace and cuts at '#'
+    with pytest.raises(ValueError, match=f"basis label {re.escape(repr(label))} must be a nonempty str"):
+        lie_algebra(2, {(1, 2, 2): 1}, names=("t", label))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=3), min_size=2, max_size=2))
+@example(["a b", "c#"])
+@example(["e1", "e2"])
+def test_every_accepted_basis_label_round_trips(names: list[str]) -> None:
+    try:
+        g = lie_algebra(2, {(1, 2, 2): 1}, names=tuple(names))
+    except ValueError:
+        assert any(not label or "#" in label or any(ch.isspace() for ch in label) for label in names)
+        return
+    assert parse_algebra(serialize_algebra(g)) == g
 
 
 def test_bracket_is_antisymmetric_and_bilinear() -> None:

@@ -54,6 +54,29 @@ def test_chart_refuses_a_corner_that_is_not_finite(lower, upper) -> None:
         jets.Chart(lower=lower, upper=upper)
 
 
+def test_chart_stores_array_and_list_corners_as_float_tuples() -> None:
+    # an array corner made lower + upper an elementwise sum, so the step
+    # check read the sum -1e17 + 1e17 = 0 and passed
+    with pytest.raises(ValueError, match="corner coordinate -1e[+]17"):
+        jets.Chart(np.array([-1e17]), np.array([1e17]), h=1e-3)
+    with pytest.raises(ValueError, match="corner coordinate -1e[+]17"):
+        jets.Chart([-1e17], [1e17], h=1e-3)
+    chart = square_chart()
+    for lower, upper in (
+        (np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+        ([-1, -1], [1, 1]),
+        ((np.float64(-1.0), -1), [1.0, np.int64(1)]),
+    ):
+        twin = jets.Chart(lower, upper)
+        assert twin.lower == (-1.0, -1.0) and twin.upper == (1.0, 1.0)
+        assert all(type(v) is float for v in twin.lower + twin.upper)
+        assert twin == chart and hash(twin) == hash(chart) and repr(twin) == repr(chart)
+        # two sections on one box are on one chart, however it was given
+        sa = jets.constant_section(chart, np.zeros(2), np.eye(2))
+        sb = jets.constant_section(twin, np.zeros(2), np.eye(2))
+        assert jets.spencer_bracket(sa, sb).chart == chart
+
+
 def test_chart_contains_and_interior() -> None:
     chart = square_chart()
     assert chart.contains(np.array([0.0, 0.0]))

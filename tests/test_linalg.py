@@ -1,5 +1,6 @@
 """Exact rational linear algebra: elimination, ranks, signatures."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,54 @@ def test_determinant_known_values() -> None:
         [F(4), F(0), F(0)],
     ]
     assert linalg.determinant(m) == F(-128)
+
+
+@st.composite
+def square_matrix_pairs(draw) -> tuple[linalg.Matrix, linalg.Matrix]:
+    """Two rational n x n matrices, n = 0..5. Zero entries are common, so a
+    pivot often needs a row swap, and a drawn row may repeat another, so
+    singular matrices are common too."""
+    n = draw(st.integers(0, 5))
+    values = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+    def square() -> linalg.Matrix:
+        a = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))
+        if n >= 2 and draw(st.booleans()):
+            a[draw(st.integers(0, n - 1))] = a[draw(st.integers(0, n - 1))][:]
+        return a
+
+    return square(), square()
+
+
+def _leibniz(a: linalg.Matrix) -> Fraction:
+    """det a as the signed sum over permutations, the sign read from the
+    inversion count."""
+    n = len(a)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = F((-1) ** inversions)
+        for row, col in enumerate(perm):
+            term *= a[row][col]
+        total += term
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrix_pairs())
+@example(([], []))  # the empty matrix
+@example(  # every pivot needs a row swap
+    (
+        [[F(0), F(1), F(0)], [F(0), F(0), F(1)], [F(1), F(0), F(0)]],
+        [[F(1, 2), F(0), F(0)], [F(0), F(0), F(-3)], [F(0), F(5), F(0)]],
+    )
+)
+@example(([[F(1), F(2)], [F(1, 2), F(1)]], [[F(0), F(0)], [F(0), F(1)]]))  # singular, the second at its first column
+def test_determinant_is_the_leibniz_sum_and_multiplicative(pair: tuple[linalg.Matrix, linalg.Matrix]) -> None:
+    a, b = pair
+    assert linalg.determinant(a) == _leibniz(a)
+    assert linalg.determinant(b) == _leibniz(b)
+    assert linalg.determinant(linalg.mat_mul(a, b)) == linalg.determinant(a) * linalg.determinant(b)
 
 
 def test_symmetric_signature_definite_and_indefinite() -> None:
