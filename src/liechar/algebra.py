@@ -59,7 +59,9 @@ class LieAlgebra(_Record):
     c: Mapping[tuple[int, int, int], Fraction]
     names: tuple[str, ...]
 
-    def __init__(self, dim: int, c: Mapping[tuple[int, int, int], Fraction], names: tuple[str, ...] = ()) -> None:
+    def __init__(
+        self, dim: int, c: Mapping[tuple[int, int, int], Fraction], names: tuple[str, ...] | list[str] = ()
+    ) -> None:
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         normalized: dict[tuple[int, int, int], Fraction] = {}
@@ -77,6 +79,7 @@ class LieAlgebra(_Record):
             if key in normalized and normalized[key] != v:
                 raise ValueError(f"conflicting values for constant {key}")
             normalized[key] = v
+        names = tuple(names)  # a list of labels is stored, compared and shown as a tuple
         if names and len(names) != dim:
             raise ValueError("need one basis name per dimension")
         for label in names:

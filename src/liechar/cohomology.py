@@ -16,8 +16,8 @@ solve of a primitive scales its target by s, so every rank, Betti number
 and primitive is that of d_k itself. Tests certify every rank against both
 dense elimination routes and every primitive against a dense solve.
 Every sparse matrix this module eliminates has integer cells, read off
-scaled_brackets; a form in apply and a central vector become integers
-through linalg.cleared, and a solve's target inside sparse_solve.
+scaled_brackets; a form in apply and the reduced central vectors become
+integers through linalg.cleared, and a solve's target inside sparse_solve.
 
 cochain_complex ranks only the subcomplex of cochains of joint weight zero
 under the toral basis vectors, those e_i whose ad is diagonal in the given
@@ -40,22 +40,33 @@ Inside the subcomplex, d_0, d_1, ... are ranked in order and each
 d_k only on the columns that are not kept (pivot) rows of d_{k-1}: those
 rows are independent, so the other coordinate vectors and im d_{k-1} span
 C^k_0, and d_k vanishes on im d_{k-1}. Both steps need d o d = 0, that is
-Jacobi. cochain_complex checks it once and builds each d_k once.
+Jacobi. cochain_complex checks it once, on the algebra it ranks (below),
+and builds each d_k once.
 
 The split centre (central_split): let z_1, ..., z_c be central vectors
 independent modulo [g, g]. A complement V of span(z) that contains
 [g, g] is an ideal, since [g, V] lies in [g, g], and g = V + span(z) as
 Lie algebras, since z is central. So g is q + F^c with q = g / span(z)
 isomorphic to V, and by the Kunneth formula b(g) = b(q) (1 + t)^c, exactly.
-When the basis has no toral vector, cochain_complex reads the centre and
-[g, g] off the scaled adjoints, puts the chosen z in reduced row echelon
-form, drops the basis index that leads each z (that e_m is minus the rest
-of its z modulo span(z)), and ranks q's complex. c is as large as it can
-be, so q's centre lies in [q, q] and nothing is left to split. An
-abelian g leaves q of dimension 0, with the table (1 + t)^dim. A centre
-inside [g, g], as in a nilpotent Heisenberg algebra, or none, as in a
-semisimple one, splits nothing. With toral vectors the weight-zero
-subcomplex is already small, and the search is skipped.
+When the basis has no toral vector, cochain_complex reads [g, g] and the
+centre off the scaled adjoints in integers: the centre from one echelon of
+the rows vec(s ad e_i), each tagged by a unit column, whose kept rows that
+lead at a tag hold integer central vectors in their tags. It puts the
+chosen z in reduced row echelon form, drops the basis index that leads
+each z (that e_m is minus the rest of its z modulo span(z)), sums q's
+constants in integers over the common denominator of the reduced z, and
+ranks q's complex. c is as large as it can be, so q's centre lies in
+[q, q] and nothing is left to split. An abelian g leaves q of dimension 0,
+with the table (1 + t)^dim. A centre inside [g, g], as in a nilpotent
+Heisenberg algebra, or none, as in a semisimple one, splits nothing. With
+toral vectors the weight-zero subcomplex is already small, and the search
+is skipped.
+Jacobi is checked on the algebra that is ranked, q when the centre splits:
+z is central, so q's bracket is g's modulo span(z), and each Jacobi sum of
+q is the image of g's. Every Jacobi sum of g lies in [g, g], which meets
+span(z) in 0, so g satisfies Jacobi exactly when q does. An abelian g (q
+of dimension 0) needs no check, and g is validated only when q fails, so
+that the error names g's first violation.
 
 Poincare duality (Koszul, Bull. SMF 78, 1950; Hazewinkel, "A duality
 theorem for the cohomology of Lie algebras", Math. USSR-Sb. 12, 1970): when
@@ -127,11 +138,13 @@ from .forms import AlternatingForm, cochain_basis, trace_forms
 # take 93% of gl4's. (Fraction differentials and filtered cochains took
 # 9.7, 19, 39, 89 and 117 ms on the same run.)
 # A unipotent basis change leaves no toral vector. With a centre outside
-# [g, g] the quotient by it is ranked (central_split): dense b4+C^3 (dim 13)
-# 0.11-0.21 s and b4+C^4 (dim 14) 0.08-0.17 s, against 26 s for b4+C^3
-# ranked whole. Without one the whole complex is ranked, and its middle
-# differential grows as C(n, n/2), dense: in bases with integer entries
-# sl3+aff1^2 (dim 12) 11 s and sl3+sl2+aff1 (dim 13) 59 s, with
+# [g, g] the quotient by it is ranked (central_split, in integers): dense
+# b4+C^3 (dim 13) 0.04-0.26 s and b4+C^4 (dim 14) 0.07-0.17 s (half-integer
+# bases of seeds 0-3, best of 3, two runs; ranking q, of dimension 9,
+# takes over 85%, the split and q's Jacobi check 2-6 ms), against 26 s
+# for b4+C^3 ranked whole. Without one the whole complex is ranked, and its
+# middle differential grows as C(n, n/2), dense: in bases with integer
+# entries sl3+aff1^2 (dim 12) 11 s and sl3+sl2+aff1 (dim 13) 59 s, with
 # half-integer ones 17 s and 273 s (one run each, measured with Fraction
 # differentials, before the integer build). Those inputs set the cap: it
 # stays at 14, where the matrix-unit and split inputs above take under a
@@ -152,6 +165,10 @@ from .forms import AlternatingForm, cochain_basis, trace_forms
 # sl3+aff1^2 (integer, not unimodular, every b_k > 0 from b_3 to b_10)
 # 8.3-10.8 s and 8.8-10.4 s (two runs each). Only a search for a torus,
 # which would give those bases toral vectors, can lift the cap.
+# The integer split and the Jacobi check of q alone took that job's seeds
+# 0-7 (sum of the per-seed best of 60) from 80.5 ms to 70.3-70.7 ms, two
+# alternating runs: central_split 1.9 -> 1.1 ms a seed, and q's check takes
+# 0.7 ms against g's 1.0 ms; ranking q is 6.0 of the 8.9 ms left.
 BETTI_DIM_CAP = 14
 
 
@@ -384,47 +401,66 @@ def central_split(alg: LieAlgebra) -> tuple[LieAlgebra | None, int]:
     """(q, c) for c central vectors z_1, ..., z_c independent modulo [g, g],
     as many as there are: q = g / span(z), in the images of the basis vectors
     that lead no row of the reduced z, or None when c = dim. (alg, 0) when the
-    centre lies in [g, g]. The centre and [g, g] are read from the scaled
-    adjoints by linalg.echelon."""
+    centre lies in [g, g].
+
+    [g, g] and the centre come from linalg.echelon on the scaled adjoints.
+    The centre's rows are vec(s * ad e_i), each tagged by a unit at column
+    n^2 + i - 1; a kept row that leads at a tag column vanishes on every
+    adjoint column, so its tags are an integer central vector, and these
+    vectors span the centre. Each is kept when its reduce_row against the
+    echelon rows of [g, g] and of the vectors kept before it does not
+    vanish. q's constants are summed in integers from alg.scaled_brackets,
+    over the common denominator of the reduced z, one Fraction each.
+
+    Nothing here needs Jacobi, and q satisfies it exactly when alg does:
+    q's bracket is alg's modulo the central span(z), every Jacobi sum of alg
+    lies in [g, g], and span(z) meets [g, g] in 0. So cochain_complex checks
+    only q."""
     n = alg.dim
-    # x = s * [e_i, e_(t+1)]^(r+1): row (r, t) of the equations of the
-    # centre, at column i - 1, and for i < t + 1 row (i, t) of the brackets
-    # that span [g, g], at column r
-    equations: dict[tuple[int, int], int] = {}
+    # x = s * [e_i, e_(t+1)]^(r+1): column r * n + t of adjoint row i - 1,
+    # and for i < t + 1 row (i, t) of the brackets that span [g, g], at column r
+    adjoints: dict[tuple[int, int], int] = {(i, n * n + i): 1 for i in range(n)}
     brackets: dict[tuple[int, int], int] = {}
     for i, rows in alg.sparse_ad[1].items():
         for r, row in rows.items():
             for t, x in row:
-                equations[r * n + t, i - 1] = x
+                adjoints[i - 1, r * n + t] = x
                 if i <= t:
                     brackets[(i - 1) * n + t, r] = x
     derived = linalg.echelon(brackets, n)
     if len(derived) == n:
         return alg, 0
-    # the central vectors independent of [g, g] and of the central vectors
-    # chosen before them: those whose integer row does not vanish when
-    # reduced against the echelon rows of both
     chosen = []
-    for z in linalg.kernel(equations, n):
-        row = {m: x for m, x in enumerate(linalg.cleared(z)[1]) if x}
-        lead = linalg.reduce_row(row, derived)
-        if lead is not None:
-            derived[lead] = (-1, row)
-            chosen.append(z)
+    for lead, (_, row) in sorted(linalg.echelon(adjoints).items()):
+        if lead >= n * n:
+            z = {c - n * n: x for c, x in row.items()}
+            dense = [Fraction(z.get(m, 0)) for m in range(n)]
+            lead_z = linalg.reduce_row(z, derived)
+            if lead_z is not None:
+                derived[lead_z] = (-1, z)
+                chosen.append(dense)
     if not chosen:
         return alg, 0
     reduced, leads = linalg.row_reduce(chosen)
     if len(leads) == n:
         return None, n
     index = {m + 1: pos for pos, m in enumerate(sorted(set(range(n)) - set(leads)), 1)}
-    # modulo span(z), e_lead is minus the components of its z at the kept indices
-    rewrite = {lead + 1: [(index[t], -z[t - 1]) for t in index if z[t - 1]] for z, lead in zip(reduced, leads)}
-    constants: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), value in alg.c.items():
+    # modulo span(z), d * e_lead is minus the numerators of its z at the kept
+    # indices, over the common denominator d of the reduced z
+    d, numerators = linalg.cleared([x for z in reduced for x in z])
+    rewrite = {
+        lead + 1: [(index[t], -numerators[row * n + t - 1]) for t in index if numerators[row * n + t - 1]]
+        for row, lead in enumerate(leads)
+    }
+    scale, scaled = alg.scaled_brackets
+    sums: dict[tuple[int, int, int], int] = {}
+    for (i, j), terms in scaled.items():
         if i in index and j in index:
-            for m, coeff in rewrite[k] if k in rewrite else ((index[k], 1),):
-                key = (index[i], index[j], m)
-                constants[key] = constants.get(key, 0) + value * coeff
+            for k, x in terms:
+                for m, coeff in rewrite[k] if k in rewrite else ((index[k], d),):
+                    key = (index[i], index[j], m)
+                    sums[key] = sums.get(key, 0) + x * coeff
+    constants = {key: Fraction(value, d * scale) for key, value in sums.items() if value}
     return LieAlgebra(dim=len(index), c=constants), len(leads)
 
 
@@ -475,11 +511,13 @@ def cochain_complex(alg: LieAlgebra, top: int | None = None) -> CochainComplex:
     if top is not None and top < 0:
         raise ValueError(f"top degree {top} is negative")
     check_betti_size(alg)
-    violations = alg.validate().violations
-    if violations:
-        raise ValueError(f"Jacobi identity fails at (i, j, k, m) = {violations[0]}: no cochain complex")
-    top = n if top is None else min(top, n)
     quotient, split = (alg, 0) if alg.toral_weights else central_split(alg)
+    # q satisfies Jacobi exactly when alg does (central_split), so only the
+    # ranked algebra is checked, and alg only to name its first violation
+    if quotient is not None and not quotient.validate().ok:
+        violation = alg.validate().violations[0]
+        raise ValueError(f"Jacobi identity fails at (i, j, k, m) = {violation}: no cochain complex")
+    top = n if top is None else min(top, n)
     table, ranked = _ranked(quotient, min(top, quotient.dim)) if quotient else ((1,), ())
     # Kunneth: g = q + F^split, so b(g) = b(q) * (1 + t)^split
     table = tuple(sum(comb(split, k - i) * b for i, b in enumerate(table[: k + 1])) for k in range(top + 1))

@@ -248,7 +248,12 @@ def sparse_solve(
 def kernel(nonzeros: SparseMatrix, cols: int) -> list[list[Fraction]]:
     """Null space of a sparse matrix with cols columns, one vector per column
     f that leads no echelon row: x_f = 1, the other such columns 0, and the
-    leading columns back-substituted."""
+    leading columns back-substituted.
+
+    No module of the package calls it: cohomology.central_split reads the
+    centre off one tagged echelon, in integers. It stays as the Fraction
+    reference route of the tests, which check the centre the split chooses
+    against it."""
     kept = echelon(nonzeros)
     units = ([Fraction(int(c == free)) for c in range(cols)] for free in range(cols) if free not in kept)
     return [_back_substitute(kept, x) for x in units]

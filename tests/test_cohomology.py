@@ -742,6 +742,37 @@ def test_central_split_chooses_the_central_vectors_of_the_fraction_route(name, s
         assert c == split
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_centre_that_meets_the_derived_algebra_splits_off_what_lies_outside_it(seed) -> None:
+    # heisenberg3 + F: the centre span(e3, e4) meets [g, g] = span(e3) in a
+    # line, so one vector splits; the complement of that line in the centre
+    # is not unique, and the two routes may choose different ones (seed 2
+    # does), so they are compared by their tables
+    g = change_basis(lie_algebra(4, {(1, 2, 3): 1}), seeded_unipotent(4, seed))
+    assert not g.toral_weights
+    quotient, split = central_split(g)
+    fraction_quotient, fraction_split = fraction_central_split(g)
+    assert split == fraction_split == 1
+    assert betti_table(quotient) == betti_table(fraction_quotient) == [1, 2, 2, 1]
+    assert betti_table(g) == [betti(g, k) for k in range(5)] == [1, 3, 4, 3, 1]
+
+
+def test_a_split_bracket_that_fails_jacobi_is_refused_with_its_own_first_violation() -> None:
+    # dense gl3's central vector vanishes at e7 and e9, so perturbing c_79^8
+    # keeps it central and outside [g, g]: the quotient is still split off,
+    # and it fails Jacobi, as g does, but at another first violation
+    dense = change_basis(bench_input("gl3"), seeded_unipotent(9, 0))
+    constants = dict(dense.c)
+    constants[7, 9, 8] = constants.get((7, 9, 8), 0) + 1
+    bad = LieAlgebra(9, constants)
+    quotient, split = central_split(bad)
+    assert split == 1
+    first, quotient_first = bad.validate().violations[0], quotient.validate().violations[0]
+    assert first != quotient_first
+    with pytest.raises(ValueError, match=re.escape(f"Jacobi identity fails at (i, j, k, m) = {first}: ")):
+        betti_table(bad)
+
+
 def test_dense_betti_table_of_b4_plus_abelian3_equals_its_poincare_table() -> None:
     # the split centre is b4's identity and C^3, so 4 of the 13 dimensions
     g = bench_input("b4_C3")

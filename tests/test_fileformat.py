@@ -41,6 +41,13 @@ def test_round_trip_catalog_algebras() -> None:
         assert parse_algebra(serialize_algebra(alg)) == alg, entry.name
 
 
+def test_list_labels_are_stored_as_a_tuple_and_round_trip() -> None:
+    g = LieAlgebra(2, {(1, 2, 2): 1}, names=["t", "s"])
+    assert g.names == ("t", "s")
+    assert repr(g).endswith("names=('t', 's'))")
+    assert parse_algebra(serialize_algebra(g)) == g
+
+
 def test_serialize_negative_and_fractional_values() -> None:
     alg = parse_algebra("dim 2\nbasis a b\n1 2 1 -3/4\n")
     text = serialize_algebra(alg)
